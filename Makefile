@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race bench bench-json examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke
+.PHONY: tier1 build test race bench bench-json benchmark benchmark-aa examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke
 
 # tier1 is the repo's gate: everything must build, vet clean, and every
 # test pass.
@@ -120,6 +120,19 @@ trace-smoke:
 # bench-json records the benchmark trajectory: one BENCH_<n>.json per
 # PR, so regressions are visible across the history. Override BENCH_OUT
 # for the next snapshot.
-BENCH_OUT ?= BENCH_9.json
+BENCH_OUT ?= BENCH_12.json
 bench-json:
 	$(GO) run ./cmd/vsdbench -json > $(BENCH_OUT).tmp && mv $(BENCH_OUT).tmp $(BENCH_OUT)
+
+# benchmark runs one workload of the repo benchmark (BENCHMARK.json,
+# benchmark/README.md): certify-cold, certify-warm, serve-mixed or
+# forward. TRACE=1 gives the per-layer run. benchmark-aa runs the
+# benchmark against itself, the noise floor a claimed gain must clear.
+WORKLOAD ?= serve-mixed
+SEED ?= 2013
+TRACE ?= 0
+benchmark:
+	$(GO) run ./benchmark --workload $(WORKLOAD) --seed $(SEED) --trace $(TRACE)
+
+benchmark-aa:
+	$(GO) run ./benchmark --aa --seed $(SEED)

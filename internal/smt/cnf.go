@@ -28,6 +28,12 @@ type gateKey struct {
 // in the gate cache, so syntactically repeated structure — parallel
 // adders over shared inputs, the equality ladders that segment stitching
 // emits — reaches the SAT core as one gate instead of many.
+//
+// The emitted circuit is a pure and-inverter/xor graph, and the blaster
+// keeps its shape: fanin records, per variable, the operand literals of
+// the gate that defines it. cone walks that record backwards from a set
+// of root literals, which is what lets a solve on a shared instance
+// branch only on the variables its own query depends on.
 type blaster struct {
 	sat      *SatSolver
 	tru      Lit // literal that is always true
@@ -36,6 +42,44 @@ type blaster struct {
 	divMem   map[divModKey]divModResult
 	gates    map[gateKey]Lit
 	gateHits int64
+
+	// fanin[v] is what variable v is a function of: two operand literals
+	// for an AND/XOR gate, one for a session guard (its atom's root),
+	// none for a free input, and a tie index for an input that a side
+	// constraint binds to other literals (see tie).
+	fanin []gateIn
+	ties  []tie
+
+	// Scratch of the cone walk, reused across queries. coneMark stamps
+	// visited variables with coneGen, so a walk costs O(cone).
+	coneMark  []uint32
+	coneGen   uint32
+	coneVars  []int32
+	coneSels  []int32
+	coneStack []int32
+}
+
+// gateIn is one variable's defining operands. x == litNone marks a free
+// input; x == litTie an input whose tie index is y.
+type gateIn struct{ x, y Lit }
+
+const (
+	litNone Lit = -1
+	litTie  Lit = -2
+)
+
+// A tie records that some input variables are constrained together with
+// other literals by clauses asserted outside any guard: the eight value
+// bits of an Ackermannized select with the bits of its index (the
+// functional-consistency axioms compare both), or the quotient and
+// remainder bits of a division with the root of its defining constraint.
+// A cone that reaches one tied input takes in every literal of the tie,
+// so such a constraint is never left half inside a cone. sel is the
+// session's index of the select, -1 for a division.
+type tie struct {
+	lits []Lit
+	sel  int32
+	mark uint32 // coneGen of the walk that last expanded it
 }
 
 // blasterPool recycles blasters (and their SAT instances) across
@@ -75,6 +119,9 @@ func (b *blaster) reset() {
 	clear(b.divMem)
 	clear(b.gates)
 	b.gateHits = 0
+	b.fanin = b.fanin[:0]
+	b.ties = b.ties[:0]
+	b.coneMark = b.coneMark[:0]
 	b.pinConstants()
 }
 
@@ -109,8 +156,7 @@ func (b *blaster) frozenVars(mask []bool) []bool {
 // pinConstants allocates variable 0 and pins it true so constant bits
 // are ordinary literals.
 func (b *blaster) pinConstants() {
-	v := b.sat.NewVar()
-	b.tru = MkLit(v, false)
+	b.tru = b.fresh()
 	b.sat.AddClause(b.tru)
 }
 
@@ -126,7 +172,76 @@ func (b *blaster) isConst(l Lit) (bool, bool) {
 	return false, false
 }
 
-func (b *blaster) fresh() Lit { return MkLit(b.sat.NewVar(), false) }
+// fresh allocates a variable, recorded as a free input until a gate
+// constructor, tieInputs or the session's guard says otherwise. Every
+// variable of the instance comes from here, so fanin covers them all.
+func (b *blaster) fresh() Lit {
+	b.fanin = append(b.fanin, gateIn{litNone, litNone})
+	return MkLit(b.sat.NewVar(), false)
+}
+
+// tieInputs ties the input variables behind bits to lits (see tie).
+func (b *blaster) tieInputs(bits, lits []Lit, sel int32) {
+	b.ties = append(b.ties, tie{lits: lits, sel: sel})
+	for _, l := range bits {
+		b.fanin[l.Var()] = gateIn{litTie, Lit(len(b.ties) - 1)}
+	}
+}
+
+// cone returns the variables in the transitive fan-in of roots, closed
+// over ties, and the session indices of the selects among them. Both
+// slices are scratch, valid until the next call.
+func (b *blaster) cone(roots []Lit) (vars, sels []int32) {
+	if b.coneGen++; b.coneGen == 0 {
+		clear(b.coneMark)
+		for i := range b.ties {
+			b.ties[i].mark = 0
+		}
+		b.coneGen = 1
+	}
+	for len(b.coneMark) < len(b.fanin) {
+		b.coneMark = append(b.coneMark, 0)
+	}
+	vars, sels, stack := b.coneVars[:0], b.coneSels[:0], b.coneStack[:0]
+	visit := func(l Lit) {
+		if v := l.Var(); b.coneMark[v] != b.coneGen {
+			b.coneMark[v] = b.coneGen
+			vars = append(vars, v)
+			stack = append(stack, v)
+		}
+	}
+	for _, l := range roots {
+		visit(l)
+	}
+	for len(stack) > 0 {
+		f := b.fanin[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		switch f.x {
+		case litNone:
+		case litTie:
+			// Every input of a tie points at it; the first one reached
+			// expands it.
+			t := &b.ties[f.y]
+			if t.mark == b.coneGen {
+				continue
+			}
+			t.mark = b.coneGen
+			if t.sel >= 0 {
+				sels = append(sels, t.sel)
+			}
+			for _, l := range t.lits {
+				visit(l)
+			}
+		default:
+			visit(f.x)
+			if f.y != litNone {
+				visit(f.y)
+			}
+		}
+	}
+	b.coneVars, b.coneSels, b.coneStack = vars, sels, stack
+	return vars, sels
+}
 
 // gate constructors with constant propagation and structural hashing
 
@@ -159,6 +274,7 @@ func (b *blaster) mkAnd(x, y Lit) Lit {
 		return z
 	}
 	z := b.fresh()
+	b.fanin[z.Var()] = gateIn{x, y}
 	b.sat.AddClause(z.Flip(), x)
 	b.sat.AddClause(z.Flip(), y)
 	b.sat.AddClause(z, x.Flip(), y.Flip())
@@ -211,6 +327,7 @@ func (b *blaster) mkXor(x, y Lit) Lit {
 		return z
 	}
 	z := b.fresh()
+	b.fanin[z.Var()] = gateIn{x, y}
 	b.sat.AddClause(z.Flip(), x, y)
 	b.sat.AddClause(z.Flip(), x.Flip(), y.Flip())
 	b.sat.AddClause(z, x.Flip(), y)
@@ -571,7 +688,9 @@ func (b *blaster) blastDivMod(ea, eb *expr.Expr, x, y []Lit) (q, r []Lit) {
 	rEqA := b.eqBits(r, x)
 	zeroCase := b.mkAnd(qOnes, rEqA)
 	posCase := b.mkAnd(eqn, rLtB)
-	b.sat.AddClause(b.mkMux(bZero, zeroCase, posCase))
+	side := b.mkMux(bZero, zeroCase, posCase)
+	b.sat.AddClause(side)
+	b.tieInputs(append(append([]Lit{}, q...), r...), []Lit{side}, -1)
 	b.divMem[key] = divModResult{q, r}
 	return q, r
 }

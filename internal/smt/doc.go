@@ -24,9 +24,12 @@
 // IncrementalSession (DESIGN.md §2) keeps one persistent SAT instance
 // per caller: each distinct atom is blasted once behind an activation
 // guard, queries assert their atom set as assumptions, and learnt
-// clauses carry over between queries. The verifier's workers and the
-// symbolic-execution engines each own a session; the Solver itself is
-// safe for concurrent use by many sessions.
+// clauses carry over between queries. A solve branches only on the cone
+// of its query — the fan-in of the assumed atoms in the gate graph the
+// blaster records — so its cost follows the query, not what the session
+// has accumulated. The verifier's Step-2 workers each own a session for
+// the verifier's lifetime, a symbolic-execution run owns one for that
+// run; the Solver itself is safe for concurrent use by many sessions.
 //
 // Sat verdicts come with a model (expr.Assignment) that the verifier
 // turns into concrete witness packets; Stats counters flow up into

@@ -185,7 +185,7 @@ func TestExchangeRacingSolvers(t *testing.T) {
 			continue
 		}
 		want := bruteForceSatUnder(nv, cnf, nil)
-		verdict, winner, _ := racePortfolio(s, nil, 4, -1, time.Time{}, e)
+		verdict, winner, _ := racePortfolio(s, s.everyVar(), nil, 4, -1, time.Time{}, e)
 		if winner == nil {
 			t.Fatalf("trial %d: no winner", trial)
 		}

@@ -78,6 +78,7 @@ func (s *SatSolver) cloneAt0(seat portfolioSeat) *SatSolver {
 	c.claInc = s.claInc
 	c.polarity = append(c.polarity, s.polarity...)
 	c.seen = make([]bool, len(s.seen))
+	c.inCone = make([]uint32, len(s.inCone))
 	c.elim = append(c.elim, s.elim...)
 	c.elimStack = append(c.elimStack, s.elimStack...) // records are immutable
 	c.ok = s.ok
@@ -86,7 +87,6 @@ func (s *SatSolver) cloneAt0(seat portfolioSeat) *SatSolver {
 	c.compactMin = s.compactMin
 	c.preClauses = s.preClauses
 	c.fp = s.fp
-	c.orderStale = true
 
 	c.restartBase = seat.restartBase
 	c.varDecay = seat.varDecay
@@ -114,19 +114,21 @@ func (s *SatSolver) cloneAt0(seat portfolioSeat) *SatSolver {
 	return c
 }
 
-// racePortfolio races n clones of base under the given assumptions, each
-// with conflict budget (<=0 unbounded) and deadline (zero = none). The
-// first decisive clone cancels the rest. It returns the verdict, the
-// winning clone (nil when every seat came back unknown), and the number
-// of seats whose search panicked. When ex is non-nil the clones share
-// learnt clauses through it mid-race, under the base solver's
-// fingerprint.
+// racePortfolio races n clones of base under the given cone and
+// assumptions, each with conflict budget (<=0 unbounded) and deadline
+// (zero = none). The seats inherit the cone of the solve they re-attack:
+// deciding every variable would be sound, but it would complete the whole
+// session's model on exactly the hard obligations. The first decisive
+// clone cancels the rest. It returns the verdict, the winning clone (nil
+// when every seat came back unknown), and the number of seats whose
+// search panicked. When ex is non-nil the clones share learnt clauses
+// through it mid-race, under the base solver's fingerprint.
 //
 // A seat goroutine panicking must never take the process down: seats
 // run engine code under injectable faults (and, in principle, engine
 // bugs), and the race's contract is that a dead seat simply counts as
 // Unknown — a lost opportunity, never a lost daemon or a verdict.
-func racePortfolio(base *SatSolver, assumptions []Lit, n int, budget int64, deadline time.Time, ex *ClauseExchange) (SatResult, *SatSolver, int64) {
+func racePortfolio(base *SatSolver, cone []int32, assumptions []Lit, n int, budget int64, deadline time.Time, ex *ClauseExchange) (SatResult, *SatSolver, int64) {
 	if n > len(portfolioSeats) {
 		n = len(portfolioSeats)
 	}
@@ -167,7 +169,7 @@ func racePortfolio(base *SatSolver, assumptions []Lit, n int, budget int64, dead
 			if seatStartHook != nil {
 				seatStartHook(i)
 			}
-			v := clone.Solve(assumptions...)
+			v := clone.SolveCone(cone, assumptions...)
 			results[i].verdict = v
 			if v != SatUnknown {
 				stop.Store(true)
@@ -195,7 +197,11 @@ const raceImportGlue = 2048
 // keeps serving the session afterwards — profits from the race's work.
 func (s *SatSolver) adoptRaceResult(winner *SatSolver, verdict SatResult) {
 	if verdict == SatSat {
-		s.model = append(s.model[:0], winner.model...)
+		// The winner's model is as sparse as its cone solve left it.
+		s.clearModel()
+		for _, v := range winner.modelSet {
+			s.setModel(v, winner.model[v])
+		}
 	}
 	if !winner.ok {
 		s.ok = false

@@ -61,7 +61,7 @@ func TestSatFuzzDifferentialPortfolio(t *testing.T) {
 		if trial%3 == 0 {
 			ex = NewClauseExchange(0, 0)
 		}
-		verdict, winner, _ := racePortfolio(s, assumptions, seats, -1, time.Time{}, ex)
+		verdict, winner, _ := racePortfolio(s, s.everyVar(), assumptions, seats, -1, time.Time{}, ex)
 		if winner == nil || verdict == SatUnknown {
 			t.Fatalf("trial %d: unbounded race returned no verdict", trial)
 		}
@@ -81,6 +81,65 @@ func TestSatFuzzDifferentialPortfolio(t *testing.T) {
 					t.Fatalf("trial %d: adopted model violates assumption %v", trial, a)
 				}
 			}
+		}
+	}
+}
+
+// TestPortfolioRaceKeepsCone races seats on a session instance that
+// holds far more than the query: every seat must branch inside the
+// query's cone only (a seat completing the whole instance's model would
+// be sound, but it would bring back the cost the cone removes on exactly
+// the obligations hard enough to race), and the partial model adopted
+// back must still read out a witness of the query.
+func TestPortfolioRaceKeepsCone(t *testing.T) {
+	sess := New(Options{}).NewSession()
+	// Out-of-cone bulk: a multiplier over other variables.
+	p, q := expr.Var("rp", 12), expr.Var("rq", 12)
+	sess.Check([]*expr.Expr{expr.Eq(expr.Mul(p, q), expr.Const(12, 35)), expr.Ult(expr.Const(12, 1), p)})
+	x, y := expr.Var("rx", 8), expr.Var("ry", 8)
+	query := []*expr.Expr{
+		expr.Eq(expr.Mul(x, y), expr.Const(8, 143)),
+		expr.Ult(expr.Const(8, 1), x),
+		expr.Ult(x, y),
+	}
+	assumptions := make([]Lit, len(query))
+	for i, a := range query {
+		assumptions[i] = sess.guardFor(a)
+	}
+	cone, _ := sess.bl.cone(assumptions)
+	sat := sess.bl.sat
+	if 2*len(cone) > sat.NumVars() {
+		t.Fatalf("cone %d of %d variables: the instance is not polluted", len(cone), sat.NumVars())
+	}
+	inCone := map[int32]bool{}
+	for _, v := range cone {
+		inCone[v] = true
+	}
+	sat.cancelUntil(0)
+	verdict, winner, _ := racePortfolio(sat, cone, assumptions, 3, -1, time.Time{}, nil)
+	if verdict != SatSat || winner == nil {
+		t.Fatalf("race verdict %v, want sat", verdict)
+	}
+	for lvl := len(assumptions); lvl < len(winner.trailLim); lvl++ {
+		if d := winner.trail[winner.trailLim[lvl]].Var(); !inCone[d] {
+			t.Fatalf("winning seat decided variable %d outside the cone", d)
+		}
+	}
+	if len(winner.trail) >= winner.NumVars() {
+		t.Fatalf("winning seat assigned all %d variables; the cone was not inherited", winner.NumVars())
+	}
+	sat.adoptRaceResult(winner, verdict)
+	m := expr.NewAssignment()
+	m.Vars["rx"] = sess.bl.modelVar("rx", 8)
+	m.Vars["ry"] = sess.bl.modelVar("ry", 8)
+	for _, a := range query {
+		if !expr.Eval(a, m).IsTrue() {
+			t.Fatalf("adopted model %v violates %s", m.Vars, a)
+		}
+	}
+	for v := int32(0); v < int32(sat.NumVars()); v++ {
+		if sat.ModelValue(v) && winner.assign[v] != lTrue {
+			t.Fatalf("adopted model sets variable %d, which the winner never assigned", v)
 		}
 	}
 }

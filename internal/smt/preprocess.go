@@ -623,7 +623,6 @@ func (p *preprocessor) finish() {
 	}
 	s.compact()
 	s.qhead = 0
-	s.orderStale = true
 	s.preClauses = len(s.clauses)
 	// Refingerprint from the surviving database.
 	s.fp = fpOffset

@@ -126,7 +126,7 @@ func TestRaceContainsSeatPanics(t *testing.T) {
 			panic("injected seat panic")
 		}
 	}
-	verdict, winner, panics := racePortfolio(s, nil, 3, -1, time.Time{}, nil)
+	verdict, winner, panics := racePortfolio(s, s.everyVar(), nil, 3, -1, time.Time{}, nil)
 	if panics != 2 {
 		t.Fatalf("panics = %d, want 2", panics)
 	}
@@ -137,7 +137,7 @@ func TestRaceContainsSeatPanics(t *testing.T) {
 	// All seats panic: the race degrades to Unknown — never a verdict
 	// from a dead seat, never a crash.
 	seatStartHook = func(int) { panic("injected seat panic") }
-	verdict, winner, panics = racePortfolio(s, nil, 3, -1, time.Time{}, nil)
+	verdict, winner, panics = racePortfolio(s, s.everyVar(), nil, 3, -1, time.Time{}, nil)
 	if verdict != SatUnknown || winner != nil || panics != 3 {
 		t.Fatalf("all-dead race = %v (winner %v, panics %d), want Unknown/nil/3", verdict, winner != nil, panics)
 	}

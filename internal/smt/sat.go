@@ -179,6 +179,18 @@ type SatSolver struct {
 	seen       []bool
 	ok         bool // false once a top-level conflict is found
 
+	// cone is the decision set of the current (or last) Solve: the only
+	// variables the search branches on, and the only ones backtracking
+	// re-queues. A solve answers Sat once every cone variable is assigned
+	// and propagation is at fixpoint (DESIGN.md §2, "Relevance"). inCone
+	// stamps membership with coneGen, so switching cones costs O(cone),
+	// never O(variables). The slice aliases the caller's, which must
+	// leave it alone until the solve returns.
+	cone    []int32
+	inCone  []uint32
+	coneGen uint32
+	every   []int32 // 0..NumVars-1, the cone of a plain Solve
+
 	// Conflict-analysis scratch (reused across conflicts).
 	learntBuf    []Lit
 	analyzeStack []Lit
@@ -218,8 +230,12 @@ type SatSolver struct {
 	// model is the assignment snapshot of the last SatSat answer, with
 	// eliminated variables reconstructed from elimStack. Kept separate
 	// from assign so the incremental trail is never polluted by
-	// reconstruction values.
-	model []lbool
+	// reconstruction values. A cone solve leaves most variables
+	// unassigned, so the snapshot is sparse: every entry is lFalse except
+	// those listed in modelSet, which the next capture undoes — O(trail)
+	// per answer, not O(variables).
+	model    []lbool
+	modelSet []int32
 
 	// elim marks variables removed by bounded variable elimination; they
 	// are never decided and never re-occur in added clauses. elimStack
@@ -289,6 +305,9 @@ func (s *SatSolver) reset() {
 	s.order.reset()
 	s.orderStale = false
 	s.seen = s.seen[:0]
+	s.cone = nil
+	s.inCone = s.inCone[:0]
+	s.every = s.every[:0]
 	s.ok = true
 	s.cnt = SatCounters{}
 	s.deadLits = 0
@@ -300,6 +319,7 @@ func (s *SatSolver) reset() {
 	s.Stop = nil
 	s.Interrupt = nil
 	s.model = s.model[:0]
+	s.modelSet = s.modelSet[:0]
 	s.elim = s.elim[:0]
 	s.elimStack = s.elimStack[:0]
 	s.varDecay = defaultVarDecay
@@ -351,9 +371,9 @@ func (s *SatSolver) NewVar() int32 {
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
 	s.elim = append(s.elim, false)
+	s.inCone = append(s.inCone, 0)
 	s.watches = extendWatches(s.watches)
 	s.binWatches = extendWatches(s.binWatches)
-	s.order.push(v)
 	s.fpMix(0x9e3779b97f4a7c15) // variable-allocation event
 	return v
 }
@@ -639,17 +659,18 @@ func (s *SatSolver) cancelUntil(lvl int32) {
 	if s.decisionLevel() <= lvl {
 		return
 	}
-	// Unwinding a large trail slice pushes every variable back into the
-	// decision heap at O(log n) apiece; past a threshold it is cheaper to
-	// drop the heap and rebuild it lazily in one O(n) heapify at the next
-	// decision (pickBranchVar).
-	bulk := (len(s.trail)-int(s.trailLim[lvl]))*16 > len(s.assign)
+	// Unwinding a large trail slice pushes every cone variable back into
+	// the decision heap at O(log n) apiece; past a threshold it is cheaper
+	// to drop the heap and rebuild it lazily in one O(cone) heapify at the
+	// next decision (pickBranchVar). Variables outside the cone are never
+	// queued: the search does not branch on them.
+	bulk := (len(s.trail)-int(s.trailLim[lvl]))*16 > len(s.cone)
 	for i := len(s.trail) - 1; i >= int(s.trailLim[lvl]); i-- {
 		v := s.trail[i].Var()
 		s.polarity[v] = s.assign[v] == lTrue
 		s.assign[v] = lUndef
 		s.reason[v] = crefNil
-		if !bulk {
+		if !bulk && s.inCone[v] == s.coneGen {
 			s.order.push(v)
 		}
 	}
@@ -981,16 +1002,50 @@ func luby(i int64) int64 {
 	return 1 << uint(seq)
 }
 
-// Solve runs the CDCL search. assumptions, if any, are enqueued as
-// level-1+ decisions first (used for incremental queries). Restarts
-// rewind to the assumption prefix rather than to level 0: the
-// assumption levels are forced anyway and re-propagating them is pure
-// waste.
+// Solve runs the CDCL search branching on every variable: the cone of a
+// formula nothing else shares an instance with is the whole instance.
 func (s *SatSolver) Solve(assumptions ...Lit) SatResult {
+	return s.SolveCone(s.everyVar(), assumptions...)
+}
+
+// everyVar returns the cone holding every variable.
+func (s *SatSolver) everyVar() []int32 {
+	for v := int32(len(s.every)); v < int32(len(s.assign)); v++ {
+		s.every = append(s.every, v)
+	}
+	return s.every
+}
+
+// SolveCone runs the CDCL search branching only on the variables in
+// cone. assumptions, if any, are enqueued as level-1+ decisions first
+// (used for incremental queries). Restarts rewind to the assumption
+// prefix rather than to level 0: the assumption levels are forced anyway
+// and re-propagating them is pure waste.
+//
+// SatSat means: every cone variable is assigned, propagation is at
+// fixpoint, no clause is falsified. That is a model of the whole CNF only
+// if the cone's assignment always extends to the variables left out,
+// which the caller guarantees by construction (the blaster's cones are
+// closed under gate fan-in; DESIGN.md §2 carries the argument). SatUnsat
+// needs no such contract: a conflict derivation does not depend on which
+// variables were decided.
+func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 	if !s.ok {
 		return SatUnsat
 	}
+	// Retire the previous cone before unwinding its trail, so the unwind
+	// re-queues nothing; then stamp and queue the new one.
+	if s.coneGen++; s.coneGen == 0 {
+		clear(s.inCone)
+		s.coneGen = 1
+	}
 	s.cancelUntil(0)
+	s.cone = cone
+	for _, v := range cone {
+		s.inCone[v] = s.coneGen
+	}
+	s.orderStale = false
+	s.order.rebuild(cone, s.assign, s.elim)
 	s.cnt.AssumLevels += int64(len(assumptions))
 	restartNum := int64(0)
 	restartLimit := luby(restartNum) * s.restartBase
@@ -1088,7 +1143,7 @@ func (s *SatSolver) Solve(assumptions ...Lit) SatResult {
 func (s *SatSolver) pickBranchVar() int32 {
 	if s.orderStale {
 		s.orderStale = false
-		s.order.rebuild(s.assign, s.elim)
+		s.order.rebuild(s.cone, s.assign, s.elim)
 	}
 	for {
 		v, ok := s.order.pop()
@@ -1107,14 +1162,15 @@ func (s *SatSolver) pickBranchVar() int32 {
 // and variables live at its elimination time) pick the value that keeps
 // every one satisfied. MiniSat/SatELite's model extension.
 func (s *SatSolver) captureModel() {
-	s.model = append(s.model[:0], s.assign...)
-	// Give unassigned variables (the eliminated ones) a definite default
-	// first: the satisfaction tests below and ModelValue must read the
-	// same value, or a clause satisfied under the final reading could
-	// force a contradictory reconstruction.
-	for v, m := range s.model {
-		if m >= lUndef {
-			s.model[v] = lFalse
+	// Unassigned variables (eliminated ones, and everything a cone solve
+	// never reached) get a definite default, lFalse: the satisfaction
+	// tests below and ModelValue must read the same value, or a clause
+	// satisfied under the final reading could force a contradictory
+	// reconstruction.
+	s.clearModel()
+	for _, l := range s.trail {
+		if !l.Neg() {
+			s.setModel(l.Var(), lTrue)
 		}
 	}
 	for i := len(s.elimStack) - 1; i >= 0; i-- {
@@ -1138,10 +1194,27 @@ func (s *SatSolver) captureModel() {
 			if !sat && vlit >= 0 {
 				// The clause must be satisfied through the eliminated
 				// variable's own literal.
-				s.model[rec.v] = lbool(vlit & 1)
+				s.setModel(rec.v, lbool(vlit&1))
 			}
 		}
 	}
+}
+
+// clearModel returns the sparse snapshot to all-lFalse over the current
+// variable count.
+func (s *SatSolver) clearModel() {
+	for _, v := range s.modelSet {
+		s.model[v] = lFalse
+	}
+	s.modelSet = s.modelSet[:0]
+	for len(s.model) < len(s.assign) {
+		s.model = append(s.model, lFalse)
+	}
+}
+
+func (s *SatSolver) setModel(v int32, val lbool) {
+	s.model[v] = val
+	s.modelSet = append(s.modelSet, v)
 }
 
 // ModelValue returns the assignment of variable v after a Sat answer.
@@ -1167,26 +1240,25 @@ func (h *varHeap) reset() {
 	h.pos = h.pos[:0]
 }
 
-// rebuild reconstitutes the heap from every unassigned, uneliminated
-// variable in one O(n) heapify — the counterpart of a bulk cancelUntil,
-// which skips the per-variable pushes.
-func (h *varHeap) rebuild(assign []lbool, elim []bool) {
+// rebuild reconstitutes the heap from the unassigned, uneliminated
+// variables of cone in one heapify — at the start of a solve, and as the
+// counterpart of a bulk cancelUntil, which skips the per-variable
+// pushes. It costs O(old heap + cone), independent of the variable
+// count: the heap only ever holds cone variables, so emptying it by item
+// is enough.
+func (h *varHeap) rebuild(cone []int32, assign []lbool, elim []bool) {
+	for _, v := range h.items {
+		h.pos[v] = -1
+	}
 	h.items = h.items[:0]
 	for len(h.pos) < len(assign) {
 		h.pos = append(h.pos, -1)
 	}
-	for v, a := range assign {
-		if a == lUndef && !elim[v] {
+	for _, v := range cone {
+		if assign[v] == lUndef && !elim[v] && h.pos[v] < 0 {
 			h.pos[v] = int32(len(h.items))
-			h.items = append(h.items, int32(v))
-		} else {
-			h.pos[v] = -1
+			h.items = append(h.items, v)
 		}
-	}
-	// Stale tail positions (a pooled instance may have shrunk) and the
-	// heap order are restored in O(n).
-	for i := len(assign); i < len(h.pos); i++ {
-		h.pos[i] = -1
 	}
 	for i := len(h.items)/2 - 1; i >= 0; i-- {
 		h.down(i)

@@ -1,8 +1,11 @@
 package smt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"vsd/internal/expr"
 )
 
 // This file fuzzes the CDCL core against brute-force enumeration on
@@ -14,6 +17,12 @@ import (
 // compaction all run on instances small enough to cross-check by
 // enumeration. Repeated solves with assumption sets stress the
 // incremental path over a shared instance.
+//
+// Random CNFs cannot exercise cone-restricted solving — its Sat answers
+// are only sound on the gate-structured CNF the blaster emits — so the
+// generator has a second level, randAtom, producing bitvector atoms over
+// packet selects, and TestSatFuzzConeDifferential checks sessions that
+// hold far more than a query's cone against one-shot solves.
 
 // randCNF returns a random CNF over nv variables.
 func randCNF(r *rand.Rand, nv int) [][]Lit {
@@ -28,6 +37,162 @@ func randCNF(r *rand.Rand, nv int) [][]Lit {
 		cnf = append(cnf, cl)
 	}
 	return cnf
+}
+
+// atomGen draws random 1-bit atoms over 8-bit terms: constants, the
+// given variables, constant- and symbolic-index reads of pkt, arithmetic,
+// ite chains and division/remainder (the node kinds whose encodings tie
+// inputs together outside any guard: Ackermann axioms, the div/rem side
+// constraint).
+type atomGen struct {
+	r    *rand.Rand
+	pkt  *expr.Array
+	vars []*expr.Expr
+}
+
+func (g *atomGen) term(depth int) *expr.Expr {
+	r := g.r
+	if depth == 0 || r.Intn(4) == 0 {
+		switch r.Intn(5) {
+		case 0:
+			return expr.Const(8, uint64(r.Intn(256)))
+		case 1:
+			return expr.Select(g.pkt, expr.Const(32, uint64(r.Intn(6))))
+		case 2:
+			// Symbolic index into the first 8 bytes: aliases the constant
+			// reads, so functional consistency matters.
+			idx := expr.BvAnd(expr.ZExt(g.vars[r.Intn(len(g.vars))], 32), expr.Const(32, 7))
+			return expr.Select(g.pkt, idx)
+		default:
+			return g.vars[r.Intn(len(g.vars))]
+		}
+	}
+	a, b := g.term(depth-1), g.term(depth-1)
+	switch r.Intn(16) {
+	case 0: // division is rare: each node blasts to ~2k variables
+		return expr.UDiv(a, b)
+	case 1:
+		return expr.URem(a, b)
+	case 2:
+		return expr.Bin(expr.OpShl, a, expr.Const(8, uint64(r.Intn(8))))
+	case 3, 4:
+		return expr.Sub(a, b)
+	case 5, 6:
+		return expr.BvAnd(a, b)
+	case 7, 8:
+		return expr.Bin(expr.OpXor, a, b)
+	case 9, 10, 11:
+		return expr.Ite(g.atom(depth-1), a, b)
+	default:
+		return expr.Add(a, b)
+	}
+}
+
+func (g *atomGen) atom(depth int) *expr.Expr {
+	cmps := []expr.Op{expr.OpEq, expr.OpNe, expr.OpUlt, expr.OpUle, expr.OpSlt}
+	return expr.Bin(cmps[g.r.Intn(len(cmps))], g.term(depth), g.term(depth))
+}
+
+// TestSatFuzzConeDifferential is the soundness gate of cone-restricted
+// solving (DESIGN.md §2, "Relevance"). One session is first polluted
+// with a large formula family over its own variables but the same packet
+// array — symbolic-index selects, ite chains, division nodes — so that
+// every later query's cone is a small part of the instance and the
+// Ackermann axioms cross the cone boundary. Then, for seeded random atom
+// sets: (a) the session's verdict equals a one-shot Check on a fresh
+// solver; (b) every Sat model makes every queried atom evaluate to true,
+// array bytes included; (c) the model's array bytes all come from
+// selects inside the query's cone. Two configurations run: bare, where
+// every query reaches the SAT core, and the verifier's, where the model
+// must also cover variables that equality substitution folded out of the
+// solved atoms and in-session CNF preprocessing rewrites the clauses the
+// cones are walked over.
+func TestSatFuzzConeDifferential(t *testing.T) {
+	pkt := expr.BaseArray("fzpkt")
+	shared := expr.Var("fzs", 8)
+	for _, passes := range []bool{false, true} {
+		opts := Options{DisableIntervals: !passes, DisableEqSubst: !passes, Preprocess: passes}
+		var sat, small int
+		// Several sessions rather than one long one, and query variables
+		// renewed every 25 queries: propagation evaluates every gate whose
+		// inputs a query assigns, inside its cone or not, so queries over
+		// the same inputs pay for all their predecessors.
+		for seed := int64(0); seed < 7; seed++ {
+			r := rand.New(rand.NewSource(2013 + seed))
+			sess := New(opts).NewSession()
+			pollution := &atomGen{r: r, pkt: pkt, vars: []*expr.Expr{
+				expr.Var("fzp0", 8), expr.Var("fzp1", 8), expr.Var("fzp2", 8), shared}}
+			for i := 0; i < 30; i++ {
+				// Every atom lands in the instance; one round in five is
+				// also solved, so learnt clauses are part of the pollution.
+				a, b := pollution.atom(3), pollution.atom(3)
+				if i%5 == 0 {
+					sess.Check([]*expr.Expr{a, b})
+				} else {
+					sess.guardFor(a)
+					sess.guardFor(b)
+				}
+			}
+			polluted := sess.bl.sat.NumVars()
+
+			queries := &atomGen{r: r, pkt: pkt}
+			for q := 0; q < 150; q++ {
+				if q%25 == 0 {
+					queries.vars = []*expr.Expr{
+						expr.Var(fmt.Sprintf("fzq%d", q), 8), expr.Var(fmt.Sprintf("fzr%d", q), 8), shared}
+				}
+				cons := make([]*expr.Expr, 1+r.Intn(4))
+				for i := range cons {
+					cons[i] = queries.atom(1 + r.Intn(2))
+				}
+				if r.Intn(2) == 0 {
+					// Pin a low byte to a nonzero value: a select placed from
+					// outside the cone would land on index 0 with value 0.
+					cons = append(cons, expr.Eq(expr.Select(pkt, expr.Const(32, uint64(r.Intn(2)))),
+						expr.Const(8, uint64(1+r.Intn(255)))))
+				}
+				got, m := sess.Check(cons)
+				want, _ := New(opts).Check(cons)
+				if got != want {
+					t.Fatalf("passes=%v seed %d query %d: session=%v one-shot=%v cons=%v", passes, seed, q, got, want, cons)
+				}
+				if got != Sat {
+					continue
+				}
+				for _, c := range cons {
+					if !expr.Eval(c, m).IsTrue() {
+						t.Fatalf("passes=%v seed %d query %d: session model violates %s\nvars %v arrays %v",
+							passes, seed, q, c, m.Vars, m.Arrays)
+					}
+				}
+				if !sess.LastSolve().SATCore {
+					continue
+				}
+				sat++
+				if 4*len(sess.bl.coneVars) < polluted {
+					small++
+				}
+				// (c): every array byte sits at the index of a cone select.
+				placed := map[uint64]bool{}
+				for _, k := range sess.bl.coneSels {
+					placed[expr.Eval(sess.selInfo[k].sel.B, m).Int()] = true
+				}
+				content := m.Arrays[pkt.BaseName()]
+				for i, b := range content {
+					if b != 0 && !placed[uint64(i)] {
+						t.Fatalf("passes=%v seed %d query %d: byte %d = %#x placed by a select outside the cone", passes, seed, q, i, b)
+					}
+				}
+				if n := len(content); n > 0 && !placed[uint64(n-1)] {
+					t.Fatalf("passes=%v seed %d query %d: array extended to %d bytes by a select outside the cone", passes, seed, q, n)
+				}
+			}
+		}
+		t.Logf("passes=%v: %d Sat answers from the SAT core, %d with a cone under a quarter of the polluted instance", passes, sat, small)
+		if small < 100 {
+			t.Errorf("passes=%v: only %d queries had a small cone; the pollution is not out of cone and the test checks nothing", passes, small)
+		}
+	}
 }
 
 // bruteForceSatUnder checks satisfiability of cnf under forced literal

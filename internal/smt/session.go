@@ -96,6 +96,15 @@ func (sess *IncrementalSession) recycle() {
 // not trusting poisoned state).
 func (sess *IncrementalSession) Reset() { sess.recycle() }
 
+// Close returns the session's SAT instance to the blaster pool. The
+// session must not be used afterwards. Callers whose sessions live for
+// one bounded piece of work (a Step-1 engine run) close them; without it
+// the instance is merely garbage.
+func (sess *IncrementalSession) Close() {
+	sess.bl.release()
+	sess.bl = nil
+}
+
 // rewriteSelects rewrites an expression replacing every select node by
 // its session variable, registering new selects (and their pairwise
 // functional-consistency axioms) as they appear.
@@ -119,6 +128,11 @@ func (sess *IncrementalSession) rewriteSelects(e *expr.Expr) *expr.Expr {
 			v := expr.Var(name, 8)
 			sess.selRepl[e] = v
 			idx := sess.rewriteSelects(e.B)
+			// The axioms below bind the select's value to its index, so a
+			// cone holding one must hold the other (selects inside idx were
+			// registered by the line above and carry lower indices).
+			bits := sess.bl.varLits(name, 8)
+			sess.bl.tieInputs(bits, append(append([]Lit{}, bits...), sess.bl.blast(idx)...), int32(len(sess.selInfo)))
 			for i, prev := range sess.selInfo {
 				if prev.sel.Arr.BaseName() != e.Arr.BaseName() {
 					continue
@@ -162,8 +176,9 @@ func (sess *IncrementalSession) guardFor(atom *expr.Expr) Lit {
 		return g
 	}
 	rw := sess.rewriteSelects(atom)
-	g := MkLit(sess.bl.sat.NewVar(), false)
+	g := sess.bl.fresh()
 	lit := sess.bl.blast(rw)[0]
+	sess.bl.fanin[g.Var()] = gateIn{lit, litNone}
 	sess.bl.sat.AddClause(g.Flip(), lit)
 	sess.guards[atom] = g
 	return g
@@ -208,7 +223,10 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 	if s.Opts.Preprocess && sess.bl.sat.NeedPreprocess() {
 		sess.bl.sat.Preprocess(nil, false)
 	}
-	verdict := s.satSolve(sess.bl.sat, sess.exchCursors, assumptions...)
+	// The solve branches only on what the assumed atoms depend on, not on
+	// what earlier queries left in the instance.
+	cone, sels := sess.bl.cone(assumptions)
+	verdict := s.satSolve(sess.bl.sat, sess.exchCursors, cone, assumptions...)
 	prev := sess.lastCnts
 	sess.lastCnts = s.foldBlasterCounters(sess.bl, sess.lastCnts)
 	cur := sess.lastCnts
@@ -235,16 +253,17 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 	// Models are extracted over the original atoms: equality substitution
 	// can fold a variable out of the solved set, and the witness must
 	// still assign it.
-	asn := sess.extractModel(pq.cacheAtoms)
+	asn := sess.extractModel(pq.cacheAtoms, sels)
 	s.cachePut(pq.key, pq.cacheAtoms, Sat, asn)
 	return Sat, asn
 }
 
 // extractModel reads back values for the variables of the queried atoms
-// and array bytes for every select the session has seen. Including all
-// session selects (not just the queried ones) is harmless: extra bytes
-// only make the witness more concrete.
-func (sess *IncrementalSession) extractModel(atoms []*expr.Expr) *expr.Assignment {
+// and array bytes for the selects of the query's cone (sels, session
+// indices). Selects outside the cone must stay out: the solve never
+// assigned their variables, and a default-valued byte placed at a
+// default-valued index could overwrite one the query constrains.
+func (sess *IncrementalSession) extractModel(atoms []*expr.Expr, sels []int32) *expr.Assignment {
 	asn := expr.NewAssignment()
 	for _, a := range atoms {
 		for _, v := range sess.varsOf(a) {
@@ -253,13 +272,10 @@ func (sess *IncrementalSession) extractModel(atoms []*expr.Expr) *expr.Assignmen
 			}
 		}
 	}
-	// Select variables referenced by the queried atoms' rewrites are
-	// found transitively; simply materialize every session select whose
-	// guard context makes it meaningful. Unconstrained ones read as 0,
-	// which is a valid completion.
 	const maxModelIndex = 1 << 20
 	tmp := expr.NewAssignment()
-	for i, info := range sess.selInfo {
+	for _, i := range sels {
+		info := sess.selInfo[i]
 		name := info.sel.Arr.BaseName()
 		// The index may mention select variables; resolve them through
 		// the blaster's model too.

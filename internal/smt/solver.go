@@ -340,14 +340,15 @@ func (s *Solver) preprocessIfDue(b *blaster, frozen []bool) {
 	b.sat.Preprocess(b.frozenVars(frozen), true)
 }
 
-// satSolve runs one SAT search under the configured budgets: the
-// conflict cap and wall deadline from Options, the clause exchange when
-// one is configured (cursors is the caller's per-fingerprint import
-// state), and — when the first bounded attempt comes back Unknown with
-// budget to spare — a portfolio race of diversified clones whose winner
-// is merged back into sat. The verdict is exact (Sat/Unsat) or Unknown;
-// budget exhaustion never fabricates a verdict.
-func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, assumptions ...Lit) SatResult {
+// satSolve runs one SAT search over cone (SatSolver.SolveCone) under the
+// configured budgets: the conflict cap and wall deadline from Options,
+// the clause exchange when one is configured (cursors is the caller's
+// per-fingerprint import state), and — when the first bounded attempt
+// comes back Unknown with budget to spare — a portfolio race of
+// diversified clones whose winner is merged back into sat. The verdict
+// is exact (Sat/Unsat) or Unknown; budget exhaustion never fabricates a
+// verdict.
+func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, cone []int32, assumptions ...Lit) SatResult {
 	// Fault injection first: a forced verdict must not consume budget or
 	// touch the exchange, so an injected fault reproduces identically
 	// regardless of solver state.
@@ -389,7 +390,7 @@ func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, assumptions ..
 		detach = s.Opts.Exchange.attach(sat, cursors)
 	}
 	sat.MaxConflicts = first
-	verdict := sat.Solve(assumptions...)
+	verdict := sat.SolveCone(cone, assumptions...)
 	if detach != nil {
 		detach()
 	}
@@ -401,7 +402,7 @@ func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, assumptions ..
 		expired := s.Opts.QueryTimeout > 0 && !time.Now().Before(sat.Deadline)
 		if (budget <= 0 || remaining > 0) && !expired {
 			s.stats.races.Add(1)
-			raced, winner, seatPanics := racePortfolio(sat, assumptions, s.Opts.Portfolio, remaining, sat.Deadline, s.Opts.Exchange)
+			raced, winner, seatPanics := racePortfolio(sat, cone, assumptions, s.Opts.Portfolio, remaining, sat.Deadline, s.Opts.Exchange)
 			s.stats.seatPanics.Add(seatPanics)
 			if winner != nil {
 				s.stats.raceWins.Add(1)
@@ -504,7 +505,9 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 		b.assertTrue(a)
 	}
 	s.preprocessIfDue(b, nil)
-	verdict := s.satSolve(b.sat, map[uint64]int{})
+	// A one-shot instance holds this query alone, so its cone is the
+	// whole instance.
+	verdict := s.satSolve(b.sat, map[uint64]int{}, b.sat.everyVar())
 	s.foldBlasterCounters(b, blasterCounters{})
 	switch verdict {
 	case SatUnsat:

@@ -37,9 +37,9 @@
 // logged, a write is logged; the verifier later checks whether any "bad"
 // read value could actually have been written.
 //
-// Feasibility checks run on an incremental solver session per engine
-// (DESIGN.md §2), with per-path witness caching so most forks never
-// reach the solver.
+// Feasibility checks run on an incremental solver session that lives
+// for one Run (DESIGN.md §2), with per-path witness caching so most
+// forks never reach the solver.
 //
 // A Summary (summary.go) packages one element's segment set as an
 // engine-independent artifact with a stable binary codec

@@ -71,7 +71,7 @@ func loopKey(stmt ir.LoopStmt) *ir.Stmt {
 // summaries returns the memoized mini-element summaries for the loop.
 func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 	key := loopKey(stmt)
-	if got, ok := x.eng.loopMemo[key]; ok {
+	if got, ok := x.loopMemo[key]; ok {
 		return got, nil
 	}
 	// Build the generic input state.
@@ -90,7 +90,7 @@ func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 	}
 	// Execute the body once in a sub-exec that captures terminated
 	// segments separately instead of emitting them.
-	sub := &exec{eng: x.eng, prog: x.prog}
+	sub := &exec{eng: x.eng, prog: x.prog, session: x.session, loopMemo: x.loopMemo}
 	conts, err := sub.runBlock(stmt.Body, st)
 	if err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 			regs:   c.st.regs,
 		})
 	}
-	x.eng.loopMemo[key] = sums
+	x.loopMemo[key] = sums
 	return sums, nil
 }
 

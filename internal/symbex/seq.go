@@ -297,7 +297,9 @@ func (e *Engine) RunSeq(p *ir.Program, in Input, k int, mode InitMode) (*SeqSumm
 	for _, d := range p.States {
 		root.State.Declare(d.Name, d)
 	}
-	if err := e.seqDFS(p, in, segs, root, k, sum); err != nil {
+	sess := e.Solver.NewSession()
+	defer sess.Close()
+	if err := e.seqDFS(sess, in, segs, root, k, sum); err != nil {
 		return nil, err
 	}
 	return sum, nil
@@ -305,14 +307,14 @@ func (e *Engine) RunSeq(p *ir.Program, in Input, k int, mode InitMode) (*SeqSumm
 
 // seqDFS extends path one step at a time, emitting complete (or
 // crash-terminated) paths into sum.
-func (e *Engine) seqDFS(p *ir.Program, in Input, segs []*Segment, path *SeqPath, k int, sum *SeqSummary) error {
+func (e *Engine) seqDFS(sess *smt.IncrementalSession, in Input, segs []*Segment, path *SeqPath, k int, sum *SeqSummary) error {
 	t := len(path.Steps)
 	if t == k {
 		sum.Paths = append(sum.Paths, path)
 		return nil
 	}
 	for _, seg := range segs {
-		next, err := e.seqExtend(in, path, seg, t)
+		next, err := e.seqExtend(sess, in, path, seg, t)
 		if err != nil {
 			return err
 		}
@@ -324,7 +326,7 @@ func (e *Engine) seqDFS(p *ir.Program, in Input, segs []*Segment, path *SeqPath,
 			sum.Paths = append(sum.Paths, next)
 			continue
 		}
-		if err := e.seqDFS(p, in, segs, next, k, sum); err != nil {
+		if err := e.seqDFS(sess, in, segs, next, k, sum); err != nil {
 			return err
 		}
 	}
@@ -333,7 +335,7 @@ func (e *Engine) seqDFS(p *ir.Program, in Input, segs []*Segment, path *SeqPath,
 
 // seqExtend stitches seg as step t of path, returning nil when the
 // extended sequence constraint is infeasible.
-func (e *Engine) seqExtend(in Input, path *SeqPath, seg *Segment, t int) (*SeqPath, error) {
+func (e *Engine) seqExtend(sess *smt.IncrementalSession, in Input, path *SeqPath, seg *Segment, t int) (*SeqPath, error) {
 	scope := SeqScope(t)
 	state := path.State.Fork()
 	sub := ScopeSubst(scope, seg.Cond, seg.Pkt, seg.Reads, seg.Writes, readVarNames(seg.Reads))
@@ -366,7 +368,7 @@ func (e *Engine) seqExtend(in Input, path *SeqPath, seg *Segment, t int) (*SeqPa
 	all = append(all, conds...)
 	all = append(all, state.Conds()...)
 	e.stats.SolverChecks++
-	if r, _ := e.session.Check(all); r == smt.Unsat {
+	if r, _ := sess.Check(all); r == smt.Unsat {
 		e.stats.ForksCut++
 		return nil, nil
 	}

@@ -220,32 +220,26 @@ func DefaultInput(minLen, maxLen uint64) Input {
 }
 
 // Engine symbolically executes programs. Engines are stateless between
-// Run calls except for loop-body summary memoization, statistics, and
-// the incremental solver session shared by all feasibility checks.
+// Run calls except for statistics: the loop-body summary memo and the
+// incremental solver session behind the feasibility checks are opened by
+// each Run and released when it returns. Both are keyed to one program
+// (the memo by statement identity, the session by that program's
+// constraints), so carrying them into the next program would only make
+// its queries pay for this one's formula.
 type Engine struct {
 	Solver *smt.Solver
 	Opts   Options
 
-	stats    Stats
-	loopMemo map[*ir.Stmt][]*bodySummary
-	session  *smt.IncrementalSession
+	stats Stats
 }
 
 // New returns an engine using the given solver.
 func New(solver *smt.Solver, opts Options) *Engine {
-	return &Engine{
-		Solver:   solver,
-		Opts:     opts,
-		loopMemo: map[*ir.Stmt][]*bodySummary{},
-		session:  solver.NewSession(),
-	}
+	return &Engine{Solver: solver, Opts: opts}
 }
 
 // Stats returns accumulated exploration statistics.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// ResetStats zeroes the statistics counters.
-func (e *Engine) ResetStats() { e.stats = Stats{} }
 
 func (e *Engine) maxSegments() int {
 	if e.Opts.MaxSegments > 0 {
@@ -276,17 +270,18 @@ func (e *Engine) Run(p *ir.Program, in Input) ([]*Segment, error) {
 		meta[k] = v
 	}
 	st := &pathState{
-		prog:  p,
-		regs:  make([]*expr.Expr, len(p.RegWidths)),
-		pkt:   in.Pkt,
-		plen:  in.Len,
-		meta:  meta,
-		conds: append([]*expr.Expr{}, nil...),
+		prog: p,
+		regs: make([]*expr.Expr, len(p.RegWidths)),
+		pkt:  in.Pkt,
+		plen: in.Len,
+		meta: meta,
 	}
 	for i, w := range p.RegWidths {
 		st.regs[i] = expr.Const(w, 0)
 	}
-	x := &exec{eng: e, prog: p, pre: in.Pre}
+	x := &exec{eng: e, prog: p, pre: in.Pre,
+		session: e.Solver.NewSession(), loopMemo: map[*ir.Stmt][]*bodySummary{}}
+	defer x.session.Close()
 	if err := x.block(p.Body, st); err != nil {
 		return nil, err
 	}
@@ -345,12 +340,18 @@ func (s *pathState) assume(c *expr.Expr) {
 	}
 }
 
-// exec drives the exploration of one Run call.
+// exec drives the exploration of one Run call. session and loopMemo
+// live exactly as long as the run (a loop body's sub-exec shares its
+// parent's): conflict clauses learnt on one path prune the next, and a
+// loop reached on many paths is summarized once.
 type exec struct {
 	eng  *Engine
 	prog *ir.Program
 	pre  []*expr.Expr
 	out  []*Segment
+
+	session  *smt.IncrementalSession
+	loopMemo map[*ir.Stmt][]*bodySummary
 }
 
 // feasibleM reports whether the path extended by extra can still be
@@ -375,7 +376,7 @@ func (x *exec) feasibleM(st *pathState, extra *expr.Expr) (bool, *expr.Assignmen
 		cons = append(cons, extra)
 	}
 	x.eng.stats.SolverChecks++
-	r, m := x.eng.session.Check(cons)
+	r, m := x.session.Check(cons)
 	if r == smt.Unsat {
 		x.eng.stats.ForksCut++
 		return false, nil
@@ -613,16 +614,18 @@ func (x *exec) step(s Stmt, st *pathState) ([]*pathState, []continuation, error)
 	return []*pathState{st}, nil, nil
 }
 
+// symBinOps maps IR binary operators onto expression operators.
+var symBinOps = [...]expr.Op{
+	ir.Add: expr.OpAdd, ir.Sub: expr.OpSub, ir.Mul: expr.OpMul,
+	ir.UDiv: expr.OpUDiv, ir.URem: expr.OpURem, ir.And: expr.OpAnd,
+	ir.Or: expr.OpOr, ir.Xor: expr.OpXor, ir.Shl: expr.OpShl,
+	ir.LShr: expr.OpLShr, ir.AShr: expr.OpAShr, ir.Eq: expr.OpEq,
+	ir.Ne: expr.OpNe, ir.Ult: expr.OpUlt, ir.Ule: expr.OpUle,
+	ir.Slt: expr.OpSlt, ir.Sle: expr.OpSle,
+}
+
 func symBin(op ir.BinOp, a, b *expr.Expr) *expr.Expr {
-	m := map[ir.BinOp]expr.Op{
-		ir.Add: expr.OpAdd, ir.Sub: expr.OpSub, ir.Mul: expr.OpMul,
-		ir.UDiv: expr.OpUDiv, ir.URem: expr.OpURem, ir.And: expr.OpAnd,
-		ir.Or: expr.OpOr, ir.Xor: expr.OpXor, ir.Shl: expr.OpShl,
-		ir.LShr: expr.OpLShr, ir.AShr: expr.OpAShr, ir.Eq: expr.OpEq,
-		ir.Ne: expr.OpNe, ir.Ult: expr.OpUlt, ir.Ule: expr.OpUle,
-		ir.Slt: expr.OpSlt, ir.Sle: expr.OpSle,
-	}
-	return expr.Bin(m[op], a, b)
+	return expr.Bin(symBinOps[op], a, b)
 }
 
 // boundsCheck forks the out-of-bounds crash path and constrains st to

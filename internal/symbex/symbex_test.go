@@ -1,6 +1,7 @@
 package symbex
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -416,5 +417,32 @@ func TestMaxStepsBudget(t *testing.T) {
 	_, err := e.Run(p, DefaultInput(1, 40))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// TestRunsShareNoSolverState pins the lifetime of Step-1 solver state to
+// one Run: an engine that has summarized a loop element and a parser
+// yields, for each, exactly the summary a fresh engine yields (so
+// nothing a run needs is carried over, and nothing carried over changes
+// a result), and every Run opens — and closes — its own session.
+func TestRunsShareNoSolverState(t *testing.T) {
+	progs := []*ir.Program{buildOptionsLoop(3), buildParser(), buildOptionsLoop(3)}
+	reused := newEngine(Options{})
+	for i, p := range progs {
+		got, err := reused.Run(p, DefaultInput(1, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := newEngine(Options{}).Run(p, DefaultInput(1, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeSummary(&Summary{Segments: got}), EncodeSummary(&Summary{Segments: want})) {
+			t.Errorf("run %d (%s): reused engine's summary differs from a fresh engine's:\n%s\nvs\n%s",
+				i, p.Name, describe(got), describe(want))
+		}
+		if n := reused.Solver.Stats().SessionsOpened; n != int64(i+1) {
+			t.Errorf("after %d runs the engine has opened %d sessions, want one per run", i+1, n)
+		}
 	}
 }

@@ -1,0 +1,101 @@
+package verify
+
+import (
+	"testing"
+
+	"vsd/internal/click"
+	"vsd/internal/smt"
+)
+
+// filterConfig is a light, loop-free pipeline sharing its front end with
+// ipRouterConfig (the corpus firewall).
+const filterConfig = `
+	src :: InfiniteSource;
+	cls :: Classifier(12/0800, -);
+	strip :: Strip(14);
+	chk :: CheckIPHeader(NOCHECKSUM);
+	flt :: IPFilter(allow proto udp dport 53, deny dst 10.0.0.0/8, allow proto tcp);
+
+	src -> cls;
+	cls [0] -> strip -> chk;
+	cls [1] -> Discard;
+	chk [0] -> flt;
+	chk [1] -> Discard;
+`
+
+// certifyCounted certifies p on v and returns the verdicts, the segment
+// count of every element's summary, and the solver work it took.
+func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool, bound int64, segs []int, work smt.Stats) {
+	t.Helper()
+	before := v.Stats().Solver
+	crash, err := v.CrashFreedom(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, err := v.BoundedInstructions(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range p.Elements {
+		s, err := v.Summarize(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, len(s))
+	}
+	after := v.Stats().Solver
+	work = smt.Stats{
+		SatCalls:     after.SatCalls - before.SatCalls,
+		Decisions:    after.Decisions - before.Decisions,
+		Propagations: after.Propagations - before.Propagations,
+	}
+	return crash.Verified, steps.MaxSteps, segs, work
+}
+
+// TestLightCertificationUnaffectedBySessionHistory is the regression
+// gate for the benchmark's serve-mixed finding (benchmark/README.md):
+// once a long-lived verifier had certified a router with IPOptions, every
+// later light pipeline cost 10-20x more, because each SAT call completed
+// a model of everything its session had ever blasted. It compares counts,
+// not wall time: the search effort per SAT call of a filter certified
+// after the options router must stay within 2x of the same filter on a
+// fresh verifier (it was above 50x), with identical verdicts.
+func TestLightCertificationUnaffectedBySessionHistory(t *testing.T) {
+	router := parsePipeline(t, ipRouterConfig)
+	filter := parsePipeline(t, filterConfig)
+
+	polluted := newVerifier(48)
+	if ok, _, _, _ := certifyCounted(t, polluted, router); !ok {
+		t.Fatal("router not certified")
+	}
+	okP, boundP, segsP, workP := certifyCounted(t, polluted, filter)
+	okF, boundF, segsF, workF := certifyCounted(t, newVerifier(48), filter)
+
+	if okP != okF || boundP != boundF {
+		t.Errorf("verdicts differ: polluted (certified %v, bound %d), fresh (certified %v, bound %d)", okP, boundP, okF, boundF)
+	}
+	if len(segsP) != len(segsF) {
+		t.Fatalf("element counts differ: %d vs %d", len(segsP), len(segsF))
+	}
+	for i := range segsP {
+		if segsP[i] != segsF[i] {
+			t.Errorf("element %d: %d segments on the polluted verifier, %d on the fresh one", i, segsP[i], segsF[i])
+		}
+	}
+	if workP.SatCalls == 0 || workF.SatCalls == 0 {
+		t.Fatalf("filter reached the SAT core %d and %d times; the test measures nothing", workP.SatCalls, workF.SatCalls)
+	}
+	t.Logf("per SAT call: polluted %d decisions, %d propagations (%d calls); fresh %d decisions, %d propagations (%d calls)",
+		workP.Decisions/workP.SatCalls, workP.Propagations/workP.SatCalls, workP.SatCalls,
+		workF.Decisions/workF.SatCalls, workF.Propagations/workF.SatCalls, workF.SatCalls)
+	// a/b <= 2 * c/d, in integers.
+	within2x := func(a, b, c, d int64) bool { return a*d <= 2*c*b }
+	if !within2x(workP.Decisions, workP.SatCalls, workF.Decisions, workF.SatCalls) {
+		t.Errorf("decisions per SAT call: polluted %d/%d, fresh %d/%d — more than 2x",
+			workP.Decisions, workP.SatCalls, workF.Decisions, workF.SatCalls)
+	}
+	if !within2x(workP.Propagations, workP.SatCalls, workF.Propagations, workF.SatCalls) {
+		t.Errorf("propagations per SAT call: polluted %d/%d, fresh %d/%d — more than 2x",
+			workP.Propagations, workP.SatCalls, workF.Propagations, workF.SatCalls)
+	}
+}

@@ -183,7 +183,6 @@ type Verifier struct {
 	mu       sync.Mutex
 	cache    map[ir.Fingerprint]*summaryEntry
 	stats    Stats
-	engines  []*symbex.Engine
 	sessions []*smt.IncrementalSession
 
 	composedPaths      atomic.Int64
@@ -221,7 +220,7 @@ type summaryEntry struct {
 	err    error
 }
 
-// New returns a Verifier with fresh solver and engine pool.
+// New returns a Verifier with a fresh solver and empty caches.
 func New(opts Options) *Verifier {
 	if opts.MinLen == 0 {
 		opts.MinLen = 14
@@ -297,7 +296,7 @@ func (v *Verifier) parallelism() int {
 
 // Stats returns a snapshot of the accumulated statistics. It is safe to
 // call concurrently with a running verification; engine counters are
-// folded in as workers finish with their engines.
+// folded in as each Step-1 run finishes.
 func (v *Verifier) Stats() Stats {
 	v.mu.Lock()
 	s := v.stats
@@ -313,36 +312,15 @@ func (v *Verifier) Stats() Stats {
 	return s
 }
 
-// getEngine checks an idle symbolic-execution engine out of the pool
-// (or creates one sharing the verifier's solver).
-func (v *Verifier) getEngine() *symbex.Engine {
-	v.mu.Lock()
-	if n := len(v.engines); n > 0 {
-		e := v.engines[n-1]
-		v.engines = v.engines[:n-1]
-		v.mu.Unlock()
-		return e
-	}
-	v.mu.Unlock()
-	return symbex.New(v.solver, v.opts.Symbex)
-}
-
-// putEngine folds the engine's counters into the aggregate statistics
-// and returns it to the pool (warm loop memo and solver session).
-func (v *Verifier) putEngine(e *symbex.Engine) {
-	st := e.Stats()
-	e.ResetStats()
-	v.mu.Lock()
-	v.stats.SymbexStats.Add(st)
-	v.engines = append(v.engines, e)
-	v.mu.Unlock()
-}
-
 // getSession checks an idle incremental solver session out of the
-// pool. The checkout also binds the session to a trace lane (when
-// tracing): the caller's goroutine drives the session sequentially
-// until putSession, which is exactly the nesting discipline a lane
-// needs.
+// pool. Step-2 sessions stay pooled for the verifier's lifetime, unlike
+// Step-1 engines: every walk of every pipeline stitches the same cached
+// segments, so a session that has seen them carries their blasted form
+// and learnt clauses into the next walk, and a query's cost follows its
+// own cone however much else the session holds. The checkout also
+// binds the session to a trace lane (when tracing): the caller's
+// goroutine drives the session sequentially until putSession, which is
+// exactly the nesting discipline a lane needs.
 func (v *Verifier) getSession() *smt.IncrementalSession {
 	v.mu.Lock()
 	if n := len(v.sessions); n > 0 {
@@ -489,19 +467,22 @@ func (v *Verifier) countSummary(segs []*symbex.Segment, merged, fromStore bool) 
 // summarize is the uncached Step-1 engine run. The second result
 // reports whether loop-state merging occurred during this run (making
 // the summary's step counts upper bounds; the flag is persisted with
-// the artifact). An engine panic is contained here (DESIGN.md §9): the
-// possibly-poisoned engine is dropped instead of repooled, and the
-// element's summary becomes an unresolved obligation, never a partial
-// summary.
+// the artifact). Every run gets its own engine — summaries are cached by
+// fingerprint, so no engine would see the same program twice. An engine
+// panic is contained here (DESIGN.md §9): the element's summary becomes
+// an unresolved obligation, never a partial summary.
 func (v *Verifier) summarize(e *click.Instance) (segs []*symbex.Segment, merged bool, err error) {
 	defer v.capturePanic(fmt.Sprintf("step-1 summarization of %s", e.Name()), nil, &err)
 	lane := v.tel.getLane()
 	sp := lane.Begin("step1", "summarize:"+e.Name())
 	start := time.Now()
-	eng := v.getEngine()
+	eng := symbex.New(v.solver, v.opts.Symbex)
 	segs, err = eng.Run(e.Program(), v.input())
-	merged = eng.Stats().Merged
-	v.putEngine(eng)
+	est := eng.Stats()
+	merged = est.Merged
+	v.mu.Lock()
+	v.stats.SymbexStats.Add(est)
+	v.mu.Unlock()
 	v.tel.summarizeHist.Record(int64(time.Since(start)))
 	sp.SetInt("segments", int64(len(segs)))
 	sp.End()
