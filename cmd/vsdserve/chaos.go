@@ -65,9 +65,8 @@ const (
 	chaosMaxAttempts  = chaosSolverBudget + 2
 )
 
-// chaosVerifier builds the serial verifier every chaos pass uses; a
-// shared clause exchange or parallel workers would make fault draws
-// order-dependent.
+// chaosVerifier builds the serial verifier every chaos pass uses;
+// parallel workers would make fault draws order-dependent.
 func chaosVerifier(maxLen uint64, store verify.SummaryStore, hook *faultinject.Injector) *verify.Verifier {
 	opts := verify.Options{MinLen: packet.MinFrame, MaxLen: maxLen, Parallelism: 1, Store: store}
 	if hook != nil {

@@ -81,7 +81,6 @@ import (
 	"vsd/internal/faultinject"
 	"vsd/internal/packet"
 	"vsd/internal/queue"
-	"vsd/internal/smt"
 	"vsd/internal/telemetry"
 	"vsd/internal/verify"
 )
@@ -565,11 +564,8 @@ func main() {
 		return
 	}
 
-	// A long-lived admission service opts into the process-wide clause
-	// exchange: learnt clauses from one submission accelerate the next
-	// when their element programs blast to the same CNF.
 	opts := verify.Options{MinLen: packet.MinFrame, MaxLen: *maxLen, Parallelism: *parallel,
-		SolverTimeout: *solverTimeout, SolverExchange: smt.SharedExchange()}
+		SolverTimeout: *solverTimeout}
 	s := &server{jobBudget: *watchdog}
 	opts.Metrics = s.initTelemetry()
 	if *storeDir != "" {

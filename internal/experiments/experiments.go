@@ -655,17 +655,6 @@ type A2Row struct {
 	Aborted  bool
 }
 
-// a2SolverOptions enables the SAT performance layer (CNF preprocessing,
-// the portfolio race, glue-filtered clause sharing) for the standalone
-// loop-decomposition engine, mirroring the verifier's solver defaults.
-func a2SolverOptions() smt.Options {
-	return smt.Options{
-		Preprocess: true,
-		Portfolio:  verify.DefaultPortfolio,
-		Exchange:   smt.NewClauseExchange(0, 0),
-	}
-}
-
 // A2LoopDecomposition reproduces the loop story: unrolling explodes
 // ("millions of segments ... months"), mini-element summarization with
 // merging stays flat. keep, when non-nil, selects which cells run (by
@@ -684,7 +673,7 @@ func A2LoopDecomposition(maxLens []uint64, unrollBudget int, keep func(cell stri
 			if keep != nil && !keep(fmt.Sprintf("%s/maxlen=%d", mode.name, ml)) {
 				continue
 			}
-			eng := symbex.New(smt.New(a2SolverOptions()), symbex.Options{
+			eng := symbex.New(smt.New(smt.Options{}), symbex.Options{
 				LoopMode:    mode.m,
 				MaxSegments: unrollBudget,
 			})

@@ -164,76 +164,3 @@ func TestCNFSizeCeilings(t *testing.T) {
 		})
 	}
 }
-
-// TestEqualitySubstitution covers the word-level pre-pass: constants and
-// aliases propagate through the atom set, contradictions are detected,
-// and verdicts (with models) agree with the substitution disabled.
-func TestEqualitySubstitution(t *testing.T) {
-	x := expr.Var("x", 16)
-	y := expr.Var("y", 16)
-	z := expr.Var("z", 16)
-
-	t.Run("const-propagation-decides", func(t *testing.T) {
-		s := New(Options{})
-		// x = 5 ∧ x + y = 12 ∧ y ≠ 7 is unsat; substitution folds it
-		// without any SAT search.
-		res, _ := s.Check([]*expr.Expr{
-			expr.Eq(x, expr.Const(16, 5)),
-			expr.Eq(expr.Add(x, y), expr.Const(16, 12)),
-			expr.Ne(y, expr.Const(16, 7)),
-		})
-		if res != Unsat {
-			t.Fatalf("got %v, want unsat", res)
-		}
-		if st := s.Stats(); st.EqAtomsRewritten == 0 {
-			t.Error("equality substitution did not fire")
-		}
-	})
-
-	t.Run("alias-and-const", func(t *testing.T) {
-		s := New(Options{})
-		res, m := s.Check([]*expr.Expr{
-			expr.Eq(x, y),
-			expr.Eq(y, z),
-			expr.Eq(z, expr.Const(16, 500)),
-			expr.Ult(x, expr.Const(16, 501)),
-		})
-		if res != Sat {
-			t.Fatalf("got %v, want sat", res)
-		}
-		for _, v := range []*expr.Expr{x, y, z} {
-			if got := m.Vars[v.Name].Int(); got != 500 {
-				t.Errorf("model %s = %d, want 500", v.Name, got)
-			}
-		}
-	})
-
-	t.Run("conflicting-consts", func(t *testing.T) {
-		s := New(Options{DisableIntervals: true})
-		res, _ := s.Check([]*expr.Expr{
-			expr.Eq(x, y),
-			expr.Eq(x, expr.Const(16, 1)),
-			expr.Eq(y, expr.Const(16, 2)),
-		})
-		if res != Unsat {
-			t.Fatalf("got %v, want unsat", res)
-		}
-	})
-
-	t.Run("agrees-with-disabled", func(t *testing.T) {
-		queries := [][]*expr.Expr{
-			{expr.Eq(x, expr.Const(16, 9)), expr.Ult(expr.Mul(x, y), expr.Const(16, 100))},
-			{expr.Eq(x, y), expr.Ult(expr.Add(x, y), expr.Const(16, 3))},
-			{expr.Eq(expr.BvXor(x, y), expr.Const(16, 0)), expr.Ne(x, y)},
-		}
-		for i, q := range queries {
-			on := New(Options{})
-			off := New(Options{DisableEqSubst: true})
-			r1, _ := on.Check(q)
-			r2, _ := off.Check(q)
-			if r1 != r2 {
-				t.Errorf("query %d: subst-on %v != subst-off %v", i, r1, r2)
-			}
-		}
-	})
-}

@@ -1,22 +1,3 @@
-// Package smt implements the constraint solver behind the dataplane
-// verifier: a quantifier-free bitvector (QF_BV) decision procedure with
-// byte-array (packet) support.
-//
-// The pipeline is the classical eager one:
-//
-//  1. an interval/constant pre-analysis that decides many queries
-//     produced by segment stitching without touching the SAT core;
-//  2. a word-level equality-substitution pass that propagates var=const
-//     and var=var atoms through the remaining atoms;
-//  3. Ackermann-style elimination of packet-array reads;
-//  4. bit-blasting of the remaining bitvector formula to CNF through a
-//     structurally-hashed gate cache;
-//  5. a CDCL SAT solver (two-watched-literal propagation with dedicated
-//     binary-clause watch lists, first-UIP conflict analysis with
-//     recursive learnt-clause minimization, VSIDS-style activities,
-//     phase saving, LBD-aware clause-database reduction, Luby restarts);
-//  6. model reconstruction back to bitvector variables and packet bytes.
-//
 // This file implements the SAT core. It is deliberately self-contained:
 // literals, clauses and the trail use the MiniSat conventions, which keeps
 // the implementation auditable against the literature.
@@ -28,6 +9,7 @@
 // pointer-based layout — unit propagation is memory-bound at
 // verification scale, so locality here is worth more than any heuristic
 // tweak.
+
 package smt
 
 import (
@@ -141,16 +123,6 @@ type SatCounters struct {
 	LowGlue       int64 // learnt clauses recorded with LBD <= 2 ("glue" clauses)
 	ClausesAdded  int64 // problem clauses accepted by AddClause (incl. units)
 	AssumLevels   int64 // assumption literals passed to Solve, summed
-
-	// Preprocessing (preprocess.go).
-	PreprocessRuns   int64
-	VarsEliminated   int64 // variables removed by bounded variable elimination
-	ClausesSubsumed  int64 // clauses deleted by (backward) subsumption
-	LitsStrengthened int64 // literals removed by self-subsumption strengthening
-
-	// Clause exchange (exchange.go).
-	ClausesPublished int64 // low-glue learnt clauses offered to the exchange
-	ClausesImported  int64 // foreign learnt clauses attached by ImportLearnt
 }
 
 // SatSolver is a CDCL SAT solver. The zero value is not usable; call
@@ -194,7 +166,6 @@ type SatSolver struct {
 	// Conflict-analysis scratch (reused across conflicts).
 	learntBuf    []Lit
 	analyzeStack []Lit
-	importBuf    []Lit // ImportLearnt scratch (exchange clauses are shared)
 	toClear      []int32
 	lbdSeen      []int64 // per-level stamp for LBD computation
 	lbdStamp     int64
@@ -217,64 +188,26 @@ type SatSolver struct {
 	// budget is exhausted Solve returns SatUnknown.
 	MaxConflicts int64
 
-	// Deadline, when nonzero, bounds the search's wall time; Stop, when
-	// non-nil, is an external cancellation flag (a portfolio winner
-	// cancelling its losers). Either makes Solve return SatUnknown.
-	// Interrupt is a second, caller-owned cancellation flag with the same
-	// effect: it outlives any single race (the watchdog's lever), so it
-	// must not be overwritten by portfolio plumbing the way Stop is.
+	// Deadline, when nonzero, bounds the search's wall time; Interrupt,
+	// when non-nil, is a caller-owned cancellation flag (the watchdog's
+	// lever). Either makes Solve return SatUnknown.
 	Deadline  time.Time
-	Stop      *atomic.Bool
 	Interrupt *atomic.Bool
 
-	// model is the assignment snapshot of the last SatSat answer, with
-	// eliminated variables reconstructed from elimStack. Kept separate
-	// from assign so the incremental trail is never polluted by
-	// reconstruction values. A cone solve leaves most variables
-	// unassigned, so the snapshot is sparse: every entry is lFalse except
-	// those listed in modelSet, which the next capture undoes — O(trail)
-	// per answer, not O(variables).
+	// model is the assignment snapshot of the last SatSat answer, kept
+	// separate from assign because the next solve unwinds the trail. A
+	// cone solve leaves most variables unassigned, so the snapshot is
+	// sparse: every entry is lFalse except those listed in modelSet,
+	// which the next capture undoes — O(trail) per answer, not
+	// O(variables).
 	model    []lbool
 	modelSet []int32
-
-	// elim marks variables removed by bounded variable elimination; they
-	// are never decided and never re-occur in added clauses. elimStack
-	// remembers the clauses each elimination removed, in order, for model
-	// reconstruction. varDecay is the VSIDS decay (a portfolio
-	// diversification knob; 0.95 classically).
-	elim      []bool
-	elimStack []elimRecord
-	varDecay  float64
-
-	// preClauses is the problem-clause count at the last preprocessing
-	// run (0 = never ran); NeedPreprocess compares against it.
-	preClauses int
-
-	// fp is the running construction fingerprint: an order-sensitive hash
-	// of every NewVar and AddClause event (and of the clause database
-	// after a preprocessing rewrite). Two solvers with equal fingerprints
-	// hold bit-identical problem CNFs, which scopes the clause exchange.
-	fp uint64
-
-	// exchID is this solver's publisher identity on a ClauseExchange
-	// (assigned at first attach; 0 = none). It survives reset — identity
-	// only needs to be unique, and a recycled solver may keep it.
-	exchID uint32
-
-	// onLearnt, if set, observes every learnt clause at recording time
-	// (the exchange publishes low-glue ones). The slice aliases solver
-	// scratch: observers must copy. onRestart, if set, runs at each
-	// restart boundary (the exchange imports there); it may call
-	// ImportLearnt but must not call Solve.
-	onLearnt  func(lits []Lit, lbd int32)
-	onRestart func()
 }
 
 // NewSatSolver returns an empty solver.
 func NewSatSolver() *SatSolver {
-	s := &SatSolver{varInc: 1, claInc: 1, ok: true, varDecay: defaultVarDecay,
-		restartBase: lubyRestartBase, reduceMin: reduceDBMin, compactMin: compactDBMin,
-		fp: fpOffset}
+	s := &SatSolver{varInc: 1, claInc: 1, ok: true,
+		restartBase: lubyRestartBase, reduceMin: reduceDBMin, compactMin: compactDBMin}
 	s.order = &varHeap{act: &s.activity}
 	return s
 }
@@ -316,35 +249,10 @@ func (s *SatSolver) reset() {
 	s.compactMin = compactDBMin
 	s.MaxConflicts = 0
 	s.Deadline = time.Time{}
-	s.Stop = nil
 	s.Interrupt = nil
 	s.model = s.model[:0]
 	s.modelSet = s.modelSet[:0]
-	s.elim = s.elim[:0]
-	s.elimStack = s.elimStack[:0]
-	s.varDecay = defaultVarDecay
-	s.preClauses = 0
-	s.fp = fpOffset
-	s.onLearnt = nil
-	s.onRestart = nil
 }
-
-// Construction-fingerprint mixing (FNV-1a over 64-bit words).
-const (
-	fpOffset = 0xcbf29ce484222325
-	fpPrime  = 0x00000100000001b3
-)
-
-func (s *SatSolver) fpMix(x uint64) {
-	s.fp = (s.fp ^ x) * fpPrime
-}
-
-// Fingerprint identifies the problem CNF built so far (variables and
-// clauses, order-sensitive; rewritten after preprocessing). Learnt and
-// imported clauses do not contribute: they are implied, so two solvers
-// with equal fingerprints may exchange learnt clauses in either
-// direction.
-func (s *SatSolver) Fingerprint() uint64 { return s.fp }
 
 // lits returns clause c's literals (aliasing the arena).
 func (s *SatSolver) lits(c cref) []Lit {
@@ -370,11 +278,9 @@ func (s *SatSolver) NewVar() int32 {
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
-	s.elim = append(s.elim, false)
 	s.inCone = append(s.inCone, 0)
 	s.watches = extendWatches(s.watches)
 	s.binWatches = extendWatches(s.binWatches)
-	s.fpMix(0x9e3779b97f4a7c15) // variable-allocation event
 	return v
 }
 
@@ -422,45 +328,17 @@ func (s *SatSolver) AddClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	s.fpMix(uint64(len(lits))<<32 | 0xc1a05e)
-	for _, l := range lits {
-		s.fpMix(uint64(uint32(l)))
-	}
-	if !s.addClause(lits, false) {
+	if !s.addClause(lits) {
 		return false
 	}
 	s.cnt.ClausesAdded++
 	return true
 }
 
-// ImportLearnt attaches a clause learnt by a solver with an equal
-// fingerprint (so the clause is implied by this solver's problem CNF) as
-// a learnt clause. Clauses mentioning eliminated variables are refused:
-// eliminated variables are never decided here, so such a clause could go
-// permanently unserviced. Safe to call between solves and — from an
-// onRestart hook — during one. Reports whether the solver is still
-// consistent (an imported unit can expose top-level unsatisfiability).
-func (s *SatSolver) ImportLearnt(lits []Lit) bool {
-	if !s.ok {
-		return false
-	}
-	for _, l := range lits {
-		if v := l.Var(); int(v) >= len(s.assign) || s.elim[v] {
-			return true // incompatible with local eliminations; skip
-		}
-	}
-	s.importBuf = append(s.importBuf[:0], lits...)
-	if !s.addClause(s.importBuf, true) {
-		return false
-	}
-	s.cnt.ClausesImported++
-	return true
-}
-
-// addClause simplifies and attaches one clause (problem or learnt),
-// mutating lits in place. It returns false if the formula became
-// unsatisfiable at the top level.
-func (s *SatSolver) addClause(lits []Lit, learnt bool) bool {
+// addClause simplifies and attaches one problem clause, mutating lits in
+// place. It returns false if the formula became unsatisfiable at the top
+// level.
+func (s *SatSolver) addClause(lits []Lit) bool {
 	// Simplify: remove permanently-false literals and duplicates; detect
 	// tautologies and permanently-satisfied clauses.
 	out := lits[:0]
@@ -530,23 +408,14 @@ func (s *SatSolver) addClause(lits []Lit, learnt bool) bool {
 		// unassigned and any watch pair is valid.
 		s.cancelUntil(0)
 	}
-	c := s.alloc(out, learnt)
+	c := s.alloc(out, false)
 	if s.value(out[1]) == lFalse && s.value(out[0]) >= lUndef {
 		// Unit under the current trail: imply the remaining literal now
 		// so the falsified watch is never left unserved. The implication
 		// is propagated lazily by the next Solve.
 		s.enqueue(s.lits(c)[0], c)
 	}
-	if learnt {
-		// Imported clauses start with pessimistic glue (their recording
-		// LBD is meaningless under this trail); a conflict involving them
-		// refreshes it, and reduceDB may drop the unused ones.
-		s.cdb[c].act = float32(s.claInc)
-		s.cdb[c].lbd = int32(len(out))
-		s.learnts = append(s.learnts, c)
-	} else {
-		s.clauses = append(s.clauses, c)
-	}
+	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return true
 }
@@ -865,9 +734,6 @@ func (s *SatSolver) record(learnt []Lit, lbd int32) {
 	if lbd <= 2 {
 		s.cnt.LowGlue++
 	}
-	if s.onLearnt != nil {
-		s.onLearnt(learnt, lbd)
-	}
 	switch len(learnt) {
 	case 1:
 		s.enqueue(learnt[0], crefNil)
@@ -982,7 +848,7 @@ const (
 	lubyRestartBase = 100
 	reduceDBMin     = 100
 	compactDBMin    = 1 << 16
-	defaultVarDecay = 0.95
+	varDecay        = 0.95 // VSIDS activity decay per conflict
 )
 
 // luby returns the i-th element (0-based) of the Luby restart sequence
@@ -1045,7 +911,7 @@ func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 		s.inCone[v] = s.coneGen
 	}
 	s.orderStale = false
-	s.order.rebuild(cone, s.assign, s.elim)
+	s.order.rebuild(cone, s.assign)
 	s.cnt.AssumLevels += int64(len(assumptions))
 	restartNum := int64(0)
 	restartLimit := luby(restartNum) * s.restartBase
@@ -1064,7 +930,7 @@ func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 			learnt, bt, lbd := s.analyze(conf)
 			s.cancelUntil(bt)
 			s.record(learnt, lbd)
-			s.varInc /= s.varDecay
+			s.varInc /= varDecay
 			s.claInc /= 0.999
 			continue
 		}
@@ -1075,10 +941,6 @@ func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 		// External cancellation: an atomic flag every iteration, the
 		// clock only every few hundred (a time read per decision would be
 		// measurable on propagation-bound instances).
-		if s.Stop != nil && s.Stop.Load() {
-			s.cancelUntil(0)
-			return SatUnknown
-		}
 		if s.Interrupt != nil && s.Interrupt.Load() {
 			s.cancelUntil(0)
 			return SatUnknown
@@ -1097,15 +959,6 @@ func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 				keep = int32(len(assumptions))
 			}
 			s.cancelUntil(keep)
-			if s.onRestart != nil {
-				// Exchange import point: new clauses attach against the
-				// standing assumption prefix (a conflicting one rewinds to
-				// level 0, after which the loop re-applies assumptions).
-				s.onRestart()
-				if !s.ok {
-					return SatUnsat
-				}
-			}
 			continue
 		}
 		if len(s.learnts) > learntLimit {
@@ -1143,59 +996,26 @@ func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 func (s *SatSolver) pickBranchVar() int32 {
 	if s.orderStale {
 		s.orderStale = false
-		s.order.rebuild(s.cone, s.assign, s.elim)
+		s.order.rebuild(s.cone, s.assign)
 	}
 	for {
 		v, ok := s.order.pop()
 		if !ok {
 			return -1
 		}
-		if s.assign[v] == lUndef && !s.elim[v] {
+		if s.assign[v] == lUndef {
 			return v
 		}
 	}
 }
 
-// captureModel snapshots the satisfying assignment and reconstructs
-// values for eliminated variables by replaying elimStack in reverse:
-// each record's saved clauses (which mention only the record's variable
-// and variables live at its elimination time) pick the value that keeps
-// every one satisfied. MiniSat/SatELite's model extension.
+// captureModel snapshots the satisfying assignment. Variables the cone
+// solve never reached read lFalse.
 func (s *SatSolver) captureModel() {
-	// Unassigned variables (eliminated ones, and everything a cone solve
-	// never reached) get a definite default, lFalse: the satisfaction
-	// tests below and ModelValue must read the same value, or a clause
-	// satisfied under the final reading could force a contradictory
-	// reconstruction.
 	s.clearModel()
 	for _, l := range s.trail {
 		if !l.Neg() {
 			s.setModel(l.Var(), lTrue)
-		}
-	}
-	for i := len(s.elimStack) - 1; i >= 0; i-- {
-		rec := &s.elimStack[i]
-		start := int32(0)
-		for _, end := range rec.ends {
-			cl := rec.lits[start:end]
-			start = end
-			sat := false
-			var vlit Lit = -1
-			for _, l := range cl {
-				if l.Var() == rec.v {
-					vlit = l
-					continue
-				}
-				if s.model[l.Var()]^lbool(l&1) == lTrue {
-					sat = true
-					break
-				}
-			}
-			if !sat && vlit >= 0 {
-				// The clause must be satisfied through the eliminated
-				// variable's own literal.
-				s.setModel(rec.v, lbool(vlit&1))
-			}
 		}
 	}
 }
@@ -1240,13 +1060,13 @@ func (h *varHeap) reset() {
 	h.pos = h.pos[:0]
 }
 
-// rebuild reconstitutes the heap from the unassigned, uneliminated
-// variables of cone in one heapify — at the start of a solve, and as the
+// rebuild reconstitutes the heap from the unassigned variables of cone
+// in one heapify — at the start of a solve, and as the
 // counterpart of a bulk cancelUntil, which skips the per-variable
 // pushes. It costs O(old heap + cone), independent of the variable
 // count: the heap only ever holds cone variables, so emptying it by item
 // is enough.
-func (h *varHeap) rebuild(cone []int32, assign []lbool, elim []bool) {
+func (h *varHeap) rebuild(cone []int32, assign []lbool) {
 	for _, v := range h.items {
 		h.pos[v] = -1
 	}
@@ -1255,7 +1075,7 @@ func (h *varHeap) rebuild(cone []int32, assign []lbool, elim []bool) {
 		h.pos = append(h.pos, -1)
 	}
 	for _, v := range cone {
-		if assign[v] == lUndef && !elim[v] && h.pos[v] < 0 {
+		if assign[v] == lUndef && h.pos[v] < 0 {
 			h.pos[v] = int32(len(h.items))
 			h.items = append(h.items, v)
 		}

@@ -103,15 +103,13 @@ func (g *atomGen) atom(depth int) *expr.Expr {
 // solver; (b) every Sat model makes every queried atom evaluate to true,
 // array bytes included; (c) the model's array bytes all come from
 // selects inside the query's cone. Two configurations run: bare, where
-// every query reaches the SAT core, and the verifier's, where the model
-// must also cover variables that equality substitution folded out of the
-// solved atoms and in-session CNF preprocessing rewrites the clauses the
-// cones are walked over.
+// every query reaches the SAT core, and the verifier's, where the
+// interval pre-analysis decides what it can first.
 func TestSatFuzzConeDifferential(t *testing.T) {
 	pkt := expr.BaseArray("fzpkt")
 	shared := expr.Var("fzs", 8)
-	for _, passes := range []bool{false, true} {
-		opts := Options{DisableIntervals: !passes, DisableEqSubst: !passes, Preprocess: passes}
+	for _, intervals := range []bool{false, true} {
+		opts := Options{DisableIntervals: !intervals}
 		var sat, small int
 		// Several sessions rather than one long one, and query variables
 		// renewed every 25 queries: propagation evaluates every gate whose
@@ -154,15 +152,15 @@ func TestSatFuzzConeDifferential(t *testing.T) {
 				got, m := sess.Check(cons)
 				want, _ := New(opts).Check(cons)
 				if got != want {
-					t.Fatalf("passes=%v seed %d query %d: session=%v one-shot=%v cons=%v", passes, seed, q, got, want, cons)
+					t.Fatalf("intervals=%v seed %d query %d: session=%v one-shot=%v cons=%v", intervals, seed, q, got, want, cons)
 				}
 				if got != Sat {
 					continue
 				}
 				for _, c := range cons {
 					if !expr.Eval(c, m).IsTrue() {
-						t.Fatalf("passes=%v seed %d query %d: session model violates %s\nvars %v arrays %v",
-							passes, seed, q, c, m.Vars, m.Arrays)
+						t.Fatalf("intervals=%v seed %d query %d: session model violates %s\nvars %v arrays %v",
+							intervals, seed, q, c, m.Vars, m.Arrays)
 					}
 				}
 				if !sess.LastSolve().SATCore {
@@ -180,17 +178,17 @@ func TestSatFuzzConeDifferential(t *testing.T) {
 				content := m.Arrays[pkt.BaseName()]
 				for i, b := range content {
 					if b != 0 && !placed[uint64(i)] {
-						t.Fatalf("passes=%v seed %d query %d: byte %d = %#x placed by a select outside the cone", passes, seed, q, i, b)
+						t.Fatalf("intervals=%v seed %d query %d: byte %d = %#x placed by a select outside the cone", intervals, seed, q, i, b)
 					}
 				}
 				if n := len(content); n > 0 && !placed[uint64(n-1)] {
-					t.Fatalf("passes=%v seed %d query %d: array extended to %d bytes by a select outside the cone", passes, seed, q, n)
+					t.Fatalf("intervals=%v seed %d query %d: array extended to %d bytes by a select outside the cone", intervals, seed, q, n)
 				}
 			}
 		}
-		t.Logf("passes=%v: %d Sat answers from the SAT core, %d with a cone under a quarter of the polluted instance", passes, sat, small)
+		t.Logf("intervals=%v: %d Sat answers from the SAT core, %d with a cone under a quarter of the polluted instance", intervals, sat, small)
 		if small < 100 {
-			t.Errorf("passes=%v: only %d queries had a small cone; the pollution is not out of cone and the test checks nothing", passes, small)
+			t.Errorf("intervals=%v: only %d queries had a small cone; the pollution is not out of cone and the test checks nothing", intervals, small)
 		}
 	}
 }
@@ -533,161 +531,6 @@ func TestSatCompaction(t *testing.T) {
 	for _, c := range append(append([]cref{}, s.clauses...), s.learnts...) {
 		if s.cdb[c].deleted {
 			t.Fatal("deleted clause left in live lists after compaction")
-		}
-	}
-}
-
-// TestSatFuzzDifferentialPreprocess is the preprocessing half of the
-// differential oracle: every random instance is solved plain and with a
-// Preprocess pass (BVE + subsumption) in front, asserting identical
-// verdicts against each other and against enumeration, and that the
-// preprocessed solver's model — after eliminated-variable
-// reconstruction — still satisfies the ORIGINAL clauses.
-func TestSatFuzzDifferentialPreprocess(t *testing.T) {
-	r := rand.New(rand.NewSource(2024))
-	for trial := 0; trial < 400; trial++ {
-		nv := 2 + r.Intn(15)
-		cnf := randCNF(r, nv)
-		plain, pre := NewSatSolver(), NewSatSolver()
-		for i := 0; i < nv; i++ {
-			plain.NewVar()
-			pre.NewVar()
-		}
-		deadPlain, deadPre := false, false
-		for _, cl := range cnf {
-			if !plain.AddClause(append([]Lit{}, cl...)...) {
-				deadPlain = true
-			}
-			if !pre.AddClause(append([]Lit{}, cl...)...) {
-				deadPre = true
-			}
-		}
-		if deadPlain != deadPre {
-			t.Fatalf("trial %d: AddClause divergence plain=%v pre=%v", trial, deadPlain, deadPre)
-		}
-		want := bruteForceSatUnder(nv, cnf, nil)
-		if deadPlain {
-			if want {
-				t.Fatalf("trial %d: AddClause declared unsat but formula is sat", trial)
-			}
-			continue
-		}
-		preOK := pre.Preprocess(nil, trial%4 != 3) // mostly full BVE, sometimes subsumption-only
-		if !preOK {
-			if want {
-				t.Fatalf("trial %d: Preprocess declared unsat but formula is sat: %v", trial, cnf)
-			}
-			if got := pre.Solve(); got != SatUnsat {
-				t.Fatalf("trial %d: dead preprocessed instance Solve = %v", trial, got)
-			}
-			continue
-		}
-		gotPlain := plain.Solve()
-		gotPre := pre.Solve()
-		if gotPlain != gotPre {
-			t.Fatalf("trial %d: verdict divergence plain=%v pre=%v cnf=%v", trial, gotPlain, gotPre, cnf)
-		}
-		if (gotPre == SatSat) != want {
-			t.Fatalf("trial %d: preprocessed Solve = %v, brute force = %v, cnf = %v", trial, gotPre, want, cnf)
-		}
-		if gotPre == SatSat {
-			checkModel(t, pre, cnf, trial) // reconstruction vs the original clauses
-		}
-	}
-}
-
-// TestSatFuzzPreprocessIncremental drives the preprocessed solver the
-// way sessions do: a frozen interface (assumption variables), repeated
-// assumption solves, clause additions over frozen + freshly created
-// variables between solves, and mid-stream re-preprocessing. Verdicts
-// and reconstructed models are cross-checked by enumeration each round.
-func TestSatFuzzPreprocessIncremental(t *testing.T) {
-	r := rand.New(rand.NewSource(5150))
-	for trial := 0; trial < 150; trial++ {
-		nv := 6 + r.Intn(7) // 6..12 initial vars
-		s := NewSatSolver()
-		for i := 0; i < nv; i++ {
-			s.NewVar()
-		}
-		// Freeze a random prefix: those are the variables assumptions and
-		// future clauses may mention alongside new variables.
-		nFrozen := 2 + r.Intn(nv-2)
-		frozen := make([]bool, nv)
-		for i := 0; i < nFrozen; i++ {
-			frozen[i] = true
-		}
-		var cnf [][]Lit
-		dead := false
-		addOver := func(pool []int32, n int) {
-			for i := 0; i < n; i++ {
-				width := 1 + r.Intn(4)
-				cl := make([]Lit, width)
-				for j := range cl {
-					cl[j] = MkLit(pool[r.Intn(len(pool))], r.Intn(2) == 1)
-				}
-				cnf = append(cnf, cl)
-				if !s.AddClause(append([]Lit{}, cl...)...) {
-					dead = true
-				}
-			}
-		}
-		all := make([]int32, nv)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		addOver(all, 2+r.Intn(3*nv))
-		if !dead && !s.Preprocess(frozen, true) {
-			dead = true
-		}
-		legal := all[:nFrozen] // frozen prefix; grows with fresh vars
-		for round := 0; round < 5; round++ {
-			if r.Intn(2) == 0 && len(s.assign) < 16 {
-				v := s.NewVar()
-				legal = append(legal, v)
-				frozen = append(make([]bool, 0, int(v)+1), frozen...)
-				for int32(len(frozen)) <= v {
-					frozen = append(frozen, true)
-				}
-			}
-			if !dead {
-				addOver(legal, 1+r.Intn(4))
-			}
-			if !dead && r.Intn(3) == 0 && !s.Preprocess(frozen, round%2 == 0) {
-				dead = true
-			}
-			var assumptions []Lit
-			for _, v := range legal {
-				if r.Intn(4) == 0 {
-					assumptions = append(assumptions, MkLit(v, r.Intn(2) == 1))
-				}
-			}
-			want := bruteForceSatUnder(len(s.assign), cnf, assumptions)
-			if dead {
-				if want {
-					t.Fatalf("trial %d round %d: dead but formula+assumptions sat", trial, round)
-				}
-				if got := s.Solve(assumptions...); got != SatUnsat {
-					t.Fatalf("trial %d round %d: dead instance Solve = %v", trial, round, got)
-				}
-				continue
-			}
-			got := s.Solve(assumptions...)
-			if (got == SatSat) != want {
-				t.Fatalf("trial %d round %d: Solve = %v, brute force = %v, cnf = %v assumptions = %v elim = %v",
-					trial, round, got, want, cnf, assumptions, s.elim)
-			}
-			if got == SatSat {
-				checkModel(t, s, cnf, trial)
-				for _, a := range assumptions {
-					val := s.ModelValue(a.Var())
-					if a.Neg() {
-						val = !val
-					}
-					if !val {
-						t.Fatalf("trial %d round %d: model violates assumption %v", trial, round, a)
-					}
-				}
-			}
 		}
 	}
 }

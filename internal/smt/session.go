@@ -45,9 +45,6 @@ type IncrementalSession struct {
 	// extraction runs per Sat verdict over the whole (mostly unchanged)
 	// atom set, and re-walking the DAGs dominated profiles.
 	varsMemo map[*expr.Expr][]*expr.Expr
-	// exchCursors tracks, per CNF fingerprint, how far into the clause
-	// exchange's pool this session has imported.
-	exchCursors map[uint64]int
 	// lastSolve attributes the most recent Check (see LastSolve).
 	lastSolve SolveInfo
 }
@@ -75,7 +72,6 @@ func (sess *IncrementalSession) recycle() {
 		sess.bl.release()
 	}
 	sess.bl = newBlaster()
-	sess.bl.sat.MaxConflicts = sess.owner.Opts.maxConflicts()
 	sess.lastCnts = blasterCounters{}
 	sess.guards = map[*expr.Expr]Lit{}
 	sess.selRepl = map[*expr.Expr]*expr.Expr{}
@@ -83,7 +79,6 @@ func (sess *IncrementalSession) recycle() {
 	sess.selVars = sess.selVars[:0]
 	sess.rwMemo = map[*expr.Expr]*expr.Expr{}
 	sess.varsMemo = map[*expr.Expr][]*expr.Expr{}
-	sess.exchCursors = map[uint64]int{}
 }
 
 // Reset recycles the session's SAT instance and every piece of state
@@ -200,33 +195,25 @@ func (sess *IncrementalSession) varsOf(a *expr.Expr) []*expr.Expr {
 func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	s := sess.owner
 	start := time.Now()
-	pq, res, m, done := s.preSolve(constraints)
+	atoms, key, res, m, done := s.preSolve(constraints)
 	if done {
 		sess.lastSolve = SolveInfo{Result: res, Duration: time.Since(start)}
 		return res, m
 	}
-	if len(sess.guards)+len(pq.atoms) > sessionMaxGuards {
+	if len(sess.guards)+len(atoms) > sessionMaxGuards {
 		sess.recycle()
 	}
 	s.stats.satCalls.Add(1)
 	s.stats.assumptionSolves.Add(1)
 	s.stats.clausesReused.Add(int64(sess.bl.sat.NumLearnts()))
-	assumptions := make([]Lit, len(pq.atoms))
-	for i, a := range pq.atoms {
+	assumptions := make([]Lit, len(atoms))
+	for i, a := range atoms {
 		assumptions[i] = sess.guardFor(a)
-	}
-	// In-session preprocessing runs without BVE: subsumption and
-	// strengthening preserve equivalence, so the blaster's structural
-	// caches and the accumulated learnts stay valid. (Measured: BVE here
-	// forces cache invalidation, which re-blasts shared structure and
-	// grows the CNF ~35%, an order-of-magnitude search regression.)
-	if s.Opts.Preprocess && sess.bl.sat.NeedPreprocess() {
-		sess.bl.sat.Preprocess(nil, false)
 	}
 	// The solve branches only on what the assumed atoms depend on, not on
 	// what earlier queries left in the instance.
 	cone, sels := sess.bl.cone(assumptions)
-	verdict := s.satSolve(sess.bl.sat, sess.exchCursors, cone, assumptions...)
+	verdict := s.satSolve(sess.bl.sat, cone, assumptions...)
 	prev := sess.lastCnts
 	sess.lastCnts = s.foldBlasterCounters(sess.bl, sess.lastCnts)
 	cur := sess.lastCnts
@@ -243,18 +230,15 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 	switch verdict {
 	case SatUnsat:
 		sess.lastSolve.Result = Unsat
-		s.cachePut(pq.key, pq.cacheAtoms, Unsat, nil)
+		s.cachePut(key, atoms, Unsat, nil)
 		return Unsat, nil
 	case SatUnknown:
 		sess.lastSolve.Result = Unknown
 		return Unknown, nil
 	}
 	sess.lastSolve.Result = Sat
-	// Models are extracted over the original atoms: equality substitution
-	// can fold a variable out of the solved set, and the witness must
-	// still assign it.
-	asn := sess.extractModel(pq.cacheAtoms, sels)
-	s.cachePut(pq.key, pq.cacheAtoms, Sat, asn)
+	asn := sess.extractModel(atoms, sels)
+	s.cachePut(key, atoms, Sat, asn)
 	return Sat, asn
 }
 

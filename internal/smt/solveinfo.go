@@ -6,8 +6,8 @@ import "time"
 // and — when the SAT core actually ran — the search-effort and
 // CNF-growth deltas of exactly that query, computed from the session's
 // blaster-counter snapshots. The cheap pre-solve passes (constant
-// folding, verdict cache, intervals, equality substitution) decide
-// most queries without touching the core; those report SATCore false
+// folding, verdict cache, intervals) decide most queries without
+// touching the core; those report SATCore false
 // with zeroed effort counters, which is itself the interesting signal
 // for the obligation profiler: an expensive obligation is one where
 // the core engaged.

@@ -30,42 +30,24 @@ func (r Result) String() string {
 	return "unknown"
 }
 
-// Options configures a Solver. The zero value enables every technique;
-// the Disable* knobs exist for the ablation benchmarks.
+// Options configures a Solver. There is one solver configuration; what
+// is left to set is the ablation switch of the interval pre-analysis and
+// the budgets of the degradation ladder (DESIGN.md §4.3, §9).
 type Options struct {
 	// DisableIntervals turns off the interval/constant pre-analysis, so
 	// every query goes through bit-blasting.
 	DisableIntervals bool
-	// DisableEqSubst turns off the word-level equality-substitution
-	// pre-pass (var = const / var = var propagation before blasting).
-	DisableEqSubst bool
 	// MaxConflicts bounds each SAT search; 0 means the default budget.
 	MaxConflicts int64
 	// QueryTimeout bounds each SAT search's wall time; 0 means none. An
 	// exhausted deadline yields Unknown, never a false verdict.
 	QueryTimeout time.Duration
-	// Preprocess enables SatELite-style CNF preprocessing (bounded
-	// variable elimination, subsumption, self-subsumption) before the
-	// first SAT search of each instance, re-run when the CNF has grown
-	// enough since the last pass.
-	Preprocess bool
-	// Portfolio, when >= 2, races that many diversified solver clones on
-	// any obligation whose first solve exceeds PortfolioAfter conflicts;
-	// the first decisive clone cancels the rest.
-	Portfolio int
-	// PortfolioAfter is the first-solve conflict budget that triggers a
-	// portfolio race; 0 picks DefaultPortfolioAfter.
-	PortfolioAfter int64
-	// Exchange, when non-nil, shares low-glue learnt clauses between
-	// solver instances whose CNF fingerprints coincide (publish at
-	// recording, import at restart boundaries).
-	Exchange *ClauseExchange
 	// Interrupt, when non-nil, is an external cancellation flag checked
-	// during every SAT search (including portfolio seats): setting it
-	// makes in-flight and future solves return Unknown. It is the
-	// watchdog's lever — a job that exceeds its wall budget is cancelled
-	// here even when QueryTimeout is unset or the search is stuck in a
-	// propagation storm between deadline checks.
+	// during every SAT search: setting it makes in-flight and future
+	// solves return Unknown. It is the watchdog's lever — a job that
+	// exceeds its wall budget is cancelled here even when QueryTimeout is
+	// unset or the search is stuck in a propagation storm between
+	// deadline checks.
 	Interrupt *atomic.Bool
 	// FaultHook, when non-nil, is consulted before each SAT search by the
 	// fault-injection harness (internal/faultinject): it may force the
@@ -118,13 +100,11 @@ type Stats struct {
 	SessionsOpened   int64 // IncrementalSession instances created (incl. recycles)
 	AssumptionSolves int64 // SAT calls made under assumptions by sessions
 	ClausesReused    int64 // learnt clauses carried into assumption solves
-	// CNF-minimization counters: the equality-substitution pre-pass, the
-	// blaster's structural gate cache, and the emitted formula size.
-	EqAtomsRewritten int64 // atoms rewritten by equality substitution
-	EqDecidedUnsat   int64 // queries decided unsat by equality substitution alone
-	GateCacheHits    int64 // Tseitin gates served from the structural cache
-	CNFVars          int64 // SAT variables allocated, summed over blasted queries
-	CNFClauses       int64 // problem clauses emitted, summed over blasted queries
+	// CNF-size counters: the blaster's structural gate cache and the
+	// emitted formula size.
+	GateCacheHits int64 // Tseitin gates served from the structural cache
+	CNFVars       int64 // SAT variables allocated, summed over blasted queries
+	CNFClauses    int64 // problem clauses emitted, summed over blasted queries
 	// SAT-core heuristics counters.
 	MinimizedLits int64 // literals removed by recursive learnt-clause minimization
 	LearntLits    int64 // literals in recorded learnt clauses (after minimization)
@@ -136,19 +116,9 @@ type Stats struct {
 	AssumLevels   int64 // assumption literals passed to SAT solves, summed
 	Decisions     int64 // decisions made by the SAT core
 	Restarts      int64 // Luby restarts performed
-	// Preprocessing, portfolio, and clause-exchange counters.
-	PreprocessRuns   int64 // CNF preprocessing passes executed
-	VarsEliminated   int64 // variables removed by bounded variable elimination
-	ClausesSubsumed  int64 // clauses deleted by backward subsumption
-	LitsStrengthened int64 // literals removed by self-subsumption strengthening
-	ClausesPublished int64 // low-glue learnt clauses published to the exchange
-	ClausesImported  int64 // foreign learnt clauses imported from the exchange
-	PortfolioRaces   int64 // obligations escalated to a portfolio race
-	PortfolioWins    int64 // races some clone decided (the rest hit the budget)
-	Unknowns         int64 // SAT searches ending Unknown (budget/deadline/cancel)
 	// Robustness counters (DESIGN.md §9).
+	Unknowns       int64 // SAT searches ending Unknown (budget/deadline/cancel)
 	InjectedFaults int64 // searches redirected by Options.FaultHook
-	SeatPanics     int64 // portfolio seats that panicked and were contained
 	Interrupted    int64 // searches cancelled through Options.Interrupt
 }
 
@@ -166,12 +136,10 @@ type Solver struct {
 	stats struct {
 		queries, folded, interval, satCalls, satConflicts, cacheHits atomic.Int64
 		sessions, assumptionSolves, clausesReused                    atomic.Int64
-		eqRewritten, eqUnsat, gateHits, cnfVars, cnfClauses          atomic.Int64
+		gateHits, cnfVars, cnfClauses                                atomic.Int64
 		minimizedLits, learntLits, learnts, glueSum, lowGlue         atomic.Int64
 		binaryProps, propagations, decisions, restarts, assumLevels  atomic.Int64
-		preRuns, varsElim, subsumed, strengthened                    atomic.Int64
-		published, imported, races, raceWins, unknowns               atomic.Int64
-		injected, seatPanics, interrupted                            atomic.Int64
+		unknowns, injected, interrupted                              atomic.Int64
 	}
 	mu    sync.Mutex
 	cache map[uint64][]cacheEntry
@@ -255,8 +223,6 @@ func (s *Solver) Stats() Stats {
 		SessionsOpened:   s.stats.sessions.Load(),
 		AssumptionSolves: s.stats.assumptionSolves.Load(),
 		ClausesReused:    s.stats.clausesReused.Load(),
-		EqAtomsRewritten: s.stats.eqRewritten.Load(),
-		EqDecidedUnsat:   s.stats.eqUnsat.Load(),
 		GateCacheHits:    s.stats.gateHits.Load(),
 		CNFVars:          s.stats.cnfVars.Load(),
 		CNFClauses:       s.stats.cnfClauses.Load(),
@@ -270,17 +236,8 @@ func (s *Solver) Stats() Stats {
 		AssumLevels:      s.stats.assumLevels.Load(),
 		Decisions:        s.stats.decisions.Load(),
 		Restarts:         s.stats.restarts.Load(),
-		PreprocessRuns:   s.stats.preRuns.Load(),
-		VarsEliminated:   s.stats.varsElim.Load(),
-		ClausesSubsumed:  s.stats.subsumed.Load(),
-		LitsStrengthened: s.stats.strengthened.Load(),
-		ClausesPublished: s.stats.published.Load(),
-		ClausesImported:  s.stats.imported.Load(),
-		PortfolioRaces:   s.stats.races.Load(),
-		PortfolioWins:    s.stats.raceWins.Load(),
 		Unknowns:         s.stats.unknowns.Load(),
 		InjectedFaults:   s.stats.injected.Load(),
-		SeatPanics:       s.stats.seatPanics.Load(),
 		Interrupted:      s.stats.interrupted.Load(),
 	}
 }
@@ -317,41 +274,16 @@ func (s *Solver) foldBlasterCounters(b *blaster, prev blasterCounters) blasterCo
 	s.stats.cnfVars.Add(cur.vars - prev.vars)
 	s.stats.cnfClauses.Add(cur.sat.ClausesAdded - prev.sat.ClausesAdded)
 	s.stats.gateHits.Add(cur.gateHits - prev.gateHits)
-	s.stats.preRuns.Add(cur.sat.PreprocessRuns - prev.sat.PreprocessRuns)
-	s.stats.varsElim.Add(cur.sat.VarsEliminated - prev.sat.VarsEliminated)
-	s.stats.subsumed.Add(cur.sat.ClausesSubsumed - prev.sat.ClausesSubsumed)
-	s.stats.strengthened.Add(cur.sat.LitsStrengthened - prev.sat.LitsStrengthened)
-	s.stats.published.Add(cur.sat.ClausesPublished - prev.sat.ClausesPublished)
-	s.stats.imported.Add(cur.sat.ClausesImported - prev.sat.ClausesImported)
 	return cur
 }
 
-// preprocessIfDue runs CNF preprocessing on the blaster's SAT instance
-// when enabled and the CNF has grown enough to repay a pass. The
-// blaster's structural caches are dropped first: they could otherwise
-// hand future blasting a literal over an eliminated variable. frozen
-// marks the externally visible variables; the blaster's own (constant,
-// named bits) are always added.
-func (s *Solver) preprocessIfDue(b *blaster, frozen []bool) {
-	if !s.Opts.Preprocess || !b.sat.NeedPreprocess() {
-		return
-	}
-	b.dropStructuralCaches()
-	b.sat.Preprocess(b.frozenVars(frozen), true)
-}
-
 // satSolve runs one SAT search over cone (SatSolver.SolveCone) under the
-// configured budgets: the conflict cap and wall deadline from Options,
-// the clause exchange when one is configured (cursors is the caller's
-// per-fingerprint import state), and — when the first bounded attempt
-// comes back Unknown with budget to spare — a portfolio race of
-// diversified clones whose winner is merged back into sat. The verdict
-// is exact (Sat/Unsat) or Unknown; budget exhaustion never fabricates a
-// verdict.
-func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, cone []int32, assumptions ...Lit) SatResult {
-	// Fault injection first: a forced verdict must not consume budget or
-	// touch the exchange, so an injected fault reproduces identically
-	// regardless of solver state.
+// configured budgets: the conflict cap, the wall deadline and the
+// interrupt flag from Options. The verdict is exact (Sat/Unsat) or
+// Unknown; budget exhaustion never fabricates a verdict.
+func (s *Solver) satSolve(sat *SatSolver, cone []int32, assumptions ...Lit) SatResult {
+	// Fault injection first: a forced verdict must not consume budget, so
+	// an injected fault reproduces identically regardless of solver state.
 	if s.Opts.FaultHook != nil {
 		switch s.Opts.FaultHook() {
 		case ForceUnknown, ForceTimeout:
@@ -369,48 +301,12 @@ func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, cone []int32, 
 		return SatUnknown
 	}
 	sat.Interrupt = s.Opts.Interrupt
-	budget := s.Opts.maxConflicts()
+	sat.MaxConflicts = s.Opts.maxConflicts()
 	sat.Deadline = time.Time{}
 	if s.Opts.QueryTimeout > 0 {
 		sat.Deadline = time.Now().Add(s.Opts.QueryTimeout)
 	}
-	racing := s.Opts.Portfolio >= 2
-	first := budget
-	if racing {
-		after := s.Opts.PortfolioAfter
-		if after <= 0 {
-			after = DefaultPortfolioAfter
-		}
-		if budget <= 0 || after < budget {
-			first = after
-		}
-	}
-	var detach func()
-	if s.Opts.Exchange != nil {
-		detach = s.Opts.Exchange.attach(sat, cursors)
-	}
-	sat.MaxConflicts = first
 	verdict := sat.SolveCone(cone, assumptions...)
-	if detach != nil {
-		detach()
-	}
-	if verdict == SatUnknown && racing {
-		remaining := int64(-1) // unbounded
-		if budget > 0 {
-			remaining = budget - first
-		}
-		expired := s.Opts.QueryTimeout > 0 && !time.Now().Before(sat.Deadline)
-		if (budget <= 0 || remaining > 0) && !expired {
-			s.stats.races.Add(1)
-			raced, winner, seatPanics := racePortfolio(sat, cone, assumptions, s.Opts.Portfolio, remaining, sat.Deadline, s.Opts.Exchange)
-			s.stats.seatPanics.Add(seatPanics)
-			if winner != nil {
-				s.stats.raceWins.Add(1)
-				sat.adoptRaceResult(winner, raced)
-			}
-			verdict = raced
-		}
-	}
 	if verdict == SatUnknown {
 		s.stats.unknowns.Add(1)
 		if s.Opts.Interrupt != nil && s.Opts.Interrupt.Load() {
@@ -420,82 +316,58 @@ func (s *Solver) satSolve(sat *SatSolver, cursors map[uint64]int, cone []int32, 
 	return verdict
 }
 
-// preQuery is the outcome of preSolve for an undecided query: the atom
-// set to solve (equality-substituted) and the canonical original atom
-// set with its cache key (the caller must cachePut its verdict under
-// cacheAtoms/key, never under the substituted atoms).
-type preQuery struct {
-	atoms      []*expr.Expr // atoms to blast and solve
-	cacheAtoms []*expr.Expr // canonical original atoms (cache identity)
-	key        uint64
-}
-
 // preSolve runs the cheap per-query passes shared by the one-shot Check
 // and the incremental session: flattening and constant folding,
-// canonical ordering and deduplication, the verdict cache, the
-// equality-substitution pass, and the interval pre-analysis. When done
-// is true the query is decided and res/m hold the verdict; otherwise pq
-// describes the undecided query. The returned slices may alias the
-// caller's scratch space — they are only valid until the next preSolve
-// call on the same goroutine.
-func (s *Solver) preSolve(constraints []*expr.Expr) (pq preQuery, res Result, m *expr.Assignment, done bool) {
+// canonical ordering and deduplication, the verdict cache, and the
+// interval pre-analysis. When done is true the query is decided and res/m
+// hold the verdict; otherwise atoms is the canonical atom set to solve
+// and key its cache key (the caller cachePuts its verdict under them).
+// atoms may alias the caller's scratch space — it is only valid until
+// the next preSolve call on the same goroutine.
+func (s *Solver) preSolve(constraints []*expr.Expr) (atoms []*expr.Expr, key uint64, res Result, m *expr.Assignment, done bool) {
 	s.stats.queries.Add(1)
 	atoms, early := flattenAtoms(constraints)
 	if early != Unknown {
 		s.stats.folded.Add(1)
 		if early == Sat {
-			return preQuery{}, Sat, expr.NewAssignment(), true
+			return nil, 0, Sat, expr.NewAssignment(), true
 		}
-		return preQuery{}, Unsat, nil, true
+		return nil, 0, Unsat, nil, true
 	}
 	sortAtoms(atoms)
 	atoms = dedupAtoms(atoms)
-	key := cacheKey(atoms)
+	key = cacheKey(atoms)
 	if r, cm, ok := s.cacheGet(key, atoms); ok {
 		s.stats.cacheHits.Add(1)
-		return preQuery{}, r, cm, true
-	}
-	solveAtoms := atoms
-	if !s.Opts.DisableEqSubst {
-		sub, rewritten, contradiction := substEqualities(atoms)
-		s.stats.eqRewritten.Add(rewritten)
-		if contradiction {
-			s.stats.eqUnsat.Add(1)
-			s.cachePut(key, atoms, Unsat, nil)
-			return preQuery{}, Unsat, nil, true
-		}
-		solveAtoms = sub
+		return nil, 0, r, cm, true
 	}
 	if !s.Opts.DisableIntervals {
-		// Running intervals after substitution lets the analysis see the
-		// propagated constants, which decides strictly more queries.
-		switch verdict, model := preAnalyze(solveAtoms); verdict {
+		switch verdict, model := preAnalyze(atoms); verdict {
 		case intervalUnsat:
 			s.stats.interval.Add(1)
 			s.cachePut(key, atoms, Unsat, nil)
-			return preQuery{}, Unsat, nil, true
+			return nil, 0, Unsat, nil, true
 		case intervalSat:
 			s.stats.interval.Add(1)
 			s.cachePut(key, atoms, Sat, model)
-			return preQuery{}, Sat, model, true
+			return nil, 0, Sat, model, true
 		}
 	}
-	return preQuery{atoms: solveAtoms, cacheAtoms: atoms, key: key}, Unknown, nil, false
+	return atoms, key, Unknown, nil, false
 }
 
 // Check decides whether the conjunction of the given 1-bit expressions is
 // satisfiable. On Sat it returns a model assigning every free variable
 // and the bytes of every base array mentioned by the constraints.
 func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
-	// 1.-2. Flattening, folding, dedup, verdict cache, equality
-	// substitution, intervals.
-	pq, res, m, done := s.preSolve(constraints)
+	// 1.-2. Flattening, folding, dedup, verdict cache, intervals.
+	query, key, res, m, done := s.preSolve(constraints)
 	if done {
 		return res, m
 	}
 
 	// 3. Ackermannize packet-array reads.
-	atoms, selects, selVars := ackermannize(pq.atoms)
+	atoms, selects, selVars := ackermannize(query)
 
 	// 4. Bit-blast and solve on a pooled blaster.
 	s.stats.satCalls.Add(1)
@@ -504,35 +376,33 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	for _, a := range atoms {
 		b.assertTrue(a)
 	}
-	s.preprocessIfDue(b, nil)
 	// A one-shot instance holds this query alone, so its cone is the
 	// whole instance.
-	verdict := s.satSolve(b.sat, map[uint64]int{}, b.sat.everyVar())
+	verdict := s.satSolve(b.sat, b.sat.everyVar())
 	s.foldBlasterCounters(b, blasterCounters{})
 	switch verdict {
 	case SatUnsat:
-		s.cachePut(pq.key, pq.cacheAtoms, Unsat, nil)
+		s.cachePut(key, query, Unsat, nil)
 		return Unsat, nil
 	case SatUnknown:
 		return Unknown, nil
 	}
 
-	// 5. Reconstruct the model. Variables are collected from the
-	// original atoms as well: equality substitution can fold a variable
-	// out of every solved atom, and the model must still assign it (its
-	// kept defining equality pins the value).
+	// 5. Reconstruct the model over the query's own variables (a variable
+	// that only indexes a lone select never reaches the blaster and reads
+	// zero), plus the Ackermann variables the select indices mention.
 	asn := expr.NewAssignment()
 	var vars []*expr.Expr
-	for _, a := range atoms {
-		vars = expr.Vars(a, vars)
-	}
-	for _, a := range pq.cacheAtoms {
+	for _, a := range query {
 		vars = expr.Vars(a, vars)
 	}
 	for _, v := range vars {
 		if _, ok := asn.Vars[v.Name]; !ok {
 			asn.Vars[v.Name] = b.modelVar(v.Name, v.Width())
 		}
+	}
+	for _, n := range selVars {
+		asn.Vars[n] = b.modelVar(n, 8)
 	}
 	// Array contents: evaluate each select's (rewritten) index under the
 	// model, then place the select variable's value at that index. The
@@ -560,7 +430,7 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	for _, n := range selVars {
 		delete(asn.Vars, n)
 	}
-	s.cachePut(pq.key, pq.cacheAtoms, Sat, asn)
+	s.cachePut(key, query, Sat, asn)
 	return Sat, asn
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vsd/internal/click"
+	"vsd/internal/packet"
 	"vsd/internal/smt"
 )
 
@@ -97,5 +98,42 @@ func TestLightCertificationUnaffectedBySessionHistory(t *testing.T) {
 	if !within2x(workP.Propagations, workP.SatCalls, workF.Propagations, workF.SatCalls) {
 		t.Errorf("propagations per SAT call: polluted %d/%d, fresh %d/%d — more than 2x",
 			workP.Propagations, workP.SatCalls, workF.Propagations, workF.SatCalls)
+	}
+}
+
+// TestFreshVerifiersAgree pins that no solver state outlives a Verifier:
+// four fresh verifiers in one process, each on one worker, must return
+// byte-identical reports (witness bytes included) for the same pipeline
+// and spend exactly the same search effort on them. A process-wide
+// learnt-clause pool made both a function of what the process had
+// verified before. It is not the multi-core schedule independence of
+// ROADMAP item 0: Parallelism is 1 here.
+func TestFreshVerifiersAgree(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"strip-check-ttl", storeTestPipeline},
+		{"filter", filterConfig},
+		{"router", ipRouterConfig},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := parsePipeline(t, tc.src)
+			var firstReports string
+			var firstWork [4]int64
+			for i := 0; i < 4; i++ {
+				v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
+				reports := reportsJSON(t, v, p)
+				s := v.Stats().Solver
+				work := [4]int64{s.SatCalls, s.SatConflicts, s.Decisions, s.Propagations}
+				if i == 0 {
+					firstReports, firstWork = reports, work
+					continue
+				}
+				if reports != firstReports {
+					t.Errorf("verifier %d reports differ from the first:\nfirst: %s\nthis:  %s", i, firstReports, reports)
+				}
+				if work != firstWork {
+					t.Errorf("verifier %d {sat calls, conflicts, decisions, propagations} = %v, the first took %v", i, work, firstWork)
+				}
+			}
+		})
 	}
 }

@@ -23,12 +23,18 @@ const storeTestPipeline = `
 	chk[0] -> ttl; chk[1] -> Discard; ttl[1] -> Discard;
 `
 
-// crashReports runs CrashFreedom + BoundedInstructions with the given
+// storeVerdict runs CrashFreedom + BoundedInstructions with the given
 // store and returns the serialized reports plus the stats.
 func storeVerdict(t *testing.T, store SummaryStore, src string) (string, Stats) {
 	t.Helper()
-	p := parsePipeline(t, src)
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Store: store})
+	return reportsJSON(t, v, parsePipeline(t, src)), v.Stats()
+}
+
+// reportsJSON serializes v's CrashFreedom and BoundedInstructions
+// reports on p.
+func reportsJSON(t *testing.T, v *Verifier, p *click.Pipeline) string {
+	t.Helper()
 	crash, err := v.CrashFreedom(p)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +50,7 @@ func storeVerdict(t *testing.T, store SummaryStore, src string) (string, Stats) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(blob), v.Stats()
+	return string(blob)
 }
 
 // TestDiskStoreWarmRun is the headline property: a second verifier over

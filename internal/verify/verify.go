@@ -54,24 +54,6 @@ type Options struct {
 	// vsdserve can bound worst-case latency.
 	SolverMaxConflicts int64
 	SolverTimeout      time.Duration
-	// The SAT performance layer (DESIGN.md §10) is on by default; these
-	// knobs exist for the ablation benchmarks. DisableSATPreprocess
-	// skips CNF preprocessing (bounded variable elimination +
-	// subsumption), DisablePortfolio never races diversified clones on
-	// hard obligations, and DisableClauseSharing keeps each session's
-	// learnt clauses private instead of exchanging low-glue ones.
-	DisableSATPreprocess bool
-	DisablePortfolio     bool
-	DisableClauseSharing bool
-	// SolverExchange selects the clause-exchange scope. nil gives each
-	// Verifier its own exchange: the parallel walk's workers share
-	// clauses with each other, and two Verifier instances stay fully
-	// independent (reports are reproducible run to run). Passing
-	// smt.SharedExchange() opts into the process-wide pool — long-lived
-	// services like vsdserve reuse clause work across requests at the
-	// cost of cross-instance reproducibility of witness bytes (verdicts
-	// are unaffected).
-	SolverExchange *smt.ClauseExchange
 	// SolverFaultHook forwards to smt.Options.FaultHook: the
 	// fault-injection harness's solver-level hook (internal/faultinject)
 	// forcing Unknown verdicts, timeouts, or panics into individual SAT
@@ -94,32 +76,15 @@ type Options struct {
 	Profile bool
 }
 
-// DefaultPortfolio is the number of diversified solver clones raced on a
-// hard obligation when portfolio solving is enabled.
-const DefaultPortfolio = 3
-
-// solverOptions translates the verifier-level solver knobs into
+// solverOptions translates the verifier-level solver budgets into
 // smt.Options (shared by the compositional verifier and the monolithic
-// baseline so ablations compare like with like). With sharing enabled
-// and no explicit SolverExchange, each call allocates a fresh exchange —
-// instance-scoped sharing.
+// baseline so the two compare like with like).
 func (o Options) solverOptions() smt.Options {
-	so := smt.Options{
+	return smt.Options{
 		MaxConflicts: o.SolverMaxConflicts,
 		QueryTimeout: o.SolverTimeout,
-		Preprocess:   !o.DisableSATPreprocess,
 		FaultHook:    o.SolverFaultHook,
 	}
-	if !o.DisablePortfolio {
-		so.Portfolio = DefaultPortfolio
-	}
-	if !o.DisableClauseSharing {
-		so.Exchange = o.SolverExchange
-		if so.Exchange == nil {
-			so.Exchange = smt.NewClauseExchange(0, 0)
-		}
-	}
-	return so
 }
 
 // DefaultMaxRefinedReads is the refinement cap used when
