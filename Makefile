@@ -15,10 +15,10 @@ test:
 
 # race exercises the concurrent solver and the parallel verifier under
 # the race detector (slow; the parallel walk tests fan out real work),
-# the solver package at one and two cores. Two tests stay with tier1:
+# the solver package at one and two cores. Three tests stay with tier1:
 # each runs on one goroutine, so the detector has nothing to watch, and
-# under it they take ~2 and ~4 minutes.
-RACE_SKIP = TestSatFuzzConeDifferential|TestFreshVerifiersAgree
+# under it they take ~2, ~4 and ~2 minutes.
+RACE_SKIP = TestSatFuzzConeDifferential|TestFreshVerifiersAgree|TestSatFuzzAliasingDifferential
 race:
 	$(GO) test -race -cpu 1,2 -skip '$(RACE_SKIP)' ./internal/smt
 	$(GO) test -race -skip '$(RACE_SKIP)' ./internal/verify

@@ -115,6 +115,7 @@ func solverMetrics(m map[string]float64, st smt.Stats) {
 	m["sessions-opened"] = float64(st.SessionsOpened)
 	m["assumption-solves"] = float64(st.AssumptionSolves)
 	m["reused-clauses"] = float64(st.ClausesReused)
+	m["array-lemmas"] = float64(st.ArrayLemmas)
 	// CNF size: emitted formula size and the structural gate cache
 	// (per-query averages are size/sat-calls).
 	m["cnf-vars"] = float64(st.CNFVars)

@@ -68,14 +68,15 @@ const (
 	litTie  Lit = -2
 )
 
-// A tie records that some input variables are constrained together with
-// other literals by clauses asserted outside any guard: the eight value
-// bits of an Ackermannized select with the bits of its index (the
-// functional-consistency axioms compare both), or the quotient and
-// remainder bits of a division with the root of its defining constraint.
-// A cone that reaches one tied input takes in every literal of the tie,
-// so such a constraint is never left half inside a cone. sel is the
-// session's index of the select, -1 for a division.
+// A tie records that some input variables are read or constrained
+// together with other literals outside any guard: the eight value bits
+// of an Ackermannized select with the bits of its index (the session's
+// model check compares both, and the consistency axioms it asserts on
+// demand constrain both), or the quotient and remainder bits of a
+// division with the root of its defining constraint. A cone that reaches
+// one tied input takes in every literal of the tie, so such a check or
+// constraint is never left half inside a cone. sel is the session's
+// index of the select, -1 for a division.
 type tie struct {
 	lits []Lit
 	sel  int32

@@ -124,6 +124,63 @@ func TestIncrementalSessionQueryLogEquivalence(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsAliasing runs one session per goroutine on one
+// Solver (run under -race) with queries whose packet reads alias, so the
+// sessions assert array lemmas while they share the verdict cache and
+// the statistics. Verdicts must match a sequential one-shot reference,
+// and every Sat model must satisfy its query.
+func TestConcurrentSessionsAliasing(t *testing.T) {
+	const goroutines = 4
+	const queriesPer = 40
+	pkt := expr.BaseArray("capkt")
+	base := expr.ZExt(expr.Var("cab", 8), 32)
+	mkQuery := func(seed int) []*expr.Expr {
+		g := &atomGen{r: rand.New(rand.NewSource(int64(seed))), pkt: pkt, base: base,
+			vars: []*expr.Expr{expr.Var(fmt.Sprintf("cax%d", seed%5), 8), expr.Var("cay", 8)}}
+		return []*expr.Expr{g.atom(1), g.atom(1), g.atom(2)}
+	}
+	ref := New(Options{})
+	want := make([]Result, goroutines*queriesPer)
+	for i := range want {
+		want[i], _ = ref.Check(mkQuery(i % 61))
+	}
+	solver := New(Options{})
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sess := solver.NewSession()
+			defer sess.Close()
+			for q := 0; q < queriesPer; q++ {
+				i := g*queriesPer + q
+				got, m := sess.Check(mkQuery(i % 61))
+				if got != want[i] {
+					errs <- fmt.Sprintf("query %d: got %v want %v", i, got, want[i])
+					return
+				}
+				if got == Sat {
+					for _, c := range mkQuery(i % 61) {
+						if !expr.Eval(c, m).IsTrue() {
+							errs <- fmt.Sprintf("query %d: model violates %s", i, c)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if solver.Stats().ArrayLemmas == 0 {
+		t.Error("no session asserted an array lemma; the queries do not alias")
+	}
+}
+
 // TestSessionRecycleKeepsVerdicts forces the guard-count recycle by
 // issuing many distinct single-atom queries and checks the session stays
 // correct across the internal SAT-instance swap.

@@ -12,8 +12,12 @@
 //     keyed by the terms' memoized structural hashes;
 //  3. an interval pre-analysis that decides many comparisons without
 //     blasting (intervals.go);
-//  4. Ackermann-style elimination of packet-array reads, then
-//     structurally-hashed bit-blasting to CNF with AIG-style gate
+//  4. Ackermann-style elimination of packet-array reads — each read
+//     becomes a fresh byte variable; a session asserts the consistency
+//     axiom of two reads only when a model puts them at one index with
+//     different bytes, and solves again (DESIGN.md §2), while the
+//     one-shot Check, the reference, asserts every pair's up front —
+//     then structurally-hashed bit-blasting to CNF with AIG-style gate
 //     sharing (cnf.go, DESIGN.md §4.1);
 //  5. a MiniSat/glucose-flavored CDCL core: arena clause storage,
 //     binary watch lists, recursive learnt-clause minimization,

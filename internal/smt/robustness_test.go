@@ -7,6 +7,7 @@ package smt
 // verdict and never to a downed process.
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,6 +160,98 @@ func TestSolveDeadlineUnknown(t *testing.T) {
 	s.Deadline = time.Now().Add(-time.Second)
 	if got := s.Solve(); got != SatUnknown {
 		t.Fatalf("expired-deadline solve = %v, want SatUnknown", got)
+	}
+}
+
+// aliasedDistinct requires n reads of one packet, at indices x_k & 3
+// for fresh variables x_k, to be pairwise distinct. With n > 4 two reads
+// share an index, so the query is Unsat, and a session can only find that
+// out through array lemmas: round after round of models that put
+// different bytes at one index.
+func aliasedDistinct(n int) []*expr.Expr {
+	pkt := expr.BaseArray("adpkt")
+	sels := make([]*expr.Expr, n)
+	for k := range sels {
+		x := expr.Var(fmt.Sprintf("adx%d", k), 8)
+		sels[k] = expr.Select(pkt, expr.ZExt(expr.BvAnd(x, expr.Const(8, 3)), 32))
+	}
+	var cons []*expr.Expr
+	for i := range sels {
+		for j := i + 1; j < n; j++ {
+			cons = append(cons, expr.Ne(sels[i], sels[j]))
+		}
+	}
+	return cons
+}
+
+// The refinement rounds of one session Check are one search to the
+// degradation ladder (DESIGN.md §9): the fault hook is consulted once,
+// the conflict budget and the deadline are shared, and running out of
+// either between rounds is Unknown.
+
+func TestRefinementConsultsFaultHookOnce(t *testing.T) {
+	calls := 0
+	s := New(Options{FaultHook: func() SolveFault { calls++; return NoFault }})
+	if r, _ := s.NewSession().Check(aliasedDistinct(5)); r != Unsat {
+		t.Fatalf("Check = %v, want Unsat", r)
+	}
+	if n := s.Stats().ArrayLemmas; n < 2 {
+		t.Fatalf("%d array lemmas; the query did not need refinement rounds", n)
+	}
+	if calls != 1 || s.Stats().SatCalls != 1 {
+		t.Fatalf("fault hook consulted %d times over %d SAT calls, want once for one call", calls, s.Stats().SatCalls)
+	}
+}
+
+func TestRefinementSharesConflictBudget(t *testing.T) {
+	q := aliasedDistinct(5)
+	ref := New(Options{})
+	sess := ref.NewSession()
+	if r, _ := sess.Check(q); r != Unsat {
+		t.Fatalf("unbudgeted Check = %v, want Unsat", r)
+	}
+	total := sess.LastSolve().Conflicts
+	// Every budget below what the rounds need between them is Unknown,
+	// with no model, after about as many conflicts as the budget: a
+	// search checks its cap between conflicts, so a chain of them can
+	// overshoot it by a few, but the rounds do not each get a cap.
+	midRefinement := 0
+	for budget := int64(1); budget < total; budget++ {
+		s := New(Options{MaxConflicts: budget})
+		sess := s.NewSession()
+		if r, m := sess.Check(q); r != Unknown || m != nil {
+			t.Fatalf("budget %d of the %d conflicts needed: %v, want Unknown without a model", budget, total, r)
+		}
+		if used := sess.LastSolve().Conflicts; used > budget+3 {
+			t.Fatalf("budget %d: the rounds spent %d conflicts between them", budget, used)
+		}
+		if s.Stats().ArrayLemmas > 0 {
+			midRefinement++
+		}
+	}
+	if midRefinement == 0 {
+		t.Fatalf("no budget below %d ran out after a lemma; nothing tested the shared budget", total)
+	}
+}
+
+func TestRefinementSharesDeadline(t *testing.T) {
+	// Two reads at one-bit indices holding different bytes: satisfiable
+	// only at different indices, and the first model reads both at 0.
+	// Each round is far too short to reach the search's own clock check,
+	// so only the check between rounds sees the deadline pass.
+	pkt := expr.BaseArray("dlpkt")
+	x, y := expr.Var("dlx", 1), expr.Var("dly", 1)
+	q := []*expr.Expr{
+		expr.Eq(expr.Select(pkt, expr.ZExt(x, 32)), expr.Const(8, 5)),
+		expr.Eq(expr.Select(pkt, expr.ZExt(y, 32)), expr.Const(8, 7)),
+	}
+	ref := New(Options{})
+	if r, _ := ref.NewSession().Check(q); r != Sat || ref.Stats().ArrayLemmas == 0 {
+		t.Fatalf("unbounded Check = %v after %d lemmas, want Sat after at least one", r, ref.Stats().ArrayLemmas)
+	}
+	s := New(Options{QueryTimeout: time.Nanosecond})
+	if r, m := s.NewSession().Check(q); r != Unknown || m != nil {
+		t.Fatalf("Check past its deadline = %v, want Unknown without a model", r)
 	}
 }
 

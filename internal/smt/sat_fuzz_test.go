@@ -42,12 +42,17 @@ func randCNF(r *rand.Rand, nv int) [][]Lit {
 // atomGen draws random 1-bit atoms over 8-bit terms: constants, the
 // given variables, constant- and symbolic-index reads of pkt, arithmetic,
 // ite chains and division/remainder (the node kinds whose encodings tie
-// inputs together outside any guard: Ackermann axioms, the div/rem side
+// inputs together outside any guard: the select tie, the div/rem side
 // constraint).
 type atomGen struct {
 	r    *rand.Rand
 	pkt  *expr.Array
 	vars []*expr.Expr
+	// base, when set, puts every read at base plus a tiny offset —
+	// constant reads at base+0..3, symbolic ones at base + (v & 3) — so
+	// reads alias one another far more often than at constant-or-masked
+	// indices, and the session must refine its models.
+	base *expr.Expr
 }
 
 func (g *atomGen) term(depth int) *expr.Expr {
@@ -57,12 +62,18 @@ func (g *atomGen) term(depth int) *expr.Expr {
 		case 0:
 			return expr.Const(8, uint64(r.Intn(256)))
 		case 1:
+			if g.base != nil {
+				return expr.Select(g.pkt, expr.Add(g.base, expr.Const(32, uint64(r.Intn(4)))))
+			}
 			return expr.Select(g.pkt, expr.Const(32, uint64(r.Intn(6))))
 		case 2:
+			v := expr.ZExt(g.vars[r.Intn(len(g.vars))], 32)
+			if g.base != nil {
+				return expr.Select(g.pkt, expr.Add(g.base, expr.BvAnd(v, expr.Const(32, 3))))
+			}
 			// Symbolic index into the first 8 bytes: aliases the constant
 			// reads, so functional consistency matters.
-			idx := expr.BvAnd(expr.ZExt(g.vars[r.Intn(len(g.vars))], 32), expr.Const(32, 7))
-			return expr.Select(g.pkt, idx)
+			return expr.Select(g.pkt, expr.BvAnd(v, expr.Const(32, 7)))
 		default:
 			return g.vars[r.Intn(len(g.vars))]
 		}
@@ -97,8 +108,8 @@ func (g *atomGen) atom(depth int) *expr.Expr {
 // solving (DESIGN.md §2, "Relevance"). One session is first polluted
 // with a large formula family over its own variables but the same packet
 // array — symbolic-index selects, ite chains, division nodes — so that
-// every later query's cone is a small part of the instance and the
-// Ackermann axioms cross the cone boundary. Then, for seeded random atom
+// every later query's cone is a small part of the instance and reads
+// inside and outside it share an array. Then, for seeded random atom
 // sets: (a) the session's verdict equals a one-shot Check on a fresh
 // solver; (b) every Sat model makes every queried atom evaluate to true,
 // array bytes included; (c) the model's array bytes all come from
@@ -190,6 +201,68 @@ func TestSatFuzzConeDifferential(t *testing.T) {
 		if small < 100 {
 			t.Errorf("intervals=%v: only %d queries had a small cone; the pollution is not out of cone and the test checks nothing", intervals, small)
 		}
+	}
+}
+
+// TestSatFuzzAliasingDifferential is the soundness gate of the lazy
+// array axioms (DESIGN.md §2): a session asserts a read pair's
+// consistency axiom only when a model breaks it. Reads here share a
+// symbolic base plus an offset in 0..3, so indices collide in most
+// queries. Polluted sessions answer seeded random atom sets; each
+// verdict must equal that of one-shot Check, which asserts every axiom
+// up front, and each Sat model must make every atom evaluate to true.
+// The run must have asserted lemmas, or it never exercised refinement.
+func TestSatFuzzAliasingDifferential(t *testing.T) {
+	pkt := expr.BaseArray("fapkt")
+	base := expr.ZExt(expr.Var("fab", 8), 32)
+	var lemmas, sat, unsat int64
+	for seed := int64(0); seed < 6; seed++ {
+		r := rand.New(rand.NewSource(1503 + seed))
+		s := New(Options{})
+		sess := s.NewSession()
+		pollution := &atomGen{r: r, pkt: pkt, base: base, vars: []*expr.Expr{
+			expr.Var("fap0", 8), expr.Var("fap1", 8), expr.Var("fas", 8)}}
+		for i := 0; i < 20; i++ {
+			a, b := pollution.atom(3), pollution.atom(3)
+			if i%4 == 0 {
+				sess.Check([]*expr.Expr{a, b})
+			} else {
+				sess.guardFor(a)
+				sess.guardFor(b)
+			}
+		}
+		queries := &atomGen{r: r, pkt: pkt, base: base}
+		for q := 0; q < 100; q++ {
+			if q%25 == 0 {
+				queries.vars = []*expr.Expr{
+					expr.Var(fmt.Sprintf("faq%d", q), 8), expr.Var(fmt.Sprintf("far%d", q), 8), expr.Var("fas", 8)}
+			}
+			cons := make([]*expr.Expr, 2+r.Intn(4))
+			for i := range cons {
+				cons[i] = queries.atom(1 + r.Intn(2))
+			}
+			got, m := sess.Check(cons)
+			want, _ := New(Options{}).Check(cons)
+			if got != want {
+				t.Fatalf("seed %d query %d: session=%v one-shot=%v cons=%v", seed, q, got, want, cons)
+			}
+			switch got {
+			case Unsat:
+				unsat++
+			case Sat:
+				sat++
+				for _, c := range cons {
+					if !expr.Eval(c, m).IsTrue() {
+						t.Fatalf("seed %d query %d: session model violates %s\nvars %v arrays %v", seed, q, c, m.Vars, m.Arrays)
+					}
+				}
+			}
+		}
+		lemmas += s.Stats().ArrayLemmas
+	}
+	t.Logf("%d Sat, %d Unsat; %d array lemmas asserted on demand", sat, unsat, lemmas)
+	if lemmas == 0 {
+		t.Error("no model ever broke an array axiom; the test checks nothing")
 	}
 }
 

@@ -36,7 +36,9 @@ type IncrementalSession struct {
 	// activation literal.
 	guards map[*expr.Expr]Lit
 	// Session-global Ackermann state: every distinct select node seen so
-	// far, its rewritten index, and its fresh variable name.
+	// far, its rewritten index, and its fresh variable name. The
+	// functional-consistency axioms between them are asserted on demand,
+	// by extractModel, only for pairs a model breaks.
 	selRepl map[*expr.Expr]*expr.Expr // select node -> fresh var
 	selInfo []selectInfo
 	selVars []string
@@ -45,6 +47,9 @@ type IncrementalSession struct {
 	// extraction runs per Sat verdict over the whole (mostly unchanged)
 	// atom set, and re-walking the DAGs dominated profiles.
 	varsMemo map[*expr.Expr][]*expr.Expr
+	// read is extractModel's scratch: the bytes a model's cone selects
+	// read, by array and index.
+	read map[arrayKey]byteRead
 	// lastSolve attributes the most recent Check (see LastSolve).
 	lastSolve SolveInfo
 }
@@ -58,7 +63,7 @@ const sessionMaxGuards = 1 << 14
 // NewSession returns an incremental context backed by this solver's
 // options, statistics, and verdict cache.
 func (s *Solver) NewSession() *IncrementalSession {
-	sess := &IncrementalSession{owner: s}
+	sess := &IncrementalSession{owner: s, read: map[arrayKey]byteRead{}}
 	sess.recycle()
 	return sess
 }
@@ -101,8 +106,7 @@ func (sess *IncrementalSession) Close() {
 }
 
 // rewriteSelects rewrites an expression replacing every select node by
-// its session variable, registering new selects (and their pairwise
-// functional-consistency axioms) as they appear.
+// its session variable, registering new selects as they appear.
 func (sess *IncrementalSession) rewriteSelects(e *expr.Expr) *expr.Expr {
 	if r, ok := sess.rwMemo[e]; ok {
 		return r
@@ -115,28 +119,17 @@ func (sess *IncrementalSession) rewriteSelects(e *expr.Expr) *expr.Expr {
 		case expr.KConst, expr.KVar:
 			r = e
 		case expr.KSelect:
-			// New select: allocate its variable, rewrite its index, and
-			// assert consistency with every earlier select of the same
-			// base array. The axioms are unconditionally true, so they
-			// are added unguarded.
+			// New select: allocate its variable and rewrite its index.
 			name := fmt.Sprintf("§s%d", len(sess.selVars))
 			v := expr.Var(name, 8)
 			sess.selRepl[e] = v
 			idx := sess.rewriteSelects(e.B)
-			// The axioms below bind the select's value to its index, so a
-			// cone holding one must hold the other (selects inside idx were
-			// registered by the line above and carry lower indices).
+			// The consistency check reads the select's value together with
+			// its index, so a cone holding one must hold the other (selects
+			// inside idx were registered by the line above and carry lower
+			// indices).
 			bits := sess.bl.varLits(name, 8)
 			sess.bl.tieInputs(bits, append(append([]Lit{}, bits...), sess.bl.blast(idx)...), int32(len(sess.selInfo)))
-			for i, prev := range sess.selInfo {
-				if prev.sel.Arr.BaseName() != e.Arr.BaseName() {
-					continue
-				}
-				ax := expr.Implies(expr.Eq(idx, prev.idx), expr.Eq(v, expr.Var(sess.selVars[i], 8)))
-				if !ax.IsTrue() {
-					sess.bl.assertTrue(ax)
-				}
-			}
 			sess.selInfo = append(sess.selInfo, selectInfo{sel: e, idx: idx})
 			sess.selVars = append(sess.selVars, name)
 			r = v
@@ -211,9 +204,15 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 		assumptions[i] = sess.guardFor(a)
 	}
 	// The solve branches only on what the assumed atoms depend on, not on
-	// what earlier queries left in the instance.
+	// what earlier queries left in the instance. A model whose packet reads
+	// disagree is refuted by the axioms it breaks, and the same cone is
+	// solved again.
 	cone, sels := sess.bl.cone(assumptions)
-	verdict := s.satSolve(sess.bl.sat, cone, assumptions...)
+	var asn *expr.Assignment
+	verdict := s.satSolve(sess.bl.sat, cone, func() bool {
+		asn = sess.extractModel(atoms, sels)
+		return asn == nil
+	}, assumptions...)
 	prev := sess.lastCnts
 	sess.lastCnts = s.foldBlasterCounters(sess.bl, sess.lastCnts)
 	cur := sess.lastCnts
@@ -237,9 +236,21 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 		return Unknown, nil
 	}
 	sess.lastSolve.Result = Sat
-	asn := sess.extractModel(atoms, sels)
 	s.cachePut(key, atoms, Sat, asn)
 	return Sat, asn
+}
+
+// arrayKey names one byte of one base array in a model.
+type arrayKey struct {
+	name string
+	idx  uint64
+}
+
+// byteRead is the first cone select a model check saw read a byte, and
+// the value it read.
+type byteRead struct {
+	sel int32
+	val byte
 }
 
 // extractModel reads back values for the variables of the queried atoms
@@ -247,17 +258,20 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 // indices). Selects outside the cone must stay out: the solve never
 // assigned their variables, and a default-valued byte placed at a
 // default-valued index could overwrite one the query constrains.
+//
+// It is also the array-consistency check of the lazy Ackermann
+// encoding: when two cone selects of one base array read different
+// bytes at the same index, the model is no model of the query. For each
+// such pair it asserts the pair's functional-consistency axiom,
+// unguarded (the axiom holds for every array, so it stays for later
+// queries), and returns nil so the caller solves again. Every cone
+// select is checked, materialised or not.
 func (sess *IncrementalSession) extractModel(atoms []*expr.Expr, sels []int32) *expr.Assignment {
 	asn := expr.NewAssignment()
-	for _, a := range atoms {
-		for _, v := range sess.varsOf(a) {
-			if _, ok := asn.Vars[v.Name]; !ok {
-				asn.Vars[v.Name] = sess.bl.modelVar(v.Name, v.Width())
-			}
-		}
-	}
 	const maxModelIndex = 1 << 20
 	tmp := expr.NewAssignment()
+	clear(sess.read)
+	broken := false
 	for _, i := range sels {
 		info := sess.selInfo[i]
 		name := info.sel.Arr.BaseName()
@@ -267,10 +281,17 @@ func (sess *IncrementalSession) extractModel(atoms []*expr.Expr, sels []int32) *
 			tmp.Vars[v.Name] = sess.bl.modelVar(v.Name, v.Width())
 		}
 		idx := expr.Eval(info.idx, tmp).Int()
-		if idx >= maxModelIndex {
+		val := byte(sess.bl.modelVar(sess.selVars[i], 8).Int())
+		k := arrayKey{name, idx}
+		if first, ok := sess.read[k]; !ok {
+			sess.read[k] = byteRead{i, val}
+		} else if first.val != val {
+			sess.assertConsistent(first.sel, i)
+			broken = true
+		}
+		if broken || idx >= maxModelIndex {
 			continue
 		}
-		val := byte(sess.bl.modelVar(sess.selVars[i], 8).Int())
 		content := asn.Arrays[name]
 		for uint64(len(content)) <= idx {
 			content = append(content, 0)
@@ -278,7 +299,27 @@ func (sess *IncrementalSession) extractModel(atoms []*expr.Expr, sels []int32) *
 		content[idx] = val
 		asn.Arrays[name] = content
 	}
+	if broken {
+		return nil
+	}
+	for _, a := range atoms {
+		for _, v := range sess.varsOf(a) {
+			if _, ok := asn.Vars[v.Name]; !ok {
+				asn.Vars[v.Name] = sess.bl.modelVar(v.Name, v.Width())
+			}
+		}
+	}
 	return asn
+}
+
+// assertConsistent asserts the functional-consistency axiom of selects
+// i and j (session indices, one base array): equal indices read equal
+// bytes.
+func (sess *IncrementalSession) assertConsistent(i, j int32) {
+	ax := expr.Implies(expr.Eq(sess.selInfo[i].idx, sess.selInfo[j].idx),
+		expr.Eq(expr.Var(sess.selVars[i], 8), expr.Var(sess.selVars[j], 8)))
+	sess.bl.assertTrue(ax)
+	sess.owner.stats.arrayLemmas.Add(1)
 }
 
 // flattenAtoms splits conjunctions and folds constants. The second

@@ -67,6 +67,46 @@ func TestSessionClauseAdditionAfterSat(t *testing.T) {
 	}
 }
 
+// TestSessionArrayConsistency pins the lazy array axioms on the smallest
+// case: two reads of one packet at symbolic indices i and j with i = j
+// cannot hold different bytes, and can hold equal ones. The pair runs
+// at a small index and at one past the model's materialisation cap
+// (2²⁰), where the check must still compare the reads. The Unsat
+// answers exist only because a model broke the axiom and the session
+// asserted it.
+func TestSessionArrayConsistency(t *testing.T) {
+	pkt := expr.BaseArray("acpkt")
+	i, j := expr.Var("aci", 32), expr.Var("acj", 32)
+	for _, at := range []uint64{3, 1<<20 + 3} {
+		s := New(Options{})
+		sess := s.NewSession()
+		query := func(vi, vj uint64) []*expr.Expr {
+			return []*expr.Expr{
+				expr.Eq(i, j),
+				expr.Eq(i, expr.Const(32, at)),
+				expr.Eq(expr.Select(pkt, i), expr.Const(8, vi)),
+				expr.Eq(expr.Select(pkt, j), expr.Const(8, vj)),
+			}
+		}
+		if r, _ := sess.Check(query(5, 7)); r != Unsat {
+			t.Fatalf("index %d: pkt[i]=5, pkt[j]=7, i=j: %v, want unsat", at, r)
+		}
+		if s.Stats().ArrayLemmas == 0 {
+			t.Fatalf("index %d: unsat without an array lemma; the query did not test the check", at)
+		}
+		r, m := sess.Check(query(5, 5))
+		if r != Sat {
+			t.Fatalf("index %d: pkt[i]=5, pkt[j]=5, i=j: %v, want sat", at, r)
+		}
+		if m.Vars["aci"].U != at || m.Vars["acj"].U != at {
+			t.Fatalf("index %d: model i=%d j=%d", at, m.Vars["aci"].U, m.Vars["acj"].U)
+		}
+		if content := m.Arrays[pkt.BaseName()]; at < 1<<20 && (uint64(len(content)) <= at || content[at] != 5) {
+			t.Fatalf("index %d: model bytes %v, want 5 at %d", at, content, at)
+		}
+	}
+}
+
 // TestSessionAgainstStatelessSolver cross-checks the incremental path
 // against the stateless Check on random query sequences sharing
 // variables and packet-array selects.

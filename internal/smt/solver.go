@@ -100,6 +100,7 @@ type Stats struct {
 	SessionsOpened   int64 // IncrementalSession instances created (incl. recycles)
 	AssumptionSolves int64 // SAT calls made under assumptions by sessions
 	ClausesReused    int64 // learnt clauses carried into assumption solves
+	ArrayLemmas      int64 // array-consistency axioms asserted because a session model broke them
 	// CNF-size counters: the blaster's structural gate cache and the
 	// emitted formula size.
 	GateCacheHits int64 // Tseitin gates served from the structural cache
@@ -135,7 +136,7 @@ type Solver struct {
 	Opts  Options
 	stats struct {
 		queries, folded, interval, satCalls, satConflicts, cacheHits atomic.Int64
-		sessions, assumptionSolves, clausesReused                    atomic.Int64
+		sessions, assumptionSolves, clausesReused, arrayLemmas       atomic.Int64
 		gateHits, cnfVars, cnfClauses                                atomic.Int64
 		minimizedLits, learntLits, learnts, glueSum, lowGlue         atomic.Int64
 		binaryProps, propagations, decisions, restarts, assumLevels  atomic.Int64
@@ -223,6 +224,7 @@ func (s *Solver) Stats() Stats {
 		SessionsOpened:   s.stats.sessions.Load(),
 		AssumptionSolves: s.stats.assumptionSolves.Load(),
 		ClausesReused:    s.stats.clausesReused.Load(),
+		ArrayLemmas:      s.stats.arrayLemmas.Load(),
 		GateCacheHits:    s.stats.gateHits.Load(),
 		CNFVars:          s.stats.cnfVars.Load(),
 		CNFClauses:       s.stats.cnfClauses.Load(),
@@ -281,7 +283,12 @@ func (s *Solver) foldBlasterCounters(b *blaster, prev blasterCounters) blasterCo
 // configured budgets: the conflict cap, the wall deadline and the
 // interrupt flag from Options. The verdict is exact (Sat/Unsat) or
 // Unknown; budget exhaustion never fabricates a verdict.
-func (s *Solver) satSolve(sat *SatSolver, cone []int32, assumptions ...Lit) SatResult {
+//
+// refine, when non-nil, vets each Sat model: it returns true after
+// adding clauses the model violates, and the search runs again on the
+// same cone. The rounds are one search to the budgets — one fault
+// consult, one deadline, one conflict cap summed across rounds.
+func (s *Solver) satSolve(sat *SatSolver, cone []int32, refine func() bool, assumptions ...Lit) SatResult {
 	// Fault injection first: a forced verdict must not consume budget, so
 	// an injected fault reproduces identically regardless of solver state.
 	if s.Opts.FaultHook != nil {
@@ -301,12 +308,31 @@ func (s *Solver) satSolve(sat *SatSolver, cone []int32, assumptions ...Lit) SatR
 		return SatUnknown
 	}
 	sat.Interrupt = s.Opts.Interrupt
-	sat.MaxConflicts = s.Opts.maxConflicts()
 	sat.Deadline = time.Time{}
 	if s.Opts.QueryTimeout > 0 {
 		sat.Deadline = time.Now().Add(s.Opts.QueryTimeout)
 	}
-	verdict := sat.SolveCone(cone, assumptions...)
+	budget, start := s.Opts.maxConflicts(), sat.cnt.Conflicts
+	sat.MaxConflicts = budget
+	var verdict SatResult
+	for {
+		verdict = sat.SolveCone(cone, assumptions...)
+		if verdict != SatSat || refine == nil || !refine() {
+			break
+		}
+		// The next round gets what the earlier ones left of the budget;
+		// an exhausted budget or a passed deadline leaves it undecided.
+		if budget > 0 {
+			if sat.MaxConflicts = budget - (sat.cnt.Conflicts - start); sat.MaxConflicts <= 0 {
+				verdict = SatUnknown
+				break
+			}
+		}
+		if !sat.Deadline.IsZero() && time.Now().After(sat.Deadline) {
+			verdict = SatUnknown
+			break
+		}
+	}
 	if verdict == SatUnknown {
 		s.stats.unknowns.Add(1)
 		if s.Opts.Interrupt != nil && s.Opts.Interrupt.Load() {
@@ -378,7 +404,7 @@ func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	}
 	// A one-shot instance holds this query alone, so its cone is the
 	// whole instance.
-	verdict := s.satSolve(b.sat, b.sat.everyVar())
+	verdict := s.satSolve(b.sat, b.sat.everyVar(), nil)
 	s.foldBlasterCounters(b, blasterCounters{})
 	switch verdict {
 	case SatUnsat:

@@ -49,8 +49,29 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 		SatCalls:     after.SatCalls - before.SatCalls,
 		Decisions:    after.Decisions - before.Decisions,
 		Propagations: after.Propagations - before.Propagations,
+		CNFClauses:   after.CNFClauses - before.CNFClauses,
 	}
 	return crash.Verified, steps.MaxSteps, segs, work
+}
+
+// TestOptionsRouterClauseBudget is the count-based gate of the lazy
+// array axioms (DESIGN.md §2): certifying the IPOptions router on one
+// worker takes the same verdicts and SAT calls as when every pair of
+// packet reads got its consistency axiom up front, in under half the
+// clauses (816 286 eager, 227 161 lazy when the gate was set).
+func TestOptionsRouterClauseBudget(t *testing.T) {
+	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
+	ok, bound, _, work := certifyCounted(t, v, parsePipeline(t, ipRouterConfig))
+	t.Logf("certified %v, bound %d, %d SAT calls, %d CNF clauses, %d array lemmas", ok, bound, work.SatCalls, work.CNFClauses, v.Stats().Solver.ArrayLemmas)
+	if !ok || bound != 922 {
+		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
+	}
+	if work.SatCalls != 304 {
+		t.Errorf("%d SAT calls, want 304", work.SatCalls)
+	}
+	if work.CNFClauses > 400_000 {
+		t.Errorf("%d CNF clauses, want at most 400 000", work.CNFClauses)
+	}
 }
 
 // TestLightCertificationUnaffectedBySessionHistory is the regression
@@ -104,7 +125,8 @@ func TestLightCertificationUnaffectedBySessionHistory(t *testing.T) {
 // TestFreshVerifiersAgree pins that no solver state outlives a Verifier:
 // four fresh verifiers in one process, each on one worker, must return
 // byte-identical reports (witness bytes included) for the same pipeline
-// and spend exactly the same search effort on them. A process-wide
+// and spend exactly the same search effort on them, down to the array
+// lemmas their sessions assert on demand. A process-wide
 // learnt-clause pool made both a function of what the process had
 // verified before. It is not the multi-core schedule independence of
 // ROADMAP item 0: Parallelism is 1 here.
@@ -117,12 +139,12 @@ func TestFreshVerifiersAgree(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := parsePipeline(t, tc.src)
 			var firstReports string
-			var firstWork [4]int64
+			var firstWork [5]int64
 			for i := 0; i < 4; i++ {
 				v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
 				reports := reportsJSON(t, v, p)
 				s := v.Stats().Solver
-				work := [4]int64{s.SatCalls, s.SatConflicts, s.Decisions, s.Propagations}
+				work := [5]int64{s.SatCalls, s.SatConflicts, s.Decisions, s.Propagations, s.ArrayLemmas}
 				if i == 0 {
 					firstReports, firstWork = reports, work
 					continue
@@ -131,7 +153,7 @@ func TestFreshVerifiersAgree(t *testing.T) {
 					t.Errorf("verifier %d reports differ from the first:\nfirst: %s\nthis:  %s", i, firstReports, reports)
 				}
 				if work != firstWork {
-					t.Errorf("verifier %d {sat calls, conflicts, decisions, propagations} = %v, the first took %v", i, work, firstWork)
+					t.Errorf("verifier %d {sat calls, conflicts, decisions, propagations, array lemmas} = %v, the first took %v", i, work, firstWork)
 				}
 			}
 		})
