@@ -15,13 +15,18 @@ test:
 
 # race exercises the concurrent solver and the parallel verifier under
 # the race detector (slow; the parallel walk tests fan out real work),
-# the solver package at one and two cores. Three tests stay with tier1:
+# the solver package and the concurrent recording of Step-2 certificates
+# at one and two cores. Three tests stay with tier1:
 # each runs on one goroutine, so the detector has nothing to watch, and
-# under it they take ~2, ~4 and ~2 minutes.
-RACE_SKIP = TestSatFuzzConeDifferential|TestFreshVerifiersAgree|TestSatFuzzAliasingDifferential
+# under it they take ~2, ~4 and ~2 minutes. The certificate cold/warm
+# differential stays there too: it takes 45 s under the detector on the
+# IPOptions router, and the last line races concurrent recording into
+# one certificate table on a light pipeline.
+RACE_SKIP = TestSatFuzzConeDifferential|TestFreshVerifiersAgree|TestSatFuzzAliasingDifferential|TestCertificateColdWarmDifferential
 race:
 	$(GO) test -race -cpu 1,2 -skip '$(RACE_SKIP)' ./internal/smt
 	$(GO) test -race -skip '$(RACE_SKIP)' ./internal/verify
+	$(GO) test -race -cpu 1,2 -run 'TestCertificateConcurrentRecording|TestBoundTieBreaksOnSegmentPath' ./internal/verify
 
 # smt-loc counts the solver's non-test lines (ROADMAP aim 2 watches it).
 smt-loc:
@@ -49,7 +54,9 @@ serve-smoke:
 # store-roundtrip is the summary-store correctness gate (DESIGN.md §7):
 # the example corpus is batch-verified twice against one store
 # directory; the second run must perform ZERO Step-1 symbolic-engine
-# runs (pure store hits) and print byte-identical verdicts.
+# runs (pure store hits), replay its Step-2 walks from certificates, and
+# print byte-identical verdicts. A walk that sent a stitch obligation to
+# the SAT core would save a certificate, so the warm run must save none.
 STORE_CI_DIR ?= .store-ci
 store-roundtrip:
 	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)
@@ -60,7 +67,9 @@ store-roundtrip:
 	diff $(STORE_CI_DIR)/cold.jsonl $(STORE_CI_DIR)/warm.jsonl
 	grep -q '"elements_summarized": 0,' $(STORE_CI_DIR)/warm.json
 	! grep -q '"store_hits": 0,' $(STORE_CI_DIR)/warm.json
-	@echo "store-roundtrip: warm run identical, zero engine runs"
+	! grep -q '"stitches_replayed": 0,' $(STORE_CI_DIR)/warm.json
+	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/warm.json
+	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch solved"
 
 # seq-smoke is the multi-packet verification gate (DESIGN.md §8): the
 # k-induction must PROVE the saturating counter crash-free for packet

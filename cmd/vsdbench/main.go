@@ -446,13 +446,13 @@ func runB1(ctx *benchCtx) error {
 	if err != nil {
 		return err
 	}
-	ctx.printf("%-6s %10s %10s %12s %12s %11s %11s %12s\n",
-		"run", "pipelines", "certified", "engine-runs", "store-hits", "cache-hits", "artifacts", "time")
+	ctx.printf("%-6s %10s %10s %12s %12s %11s %11s %9s %9s %12s\n",
+		"run", "pipelines", "certified", "engine-runs", "store-hits", "cache-hits", "artifacts", "replayed", "sat-calls", "time")
 	var coldNS int64
 	for _, r := range rows {
-		ctx.printf("%-6s %10d %10d %12d %12d %11d %11d %12v\n",
+		ctx.printf("%-6s %10d %10d %12d %12d %11d %11d %9d %9d %12v\n",
 			r.Run, r.Pipelines, r.Certified, r.EngineRuns, r.StoreHits,
-			r.CacheHits, r.StoreFiles, r.Duration.Round(1e6))
+			r.CacheHits, r.StoreFiles, r.StitchesReplayed, r.Solver.SatCalls, r.Duration.Round(1e6))
 		m := map[string]float64{
 			"pipelines":    float64(r.Pipelines),
 			"certified":    float64(r.Certified),
@@ -461,6 +461,12 @@ func runB1(ctx *benchCtx) error {
 			"store-misses": float64(r.StoreMisses),
 			"cache-hits":   float64(r.CacheHits),
 			"artifacts":    float64(r.StoreFiles),
+
+			"stitches-replayed": float64(r.StitchesReplayed),
+			"cert-hits":         float64(r.Certs.CertHits),
+			"cert-misses":       float64(r.Certs.CertMisses),
+			"cert-corrupt":      float64(r.Certs.CertCorrupt),
+			"cert-saves":        float64(r.Certs.CertSaves),
 		}
 		if total := r.StoreHits + r.StoreMisses; total > 0 {
 			m["store-hit-rate"] = float64(r.StoreHits) / float64(total)

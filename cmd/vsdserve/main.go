@@ -442,6 +442,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"induction_proved":     st.InductionProved,
 			"induction_refuted":    st.InductionRefuted,
 			"seq_spec_refuted":     st.SeqSpecRefuted,
+			"stitches_replayed":    int(st.StitchesReplayed),
 		},
 	}
 	// The degradation ladder, observable (DESIGN.md §9): every rung the
@@ -575,6 +576,14 @@ func main() {
 		}
 		s.store = store
 		opts.Store = store
+		// Step-2 certificate traffic (DESIGN.md §7.5), apart from the
+		// summary counters.
+		s.metrics.GaugeFunc("vsd_cert_hits", "Step-2 certificates loaded from the store",
+			func() float64 { return float64(store.Stats().CertHits) })
+		s.metrics.GaugeFunc("vsd_cert_misses", "Step-2 certificate lookups with no entry",
+			func() float64 { return float64(store.Stats().CertMisses) })
+		s.metrics.GaugeFunc("vsd_cert_corrupt", "Step-2 certificates rejected as corrupt",
+			func() float64 { return float64(store.Stats().CertCorrupt) })
 	}
 	s.verifier = verify.New(opts)
 	if *baseline != "" {

@@ -525,7 +525,17 @@ func runBatch(dir, statsFile string, opts verify.Options) {
 			"store_misses":         st.StoreMisses,
 			"summary_cache_hits":   st.SummaryCacheHits,
 			"refinement_truncated": st.RefinementTruncated,
+			"stitches_replayed":    st.StitchesReplayed,
 			"wall_ms":              dur.Milliseconds(),
+		}
+		// Certificate traffic (DESIGN.md §7.5): a warm pass whose walks
+		// sent no stitch obligation to the SAT core saves no certificate.
+		if disk, ok := opts.Store.(*verify.DiskStore); ok {
+			ss := disk.Stats()
+			rec["cert_hits"] = ss.CertHits
+			rec["cert_misses"] = ss.CertMisses
+			rec["cert_corrupt"] = ss.CertCorrupt
+			rec["cert_saves"] = ss.CertSaves
 		}
 		data, err := json.MarshalIndent(rec, "", "  ")
 		if err != nil {

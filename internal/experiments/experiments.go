@@ -513,6 +513,16 @@ func Corpus() []CorpusEntry {
 	}
 }
 
+// certDelta is the certificate traffic between two store snapshots.
+func certDelta(before, after verify.StoreStats) verify.StoreStats {
+	return verify.StoreStats{
+		CertHits:    after.CertHits - before.CertHits,
+		CertMisses:  after.CertMisses - before.CertMisses,
+		CertCorrupt: after.CertCorrupt - before.CertCorrupt,
+		CertSaves:   after.CertSaves - before.CertSaves,
+	}
+}
+
 // B1Row is one batch-admission pass over the example corpus.
 type B1Row struct {
 	Run         string // "cold" (empty store) or "warm" (store populated by cold)
@@ -523,8 +533,12 @@ type B1Row struct {
 	StoreMisses int
 	CacheHits   int // in-memory summary cache hits
 	StoreFiles  int // artifacts on disk after the pass
-	Duration    time.Duration
-	Solver      smt.Stats
+	// StitchesReplayed counts Step-2 stitch decisions replayed from
+	// certificates; Certs is the pass's certificate traffic.
+	StitchesReplayed int64
+	Certs            verify.StoreStats
+	Duration         time.Duration
+	Solver           smt.Stats
 }
 
 // B1BatchStore measures the summary store end to end (DESIGN.md §7):
@@ -555,6 +569,7 @@ func B1BatchStore(maxLen uint64, parallelism int, storeDir string) ([]B1Row, err
 	var rows []B1Row
 	var coldVerdicts []verify.BatchVerdict
 	for _, run := range []string{"cold", "warm"} {
+		before := store.Stats()
 		verdicts, st, dur := verify.Batch(items, telOpts(verify.Options{
 			MinLen: packet.MinFrame, MaxLen: maxLen, Parallelism: parallelism, Store: store,
 		}))
@@ -582,6 +597,9 @@ func B1BatchStore(maxLen uint64, parallelism int, storeDir string) ([]B1Row, err
 			StoreFiles:  files,
 			Duration:    dur,
 			Solver:      st.Solver,
+
+			StitchesReplayed: st.StitchesReplayed,
+			Certs:            certDelta(before, store.Stats()),
 		})
 		if run == "cold" {
 			coldVerdicts = verdicts

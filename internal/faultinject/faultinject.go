@@ -1,8 +1,9 @@
 // Package faultinject is the deterministic fault-injection harness
 // behind the robustness layer (DESIGN.md §9). It wraps the two places
-// the certification service touches the outside world — the summary
-// store's disk I/O and the SAT solver's search — and injects the
-// failure modes the degradation ladder promises to absorb:
+// the certification service touches the outside world — the store's
+// disk I/O (summaries and Step-2 certificates alike) and the SAT
+// solver's search — and injects the failure modes the degradation
+// ladder promises to absorb:
 //
 //   - store faults: torn writes, bit flips, write failures (ENOSPC),
 //     stale artifacts under the wrong key, slow reads;
@@ -110,12 +111,12 @@ func (in *Injector) Stats() Stats {
 	return in.stats
 }
 
-// corruptFile applies f to the file's bytes in place (best-effort: a
-// vanished file injects nothing).
-func corruptFile(path string, f func([]byte) []byte) {
+// corruptFile applies f to the file's bytes in place and reports
+// whether it did (best-effort: a vanished file injects nothing).
+func corruptFile(path string, f func([]byte) []byte) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return
+		return false
 	}
-	os.WriteFile(path, f(data), 0o644)
+	return os.WriteFile(path, f(data), 0o644) == nil
 }

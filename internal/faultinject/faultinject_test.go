@@ -3,6 +3,7 @@ package faultinject
 import (
 	"encoding/json"
 	"testing"
+	"time"
 
 	"vsd/internal/click"
 	"vsd/internal/elements"
@@ -169,7 +170,8 @@ func TestCorruptionFaultsDegradeToMiss(t *testing.T) {
 
 // TestStaleCountersMatchInjected pins the exact counter relationship on
 // the stale path: a fully populated store read back under Stale=1 must
-// reject exactly one artifact per injected stale fault.
+// reject exactly one artifact — summary or certificate — per injected
+// stale fault, and the certificate must be among them.
 func TestStaleCountersMatchInjected(t *testing.T) {
 	disk, err := verify.NewDiskStore(t.TempDir())
 	if err != nil {
@@ -178,15 +180,87 @@ func TestStaleCountersMatchInjected(t *testing.T) {
 	if _, verdicts := runBatch(t, disk, nil, safePipeline); !verdicts[0].Certified {
 		t.Fatal("population run must certify")
 	}
-	before := disk.Stats().Corrupt
+	before := disk.Stats()
 	in := New(99, Rates{Stale: 1})
 	runBatch(t, WrapStore(in, disk), nil, safePipeline)
 	injected := in.Stats().StaleArtifacts
 	if injected == 0 {
 		t.Fatal("no stale faults injected")
 	}
-	if got := disk.Stats().Corrupt - before; got != injected {
+	after := disk.Stats()
+	got := after.Corrupt - before.Corrupt + after.CertCorrupt - before.CertCorrupt
+	if got != injected {
 		t.Fatalf("store rejected %d artifacts for %d injected stale faults", got, injected)
+	}
+	if after.CertCorrupt == before.CertCorrupt {
+		t.Fatalf("no certificate was re-keyed and rejected: %+v", after)
+	}
+}
+
+// TestCertificateFaultLadder drives every store fault kind through a
+// cold-then-warm pair of runs and checks what each does to the Step-2
+// certificate (DESIGN.md §9): a corrupted certificate is rejected and
+// counted, a dropped one is a plain miss, and either way the warm run
+// re-solves its walk (saving a fresh certificate) and returns the clean
+// verdict byte for byte. A slow read only delays a replay.
+func TestCertificateFaultLadder(t *testing.T) {
+	cleanDisk, err := verify.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, clean := runBatch(t, cleanDisk, nil, safePipeline)
+	want, _ := json.Marshal(clean[0])
+	for _, tc := range []struct {
+		name       string
+		cold, warm Rates
+		rejected   bool // the warm run must reject corrupted artifacts
+		resolved   bool // the warm run must re-solve its walk
+	}{
+		{"torn-write", Rates{TornWrite: 1}, Rates{}, true, true},
+		{"bit-flip", Rates{BitFlip: 1}, Rates{}, true, true},
+		{"stale-artifact", Rates{}, Rates{Stale: 1}, true, true},
+		{"enospc", Rates{WriteFail: 1}, Rates{}, false, true},
+		{"slow-read", Rates{}, Rates{SlowRead: 1}, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk, err := verify.NewDiskStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldIn, warmIn := New(7, tc.cold), New(7, tc.warm)
+			warmIn.SlowReadDelay = time.Millisecond
+			_, cold := runBatch(t, WrapStore(coldIn, disk), nil, safePipeline)
+			before := disk.Stats()
+			warmV, warm := runBatch(t, WrapStore(warmIn, disk), nil, safePipeline)
+			after := disk.Stats()
+			for i, got := range [][]verify.BatchVerdict{cold, warm} {
+				if b, _ := json.Marshal(got[0]); string(b) != string(want) {
+					t.Fatalf("run %d verdict drifted:\nclean:  %s\nfaulty: %s", i, want, b)
+				}
+			}
+			injected := coldIn.Stats().Total() + warmIn.Stats().Total()
+			if injected == 0 {
+				t.Fatal("no faults injected")
+			}
+			rejected := after.Corrupt - before.Corrupt + after.CertCorrupt - before.CertCorrupt
+			if tc.rejected {
+				if after.CertCorrupt == before.CertCorrupt {
+					t.Errorf("corrupted certificate not rejected: %+v", after)
+				}
+				if rejected != injected {
+					t.Errorf("warm run rejected %d artifacts for %d injected faults", rejected, injected)
+				}
+			} else if rejected != 0 {
+				t.Errorf("warm run rejected %d artifacts with no corruption injected", rejected)
+			}
+			resaved := after.CertSaves > before.CertSaves
+			if resaved != tc.resolved {
+				t.Errorf("warm run saved a certificate: %v, want %v (a re-solved walk saves one)", resaved, tc.resolved)
+			}
+			if !tc.resolved && warmV.Stats().StitchesReplayed == 0 {
+				t.Errorf("warm run replayed nothing from an intact certificate")
+			}
+		})
 	}
 }
 

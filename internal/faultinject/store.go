@@ -11,8 +11,10 @@ import (
 // Store wraps a DiskStore and injects the disk-side failure modes
 // around it. The wrapped store's own validation (magic, embedded key,
 // checksum) is the mechanism under test: every injected corruption
-// must surface as a miss at the verify layer — re-summarization, never
-// a wrong hit and never a panic. Store implements verify.SummaryStore.
+// must surface as a miss at the verify layer — re-summarization or a
+// re-solved walk, never a wrong hit and never a panic. Store implements
+// verify.SummaryStore and verify.CertificateStore, with the same fault
+// kinds for both artifact kinds.
 type Store struct {
 	in    *Injector
 	inner *verify.DiskStore
@@ -26,19 +28,29 @@ func WrapStore(in *Injector, inner *verify.DiskStore) *Store {
 // Inner returns the wrapped store (for its stats).
 func (s *Store) Inner() *verify.DiskStore { return s.inner }
 
-// Load implements verify.SummaryStore: it may stall (slow read) or
-// re-key the artifact to a wrong fingerprint (stale artifact) before
-// delegating; the inner store's content addressing must reject the
-// stale entry.
+// Load implements verify.SummaryStore (see beforeLoad).
 func (s *Store) Load(fp ir.Fingerprint) (*symbex.Summary, bool) {
+	s.beforeLoad(s.inner.Path(fp))
+	return s.inner.Load(fp)
+}
+
+// LoadCertificate implements verify.CertificateStore (see beforeLoad).
+func (s *Store) LoadCertificate(key ir.Fingerprint) (*verify.Certificate, bool) {
+	s.beforeLoad(s.inner.CertificatePath(key))
+	return s.inner.LoadCertificate(key)
+}
+
+// beforeLoad may stall (slow read) or re-key the artifact at path to a
+// wrong fingerprint (stale artifact) before the inner store reads it;
+// the inner store's content addressing must reject the stale entry. A
+// stale fault counts only when there was an artifact to re-key, so
+// injected stale faults equal rejected artifacts.
+func (s *Store) beforeLoad(path string) {
 	s.in.mu.Lock()
 	slow := s.in.roll(s.in.Rates.SlowRead)
 	stale := s.in.roll(s.in.Rates.Stale)
 	if slow {
 		s.in.stats.SlowReads++
-	}
-	if stale {
-		s.in.stats.StaleArtifacts++
 	}
 	delay := s.in.SlowReadDelay
 	s.in.mu.Unlock()
@@ -48,18 +60,23 @@ func (s *Store) Load(fp ir.Fingerprint) (*symbex.Summary, bool) {
 		}
 		time.Sleep(delay)
 	}
-	if stale {
-		// A stale artifact is a well-formed entry that answers to the
-		// wrong key — exactly what a mis-rename or a content drift would
-		// produce. Flipping one embedded-fingerprint byte fabricates it.
-		corruptFile(s.inner.Path(fp), func(data []byte) []byte {
-			if i := staleOffset(len(data)); i >= 0 {
-				data[i] ^= 0x01
-			}
-			return data
-		})
+	if !stale {
+		return
 	}
-	return s.inner.Load(fp)
+	// A stale artifact is a well-formed entry that answers to the wrong
+	// key — exactly what a mis-rename or a content drift would produce.
+	// Flipping one embedded-fingerprint byte fabricates it.
+	rekeyed := corruptFile(path, func(data []byte) []byte {
+		if i := staleOffset(len(data)); i >= 0 {
+			data[i] ^= 0x01
+		}
+		return data
+	})
+	if rekeyed {
+		s.in.mu.Lock()
+		s.in.stats.StaleArtifacts++
+		s.in.mu.Unlock()
+	}
 }
 
 // staleOffset picks the byte to re-key: the first fingerprint byte,
@@ -73,9 +90,19 @@ func staleOffset(n int) int {
 	return magicLen
 }
 
-// Save implements verify.SummaryStore: it may drop the save (ENOSPC),
-// or complete it and then tear or bit-flip the artifact on disk.
+// Save implements verify.SummaryStore (see save).
 func (s *Store) Save(fp ir.Fingerprint, sum *symbex.Summary) {
+	s.save(s.inner.Path(fp), func() { s.inner.Save(fp, sum) })
+}
+
+// SaveCertificate implements verify.CertificateStore (see save).
+func (s *Store) SaveCertificate(key ir.Fingerprint, c *verify.Certificate) {
+	s.save(s.inner.CertificatePath(key), func() { s.inner.SaveCertificate(key, c) })
+}
+
+// save may drop the write (ENOSPC), or complete it and then tear or
+// bit-flip the artifact at path.
+func (s *Store) save(path string, write func()) {
 	s.in.mu.Lock()
 	fail := s.in.roll(s.in.Rates.WriteFail)
 	torn := s.in.roll(s.in.Rates.TornWrite)
@@ -92,14 +119,14 @@ func (s *Store) Save(fp ir.Fingerprint, sum *symbex.Summary) {
 	if fail {
 		return
 	}
-	s.inner.Save(fp, sum)
+	write()
 	switch {
 	case torn:
-		corruptFile(s.inner.Path(fp), func(data []byte) []byte {
+		corruptFile(path, func(data []byte) []byte {
 			return data[:len(data)/2]
 		})
 	case flip:
-		corruptFile(s.inner.Path(fp), func(data []byte) []byte {
+		corruptFile(path, func(data []byte) []byte {
 			if len(data) > 0 {
 				data[len(data)-1] ^= 0x40
 			}

@@ -186,11 +186,30 @@ func (sess *IncrementalSession) varsOf(a *expr.Expr) []*expr.Expr {
 // Check decides satisfiability of the conjunction incrementally. The
 // result contract matches Solver.Check.
 func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
+	return sess.check(constraints, true)
+}
+
+// CheckFresh decides the conjunction on a new session that has answered
+// nothing before, with the atoms asserted in content order and the
+// verdict cache neither read nor filled. Its model is therefore a
+// function of the formula alone — not of earlier queries, of the
+// process, or of the goroutine schedule — which is what a reported
+// witness must be (DESIGN.md §7.5). The result contract matches Check;
+// the SolveInfo attributes the solve.
+func (s *Solver) CheckFresh(constraints []*expr.Expr) (Result, *expr.Assignment, SolveInfo) {
+	sess := s.NewSession()
+	defer sess.Close()
+	r, m := sess.check(constraints, false)
+	return r, m, sess.lastSolve
+}
+
+// check is Check, with cached false for CheckFresh (see preSolve).
+func (sess *IncrementalSession) check(constraints []*expr.Expr, cached bool) (Result, *expr.Assignment) {
 	s := sess.owner
 	start := time.Now()
-	atoms, key, res, m, done := s.preSolve(constraints)
+	atoms, key, res, m, done, hit := s.preSolve(constraints, cached)
 	if done {
-		sess.lastSolve = SolveInfo{Result: res, Duration: time.Since(start)}
+		sess.lastSolve = SolveInfo{Result: res, Duration: time.Since(start), Cached: hit}
 		return res, m
 	}
 	if len(sess.guards)+len(atoms) > sessionMaxGuards {
@@ -229,14 +248,18 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 	switch verdict {
 	case SatUnsat:
 		sess.lastSolve.Result = Unsat
-		s.cachePut(key, atoms, Unsat, nil)
+		if cached {
+			s.cachePut(key, atoms, Unsat, nil)
+		}
 		return Unsat, nil
 	case SatUnknown:
 		sess.lastSolve.Result = Unknown
 		return Unknown, nil
 	}
 	sess.lastSolve.Result = Sat
-	s.cachePut(key, atoms, Sat, asn)
+	if cached {
+		s.cachePut(key, atoms, Sat, asn)
+	}
 	return Sat, asn
 }
 

@@ -15,6 +15,7 @@ type SolveInfo struct {
 	Result       Result
 	Duration     time.Duration
 	SATCore      bool // true when the SAT core ran (not decided pre-solve)
+	Cached       bool // true when the verdict cache answered
 	Conflicts    int64
 	Decisions    int64
 	Propagations int64

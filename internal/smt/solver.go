@@ -173,6 +173,20 @@ func sortAtoms(atoms []*expr.Expr) {
 	sort.Slice(atoms, func(i, j int) bool { return atoms[i].ID() < atoms[j].ID() })
 }
 
+// sortAtomsByContent orders atoms by structural hash, then rendering:
+// unlike the intern-ID order, it is the same in every process whatever
+// was interned first, so a solve that blasts atoms in this order is a
+// function of the formula alone.
+func sortAtomsByContent(atoms []*expr.Expr) {
+	sort.SliceStable(atoms, func(i, j int) bool {
+		a, b := atoms[i], atoms[j]
+		if a.Hash() != b.Hash() {
+			return a.Hash() < b.Hash()
+		}
+		return a != b && a.String() < b.String()
+	})
+}
+
 func sameAtoms(a, b []*expr.Expr) bool {
 	if len(a) != len(b) {
 		return false
@@ -350,36 +364,50 @@ func (s *Solver) satSolve(sat *SatSolver, cone []int32, refine func() bool, assu
 // and key its cache key (the caller cachePuts its verdict under them).
 // atoms may alias the caller's scratch space — it is only valid until
 // the next preSolve call on the same goroutine.
-func (s *Solver) preSolve(constraints []*expr.Expr) (atoms []*expr.Expr, key uint64, res Result, m *expr.Assignment, done bool) {
+//
+// With cached false (CheckFresh) the atoms are ordered by content and
+// the verdict cache is neither read nor filled. hit reports a verdict
+// the cache answered.
+func (s *Solver) preSolve(constraints []*expr.Expr, cached bool) (atoms []*expr.Expr, key uint64, res Result, m *expr.Assignment, done, hit bool) {
 	s.stats.queries.Add(1)
 	atoms, early := flattenAtoms(constraints)
 	if early != Unknown {
 		s.stats.folded.Add(1)
 		if early == Sat {
-			return nil, 0, Sat, expr.NewAssignment(), true
+			return nil, 0, Sat, expr.NewAssignment(), true, false
 		}
-		return nil, 0, Unsat, nil, true
+		return nil, 0, Unsat, nil, true, false
 	}
-	sortAtoms(atoms)
+	if !cached {
+		sortAtomsByContent(atoms)
+	} else {
+		sortAtoms(atoms)
+	}
 	atoms = dedupAtoms(atoms)
-	key = cacheKey(atoms)
-	if r, cm, ok := s.cacheGet(key, atoms); ok {
-		s.stats.cacheHits.Add(1)
-		return nil, 0, r, cm, true
+	if cached {
+		key = cacheKey(atoms)
+		if r, cm, ok := s.cacheGet(key, atoms); ok {
+			s.stats.cacheHits.Add(1)
+			return nil, 0, r, cm, true, true
+		}
 	}
 	if !s.Opts.DisableIntervals {
 		switch verdict, model := preAnalyze(atoms); verdict {
 		case intervalUnsat:
 			s.stats.interval.Add(1)
-			s.cachePut(key, atoms, Unsat, nil)
-			return nil, 0, Unsat, nil, true
+			if cached {
+				s.cachePut(key, atoms, Unsat, nil)
+			}
+			return nil, 0, Unsat, nil, true, false
 		case intervalSat:
 			s.stats.interval.Add(1)
-			s.cachePut(key, atoms, Sat, model)
-			return nil, 0, Sat, model, true
+			if cached {
+				s.cachePut(key, atoms, Sat, model)
+			}
+			return nil, 0, Sat, model, true, false
 		}
 	}
-	return atoms, key, Unknown, nil, false
+	return atoms, key, Unknown, nil, false, false
 }
 
 // Check decides whether the conjunction of the given 1-bit expressions is
@@ -387,7 +415,7 @@ func (s *Solver) preSolve(constraints []*expr.Expr) (atoms []*expr.Expr, key uin
 // and the bytes of every base array mentioned by the constraints.
 func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	// 1.-2. Flattening, folding, dedup, verdict cache, intervals.
-	query, key, res, m, done := s.preSolve(constraints)
+	query, key, res, m, done, _ := s.preSolve(constraints, true)
 	if done {
 		return res, m
 	}

@@ -204,7 +204,7 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 	verdict.Unresolved += crash.Unresolved
 	verdict.UnresolvedCauses = append(verdict.UnresolvedCauses, crash.UnresolvedCauses...)
 	verdict.Witnesses = append(verdict.Witnesses, batchWitnesses(crash.Witnesses)...)
-	bound, err := v.BoundedInstructions(it.Pipeline)
+	bound, err := v.boundedInstructions(it.Pipeline, false)
 	if err != nil {
 		degradeOrFail(&verdict, err)
 		return verdict

@@ -63,6 +63,18 @@
 // programs skip symbolic execution entirely — Stats.StoreHits counts
 // it.
 //
+// Step 2 is durable too (cert.go, DESIGN.md §7.5): the walks with no
+// extra input assumptions record every stitch decision — feasible or
+// infeasible, never a model — in a certificate keyed by the pipeline
+// fingerprint, the packet-length bounds and the digests of the
+// elements' encoded summaries. A later walk over the same key, in this
+// Verifier or (through a store implementing CertificateStore) in
+// another process, replays the decisions instead of solving them —
+// Stats.StitchesReplayed counts it. Because a replayed path carries no
+// model, every reported witness is solved afresh from its formula
+// alone (smt.Solver.CheckFresh), so witnesses do not depend on cache
+// temperature or the walk schedule.
+//
 // Batch (batch.go) is the admission-service entry point on top: a
 // corpus of pipelines verified over one Verifier (shared cache, store,
 // and solver sessions), duplicates deduplicated by pipeline

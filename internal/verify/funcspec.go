@@ -231,7 +231,7 @@ func (v *Verifier) VerifyFunc(p *click.Pipeline, spec FuncSpec) (*FuncReport, er
 		if v.tel.active() {
 			lbl = spec.Name + " @ " + pathName(p, end.state)
 		}
-		violated, m, unknown := v.feasibleRoot(end.state, []*expr.Expr{expr.Not(post)}, spec.Pre, "funcspec", lbl)
+		violated, _, unknown := v.feasibleRoot(end.state, []*expr.Expr{expr.Not(post)}, spec.Pre, "funcspec", lbl)
 		if !violated {
 			rep.Proved++
 			return nil
@@ -243,7 +243,7 @@ func (v *Verifier) VerifyFunc(p *click.Pipeline, spec FuncSpec) (*FuncReport, er
 				fmt.Sprintf("spec %s: obligation on %s unresolved within solver budget", spec.Name, endName(pi)))
 			return nil
 		}
-		w, err := v.specWitness(p, end.state, m, spec.Pre, expr.Not(post))
+		w, err := v.specWitness(p, end.state, spec.Pre, expr.Not(post))
 		if errors.Is(err, errUnresolved) {
 			rep.Unresolved++
 			rep.Verified = false
@@ -285,11 +285,10 @@ func endName(pi *PathInfo) string {
 
 // specWitness materializes an input/output witness pair for a violated
 // obligation: a checkedModel of the path constraint conjoined with the
-// negated postcondition (m is the violation model when the solver
-// produced one). Like witness(), it must only run under visitMu.
-func (v *Verifier) specWitness(p *click.Pipeline, st *composed, m *expr.Assignment, extraPre []*expr.Expr, negPost *expr.Expr) (w Witness, err error) {
-	defer v.capturePanic("spec witness extraction", v.rootSession, &err)
-	m, err = v.checkedModel(p, st, m, extraPre, negPost)
+// negated postcondition. Like witness(), it must only run under visitMu.
+func (v *Verifier) specWitness(p *click.Pipeline, st *composed, extraPre []*expr.Expr, negPost *expr.Expr) (w Witness, err error) {
+	defer v.capturePanic("spec witness extraction", nil, &err)
+	m, err := v.checkedModel(p, st, extraPre, negPost)
 	if err != nil {
 		return Witness{}, err
 	}
@@ -301,5 +300,5 @@ func (v *Verifier) specWitness(p *click.Pipeline, st *composed, m *expr.Assignme
 		b := expr.Eval(expr.Select(st.pkt, expr.Const(32, uint64(i))), m)
 		out[i] = byte(b.Int())
 	}
-	return Witness{Packet: in, Output: out, Path: pathName(p, st)}, nil
+	return Witness{Packet: in, Output: out, Path: pathName(p, st), order: string(certPath(nil, st))}, nil
 }

@@ -237,7 +237,7 @@ func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
 		sp, started := c.v.tel.beginSolve(c.sess, "seq-extend", "")
 		var r smt.Result
 		r, m = c.sess.Check(cons)
-		c.v.tel.recordSolve(c.sess, "seq-extend", "seq-extend", started, sp)
+		c.v.tel.recordSolve(c.sess.LastSolve(), "seq-extend", "seq-extend", started, sp)
 		feasible = r != smt.Unsat
 	}
 	if !feasible {
@@ -601,7 +601,7 @@ func (c *seqCtx) findInvariantBreak(ends []seqEnd, inv StateInvariant, pre *seqP
 		c.v.solverQueries.Add(1)
 		sp, started := c.v.tel.beginSolve(c.sess, "induction", "")
 		r, m := c.sess.Check(cons)
-		c.v.tel.recordSolve(c.sess, "induction", "invariant-check", started, sp)
+		c.v.tel.recordSolve(c.sess.LastSolve(), "induction", "invariant-check", started, sp)
 		if r != smt.Unsat {
 			broken := &seqPrefix{steps: pre.steps, conds: cons, store: pre.store, model: m}
 			return c.v.seqWitness(c.p, broken)
@@ -821,7 +821,7 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 		v.solverQueries.Add(1)
 		sp, started := v.tel.beginSolve(ctx.sess, "seq-spec", "")
 		r, m := ctx.sess.Check(cons)
-		v.tel.recordSolve(ctx.sess, "seq-spec", "seq-spec:"+spec.Name, started, sp)
+		v.tel.recordSolve(ctx.sess.LastSolve(), "seq-spec", "seq-spec:"+spec.Name, started, sp)
 		if r == smt.Unsat {
 			rep.Proved++
 			return nil
@@ -906,7 +906,7 @@ func (v *Verifier) seqWitness(p *click.Pipeline, pre *seqPrefix) (*MultiWitness,
 		v.solverQueries.Add(1)
 		sp, started := v.tel.beginSolve(v.rootSession, "witness", "")
 		r, got := v.rootSession.Check(all)
-		v.tel.recordSolve(v.rootSession, "witness", "seq-witness", started, sp)
+		v.tel.recordSolve(v.rootSession.LastSolve(), "witness", "seq-witness", started, sp)
 		v.visitMu.Unlock()
 		if r == smt.Unknown {
 			return nil, fmt.Errorf("%w: sequence witness query", errUnresolved)

@@ -58,7 +58,9 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 // array axioms (DESIGN.md §2): certifying the IPOptions router on one
 // worker takes the same verdicts and SAT calls as when every pair of
 // packet reads got its consistency axiom up front, in under half the
-// clauses (816 286 eager, 227 161 lazy when the gate was set).
+// clauses (816 286 eager, 227 161 lazy when the gate was set). The
+// bound witness is solved on a fresh session (DESIGN.md §7.5), which
+// adds one SAT call to the 304 of that gate.
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
 	ok, bound, _, work := certifyCounted(t, v, parsePipeline(t, ipRouterConfig))
@@ -66,8 +68,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if !ok || bound != 922 {
 		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
 	}
-	if work.SatCalls != 304 {
-		t.Errorf("%d SAT calls, want 304", work.SatCalls)
+	if work.SatCalls != 305 {
+		t.Errorf("%d SAT calls, want 305", work.SatCalls)
 	}
 	if work.CNFClauses > 400_000 {
 		t.Errorf("%d CNF clauses, want at most 400 000", work.CNFClauses)

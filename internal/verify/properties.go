@@ -9,6 +9,7 @@ import (
 	"vsd/internal/click"
 	"vsd/internal/expr"
 	"vsd/internal/ir"
+	"vsd/internal/smt"
 	"vsd/internal/symbex"
 )
 
@@ -23,6 +24,9 @@ type Witness struct {
 	Output []byte
 	Path   string // element-level path, for the report
 	Detail string
+	// order is the witness's (element, segment) path (certPath), which
+	// breaks ties between paths sharing an element-level name.
+	order string
 }
 
 // errUnresolved marks an obligation the solver could neither prove nor
@@ -155,6 +159,12 @@ type BoundReport struct {
 // instructions that each pipeline may ever execute and which input
 // causes it".
 func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) {
+	return v.boundedInstructions(p, true)
+}
+
+// boundedInstructions is BoundedInstructions; withWitness false skips
+// the attaining packet (Batch reports only the bound).
+func (v *Verifier) boundedInstructions(p *click.Pipeline, withWitness bool) (*BoundReport, error) {
 	sp := v.tel.main.Begin("property", "bounded-instructions")
 	defer sp.End()
 	rep := &BoundReport{}
@@ -170,13 +180,13 @@ func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) 
 			}
 			return nil
 		}
-		// Ties break on path name so the reported witness does not
-		// depend on the parallel walk's schedule.
+		// Ties break on the (element, segment) path, a total order, so
+		// the reported witness does not depend on the parallel walk's
+		// schedule.
 		if end.state.steps < rep.MaxSteps {
 			return nil
 		}
-		if end.state.steps == rep.MaxSteps && maxState != nil &&
-			pathName(p, end.state) >= pathName(p, maxState) {
+		if end.state.steps == rep.MaxSteps && maxState != nil && !pathLess(end.state, maxState) {
 			return nil
 		}
 		rep.MaxSteps = end.state.steps
@@ -186,7 +196,7 @@ func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	if maxState != nil {
+	if maxState != nil && withWitness {
 		w, err := v.witness(p, maxState, nil)
 		switch {
 		case errors.Is(err, errUnresolved):
@@ -288,30 +298,33 @@ func (v *Verifier) Reachability(p *click.Pipeline, spec ReachSpec) (*ReachReport
 }
 
 // checkedModel returns a model for the path's stitched constraints plus
-// extra (nil = none): m is reused when the caller already has one, the
-// root session is queried otherwise. Either way the result is
-// cross-checked under evaluation semantics — a failure there indicates
-// a solver or composition bug, not a property violation. It queries the
-// root session, so it must only run under visitMu (visit callbacks) or
-// after the walk has completed.
-func (v *Verifier) checkedModel(p *click.Pipeline, st *composed, m *expr.Assignment, extraPre []*expr.Expr, extra *expr.Expr) (*expr.Assignment, error) {
+// extra (nil = none), cross-checked under evaluation semantics — a
+// failure there indicates a solver or composition bug, not a property
+// violation. The model comes from a fresh solve of exactly that formula
+// (smt.Solver.CheckFresh), never from a walk session or the verdict
+// cache, so a reported witness is the same on a cold run, a warm run
+// that replayed its walk from a certificate, and any core count
+// (DESIGN.md §7.5). It must only run under visitMu (visit callbacks) or
+// after the walk has completed, where the root lane is free for its span.
+func (v *Verifier) checkedModel(p *click.Pipeline, st *composed, extraPre []*expr.Expr, extra *expr.Expr) (*expr.Assignment, error) {
 	cons := append([]*expr.Expr{}, st.conds...)
 	if extra != nil {
 		cons = append(cons, extra)
 	}
-	if m == nil {
-		lbl := ""
-		if v.tel.active() {
-			lbl = pathName(p, st)
-		}
-		ok, got, unknown := v.feasibleRoot(&composed{}, append(append([]*expr.Expr{}, extraPre...), cons...), nil, "witness", lbl)
-		if unknown {
-			return nil, fmt.Errorf("%w: %s", errUnresolved, pathName(p, st))
-		}
-		if !ok || got == nil {
-			return nil, fmt.Errorf("verify: cannot produce witness for feasible path %s", pathName(p, st))
-		}
-		m = got
+	lbl := ""
+	if v.tel.active() {
+		lbl = pathName(p, st)
+	}
+	query := append(append(append([]*expr.Expr{}, v.Pre()...), extraPre...), cons...)
+	v.solverQueries.Add(1)
+	sp, started := v.tel.beginSolve(v.rootSession, "witness", lbl)
+	r, m, info := v.solver.CheckFresh(query)
+	v.tel.recordSolve(info, "witness", lbl, started, sp)
+	if r == smt.Unknown {
+		return nil, fmt.Errorf("%w: %s", errUnresolved, pathName(p, st))
+	}
+	if r == smt.Unsat || m == nil {
+		return nil, fmt.Errorf("verify: cannot produce witness for feasible path %s", pathName(p, st))
 	}
 	for _, c := range cons {
 		if !expr.Eval(c, m).IsTrue() {
@@ -324,15 +337,16 @@ func (v *Verifier) checkedModel(p *click.Pipeline, st *composed, m *expr.Assignm
 
 // witness turns a feasible composed path into a concrete packet (under
 // the same visitMu caveat as checkedModel). A panic during extraction is
-// contained into an unresolved obligation and resets the root session
-// it was querying.
+// contained into an unresolved obligation; the solve's session dies with
+// it.
 func (v *Verifier) witness(p *click.Pipeline, st *composed, extraPre []*expr.Expr) (w Witness, err error) {
-	defer v.capturePanic("witness extraction", v.rootSession, &err)
-	m, err := v.checkedModel(p, st, st.model, extraPre, nil)
+	defer v.capturePanic("witness extraction", nil, &err)
+	m, err := v.checkedModel(p, st, extraPre, nil)
 	if err != nil {
 		return Witness{}, err
 	}
-	return Witness{Packet: packetFromModel(m, v.opts.MinLen, v.opts.MaxLen), Path: pathName(p, st)}, nil
+	return Witness{Packet: packetFromModel(m, v.opts.MinLen, v.opts.MaxLen), Path: pathName(p, st),
+		order: string(certPath(nil, st))}, nil
 }
 
 // packetFromModel materializes the symbolic entry packet of a model.

@@ -196,7 +196,7 @@ func (v *Verifier) anyCombinationFeasible(st *composed, used []symbex.StateAcces
 		v.solverQueries.Add(1)
 		sp, started := v.tel.beginSolve(v.rootSession, "refine", "")
 		r, _ := v.rootSession.Check(cons)
-		v.tel.recordSolve(v.rootSession, "refine", "stateful-refine", started, sp)
+		v.tel.recordSolve(v.rootSession.LastSolve(), "refine", "stateful-refine", started, sp)
 		return r != smt.Unsat, nil
 	}
 	for _, src := range sources[idx] {

@@ -62,13 +62,32 @@ func StoreKey(prog *ir.Program, opts Options) ir.Fingerprint {
 	return h.Sum()
 }
 
-// StoreStats counts store traffic.
+// CertificateStore is the optional capability of a SummaryStore that
+// also persists Step-2 certificates (DESIGN.md §7.5), keyed by the
+// certificate key the verifier derives. The verifier discovers it by
+// type assertion; without it, certificates live in the Verifier's
+// memory only. LoadCertificate has Load's contract: ok=false on any
+// miss — absent, stale or corrupt alike — and never a certificate that
+// was not saved under the same key.
+type CertificateStore interface {
+	LoadCertificate(key ir.Fingerprint) (*Certificate, bool)
+	SaveCertificate(key ir.Fingerprint, c *Certificate)
+}
+
+// StoreStats counts store traffic. The Cert counters are certificate
+// traffic, kept apart so the summary counters mean what they always
+// meant.
 type StoreStats struct {
 	Hits      int64 // Load calls that returned a summary
 	Misses    int64 // Load calls with no entry
 	Corrupt   int64 // entries rejected (bad magic/fingerprint/decode)
 	Saves     int64 // successful Save calls
 	SaveFails int64 // Save calls that could not persist
+
+	CertHits    int64 // LoadCertificate calls that returned a certificate
+	CertMisses  int64 // LoadCertificate calls with no entry
+	CertCorrupt int64 // certificates rejected (framing or decode)
+	CertSaves   int64 // successful SaveCertificate calls
 }
 
 // MemStore is the in-memory SummaryStore: a map from fingerprint to
@@ -79,11 +98,14 @@ type StoreStats struct {
 type MemStore struct {
 	mu    sync.Mutex
 	m     map[ir.Fingerprint]*symbex.Summary
+	certs map[ir.Fingerprint]*Certificate
 	stats StoreStats
 }
 
 // NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{m: map[ir.Fingerprint]*symbex.Summary{}} }
+func NewMemStore() *MemStore {
+	return &MemStore{m: map[ir.Fingerprint]*symbex.Summary{}, certs: map[ir.Fingerprint]*Certificate{}}
+}
 
 // Load implements SummaryStore.
 func (s *MemStore) Load(fp ir.Fingerprint) (*symbex.Summary, bool) {
@@ -106,6 +128,28 @@ func (s *MemStore) Save(fp ir.Fingerprint, sum *symbex.Summary) {
 	s.stats.Saves++
 }
 
+// LoadCertificate implements CertificateStore.
+func (s *MemStore) LoadCertificate(key ir.Fingerprint) (*Certificate, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c, ok := s.certs[key]
+	if ok {
+		s.stats.CertHits++
+	} else {
+		s.stats.CertMisses++
+	}
+	return c, ok
+}
+
+// SaveCertificate implements CertificateStore. The verifier hands over a
+// snapshot it no longer mutates, so the store keeps the pointer.
+func (s *MemStore) SaveCertificate(key ir.Fingerprint, c *Certificate) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.certs[key] = c
+	s.stats.CertSaves++
+}
+
 // Stats returns a snapshot of the store counters.
 func (s *MemStore) Stats() StoreStats {
 	s.mu.Lock()
@@ -121,7 +165,9 @@ func (s *MemStore) Stats() StoreStats {
 // file), wrong checksum, or a codec error — are treated as misses, so a
 // corrupted store degrades to re-summarizing, never to wrong verdicts.
 // Writes go through a temporary file plus rename, so concurrent readers
-// see only complete entries.
+// see only complete entries. It is also a CertificateStore: Step-2
+// certificates go through the same framing and write path, under their
+// own file suffix.
 type DiskStore struct {
 	dir string
 
@@ -130,14 +176,23 @@ type DiskStore struct {
 	corrupt   atomic.Int64
 	saves     atomic.Int64
 	saveFails atomic.Int64
+
+	certHits    atomic.Int64
+	certMisses  atomic.Int64
+	certCorrupt atomic.Int64
+	certSaves   atomic.Int64
 }
 
-// diskMagic frames store files; the payload carries its own summary
-// format version.
+// diskMagic frames store files; the payload carries its own format
+// version (summaries) or is versioned by its key (certificates).
 const diskMagic = "VSDSTORE1\n"
 
-// summaryExt is the store-file suffix.
-const summaryExt = ".vsum"
+// summaryExt and certExt are the store-file suffixes of the two
+// artifact kinds.
+const (
+	summaryExt = ".vsum"
+	certExt    = ".vcert"
+)
 
 // NewDiskStore opens (creating if needed) the store rooted at dir.
 func NewDiskStore(dir string) (*DiskStore, error) {
@@ -160,6 +215,11 @@ func (s *DiskStore) path(fp ir.Fingerprint) string {
 // protocol.
 func (s *DiskStore) Path(fp ir.Fingerprint) string { return s.path(fp) }
 
+// CertificatePath is Path for the certificate stored under key.
+func (s *DiskStore) CertificatePath(key ir.Fingerprint) string {
+	return filepath.Join(s.dir, key.String()+certExt)
+}
+
 // Load implements SummaryStore.
 func (s *DiskStore) Load(fp ir.Fingerprint) (*symbex.Summary, bool) {
 	data, err := os.ReadFile(s.path(fp))
@@ -176,8 +236,18 @@ func (s *DiskStore) Load(fp ir.Fingerprint) (*symbex.Summary, bool) {
 	return sum, true
 }
 
-// decodeStoreFile validates the framing and decodes the payload.
+// decodeStoreFile validates the framing and decodes the summary payload.
 func decodeStoreFile(fp ir.Fingerprint, data []byte) (*symbex.Summary, error) {
+	payload, err := unframe(fp, data)
+	if err != nil {
+		return nil, err
+	}
+	return symbex.DecodeSummary(payload)
+}
+
+// unframe checks a store file's framing — magic, the embedded key, the
+// payload checksum — and returns the payload.
+func unframe(fp ir.Fingerprint, data []byte) ([]byte, error) {
 	if len(data) < len(diskMagic)+len(fp)+sha256.Size {
 		return nil, fmt.Errorf("verify: store entry truncated (%d bytes)", len(data))
 	}
@@ -195,22 +265,59 @@ func decodeStoreFile(fp ir.Fingerprint, data []byte) (*symbex.Summary, error) {
 	if sha256.Sum256(payload) != [sha256.Size]byte(check) {
 		return nil, fmt.Errorf("verify: store entry checksum mismatch")
 	}
-	return symbex.DecodeSummary(payload)
+	return payload, nil
 }
 
 // Save implements SummaryStore.
 func (s *DiskStore) Save(fp ir.Fingerprint, sum *symbex.Summary) {
-	payload := symbex.EncodeSummary(sum)
+	if s.write(s.path(fp), fp, symbex.EncodeSummary(sum)) {
+		s.saves.Add(1)
+	} else {
+		s.saveFails.Add(1)
+	}
+}
+
+// LoadCertificate implements CertificateStore.
+func (s *DiskStore) LoadCertificate(key ir.Fingerprint) (*Certificate, bool) {
+	data, err := os.ReadFile(s.CertificatePath(key))
+	if err != nil {
+		s.certMisses.Add(1)
+		return nil, false
+	}
+	payload, err := unframe(key, data)
+	var c *Certificate
+	if err == nil {
+		c, err = decodeCertificate(payload)
+	}
+	if err != nil {
+		s.certCorrupt.Add(1)
+		return nil, false
+	}
+	s.certHits.Add(1)
+	return c, true
+}
+
+// SaveCertificate implements CertificateStore. A failed write leaves
+// the certificate to be re-derived by the next walk.
+func (s *DiskStore) SaveCertificate(key ir.Fingerprint, c *Certificate) {
+	if s.write(s.CertificatePath(key), key, c.encode()) {
+		s.certSaves.Add(1)
+	}
+}
+
+// write frames payload under fp and makes it durable at path: the one
+// write path of every artifact kind. It reports whether the artifact
+// was persisted.
+func (s *DiskStore) write(path string, fp ir.Fingerprint, payload []byte) bool {
 	buf := make([]byte, 0, len(diskMagic)+len(fp)+len(payload)+sha256.Size)
 	buf = append(buf, diskMagic...)
 	buf = append(buf, fp[:]...)
 	buf = append(buf, payload...)
 	check := sha256.Sum256(payload)
 	buf = append(buf, check[:]...)
-	tmp, err := os.CreateTemp(s.dir, "tmp-*"+summaryExt)
+	tmp, err := os.CreateTemp(s.dir, "tmp-*"+filepath.Ext(path))
 	if err != nil {
-		s.saveFails.Add(1)
-		return
+		return false
 	}
 	// Write, fsync, close, rename, fsync the directory: the entry must
 	// be durable before it becomes visible under its key, and the rename
@@ -222,16 +329,14 @@ func (s *DiskStore) Save(fp ir.Fingerprint, sum *symbex.Summary) {
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		s.saveFails.Add(1)
-		return
+		return false
 	}
-	if err := os.Rename(tmp.Name(), s.path(fp)); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		s.saveFails.Add(1)
-		return
+		return false
 	}
 	syncDir(s.dir)
-	s.saves.Add(1)
+	return true
 }
 
 // syncDir fsyncs a directory so a completed rename survives a crash.
@@ -254,10 +359,16 @@ func (s *DiskStore) Stats() StoreStats {
 		Corrupt:   s.corrupt.Load(),
 		Saves:     s.saves.Load(),
 		SaveFails: s.saveFails.Load(),
+
+		CertHits:    s.certHits.Load(),
+		CertMisses:  s.certMisses.Load(),
+		CertCorrupt: s.certCorrupt.Load(),
+		CertSaves:   s.certSaves.Load(),
 	}
 }
 
-// Len reports the number of complete entries currently in the store.
+// Len reports the number of complete summary entries currently in the
+// store (certificates are not counted).
 func (s *DiskStore) Len() (int, error) {
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {

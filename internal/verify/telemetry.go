@@ -30,6 +30,7 @@ type vtel struct {
 	summarizeHist *telemetry.Histogram
 	storeLoads    *telemetry.Counter
 	storeSaves    *telemetry.Counter
+	replays       *telemetry.Counter
 
 	// Worker lanes are pooled: a goroutine holds a lane for the
 	// duration of one sequential stretch of work, which preserves the
@@ -57,6 +58,8 @@ func newVtel(opts Options) *vtel {
 			"summary-store loads that hit")
 		t.storeSaves = opts.Metrics.Counter("vsd_store_saves_total",
 			"summary-store saves after fresh summarization")
+		t.replays = opts.Metrics.Counter("vsd_stitches_replayed_total",
+			"Step-2 stitch obligations decided from a certificate instead of the solver")
 	} else {
 		t.solveHist = telemetry.NewHistogram()
 		t.summarizeHist = telemetry.NewHistogram()
@@ -123,8 +126,7 @@ func (t *vtel) laneFor(sess *smt.IncrementalSession) *telemetry.Lane {
 // it folds the query's SolveInfo into the always-on latency histogram,
 // the obligation profiler, and (when the session's goroutine has a
 // lane) a trace span tagged with verdict and search effort.
-func (t *vtel) recordSolve(sess *smt.IncrementalSession, kind, name string, started bool, sp telemetry.Span) {
-	info := sess.LastSolve()
+func (t *vtel) recordSolve(info smt.SolveInfo, kind, name string, started bool, sp telemetry.Span) {
 	t.solveHist.Record(int64(info.Duration))
 	if t.prof != nil && name != "" {
 		t.prof.record(kind, name, info)

@@ -34,7 +34,8 @@ type Options struct {
 	// Parallelism bounds the worker pool for Step-1 summarization and
 	// the Step-2 composed-path walk. 0 uses GOMAXPROCS; 1 disables
 	// concurrency. Verdicts and statistics are schedule-independent;
-	// witness ordering is canonicalized by path name.
+	// witness ordering is canonicalized by path (name, then (element,
+	// segment) steps).
 	Parallelism int
 	// Store persists Step-1 summaries across Verifier instances (and,
 	// with a DiskStore, across processes), keyed by program fingerprint.
@@ -105,6 +106,9 @@ type Stats struct {
 	ComposedPaths      int   // stitched paths explored in Step 2
 	ComposedInfeasible int   // stitched paths discharged as infeasible
 	SolverQueries      int64 // feasibility queries in Step 2
+	// StitchesReplayed counts stitch obligations decided from a Step-2
+	// certificate instead of the solver (DESIGN.md §7.5).
+	StitchesReplayed int64
 	// RefinementTruncated counts crash paths left suspect because they
 	// read more state values than Options.MaxRefinedReads allows the
 	// bad-value search to enumerate.
@@ -147,12 +151,14 @@ type Verifier struct {
 	// the pool.
 	mu       sync.Mutex
 	cache    map[ir.Fingerprint]*summaryEntry
+	certs    map[ir.Fingerprint]*certTable
 	stats    Stats
 	sessions []*smt.IncrementalSession
 
 	composedPaths      atomic.Int64
 	composedInfeasible atomic.Int64
 	solverQueries      atomic.Int64
+	stitchesReplayed   atomic.Int64
 	panicsRecovered    atomic.Int64
 	watchdogFired      atomic.Int64
 
@@ -177,12 +183,15 @@ type Verifier struct {
 // requesting the same program block on the first computation instead of
 // duplicating it. merged records whether the summary's step counts are
 // upper bounds (loop-state merging), whether it was computed here or
-// loaded from the store.
+// loaded from the store. digest keys Step-2 certificates (cert.go).
 type summaryEntry struct {
 	once   sync.Once
 	segs   []*symbex.Segment
 	merged bool
 	err    error
+
+	digestOnce sync.Once
+	digest     ir.Fingerprint
 }
 
 // New returns a Verifier with a fresh solver and empty caches.
@@ -196,6 +205,7 @@ func New(opts Options) *Verifier {
 	v := &Verifier{
 		opts:  opts,
 		cache: map[ir.Fingerprint]*summaryEntry{},
+		certs: map[ir.Fingerprint]*certTable{},
 		tel:   newVtel(opts),
 	}
 	so := opts.solverOptions()
@@ -269,6 +279,7 @@ func (v *Verifier) Stats() Stats {
 	s.ComposedPaths = int(v.composedPaths.Load())
 	s.ComposedInfeasible = int(v.composedInfeasible.Load())
 	s.SolverQueries = v.solverQueries.Load()
+	s.StitchesReplayed = v.stitchesReplayed.Load()
 	s.PanicsRecovered = int(v.panicsRecovered.Load())
 	s.WatchdogFired = int(v.watchdogFired.Load())
 	s.Solver = v.solver.Stats()
@@ -515,8 +526,11 @@ func (v *Verifier) summarizeAll(elems []*click.Instance) ([][]*symbex.Segment, e
 // composed is the symbolic state of a stitched path prefix: the
 // pipeline-level analogue of a segment.
 type composed struct {
-	// elems and ports record the element-level path so far.
+	// elems and ports record the element-level path so far; segs holds
+	// the segment index stitched at each element, so (elems, segs) names
+	// the composed path exactly (several can share one element path).
 	elems []int
+	segs  []int
 	ports []int
 	conds []*expr.Expr
 	pkt   *expr.Array
@@ -534,6 +548,7 @@ type composed struct {
 func (c *composed) fork() *composed {
 	n := &composed{
 		elems: append([]int{}, c.elems...),
+		segs:  append([]int{}, c.segs...),
 		ports: append([]int{}, c.ports...),
 		conds: append([]*expr.Expr{}, c.conds...),
 		pkt:   c.pkt,
@@ -568,12 +583,13 @@ func entryState(p *click.Pipeline) *composed {
 	}
 }
 
-// stitch applies segment seg of element pos (instance name inst) to the
-// composed prefix, returning the extended state, or nil when the
-// stitched constraint is infeasible. This is the paper's Step-2
-// substitution: Cp(in) = C_prefix(in) ∧ C_seg(S_prefix(in)). sess is
-// the calling walker's incremental solver session.
-func (v *Verifier) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.Segment, pos int, inst string, extraPre []*expr.Expr, lbl string) (*composed, error) {
+// stitch applies segment seg (index si in its summary) of element pos
+// (instance name inst) to the composed prefix, returning the extended
+// state, or nil when the stitched constraint is infeasible. This is the
+// paper's Step-2 substitution: Cp(in) = C_prefix(in) ∧ C_seg(S_prefix(in)).
+// sess is the calling walker's incremental solver session; cert, when
+// non-nil, is the walk's certificate table.
+func (v *Verifier) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.Segment, pos, si int, inst string, extraPre []*expr.Expr, cert *certTable, lbl string) (*composed, error) {
 	sub := expr.NewSubst()
 	sub.BindArr(symbex.PktArrayName, st.pkt)
 	for slot, val := range st.meta {
@@ -586,6 +602,7 @@ func (v *Verifier) stitch(sess *smt.IncrementalSession, st *composed, seg *symbe
 	}
 	out := st.fork()
 	out.elems = append(out.elems, pos)
+	out.segs = append(out.segs, si)
 	var newConds []*expr.Expr
 	for _, c := range seg.Cond {
 		ic := sub.Apply(c)
@@ -599,13 +616,11 @@ func (v *Verifier) stitch(sess *smt.IncrementalSession, st *composed, seg *symbe
 		newConds = append(newConds, ic)
 	}
 	if len(newConds) > 0 {
-		feasible, m, _ := v.feasible(sess, st, newConds, extraPre, "stitch", lbl)
-		if !feasible {
+		if !v.decide(sess, st, out, newConds, extraPre, cert, lbl) {
 			v.countInfeasible()
 			return nil, nil
 		}
 		out.conds = append(out.conds, newConds...)
-		out.model = m
 	}
 	out.pkt = sub.ApplyArray(seg.Pkt)
 	for slot, val := range seg.Meta {
@@ -634,6 +649,29 @@ func (v *Verifier) stitch(sess *smt.IncrementalSession, st *composed, seg *symbe
 
 func (v *Verifier) countInfeasible() { v.composedInfeasible.Add(1) }
 
+// decide answers the stitch obligation extending st to out by newConds:
+// from the certificate when it holds out's path, from the solver
+// otherwise, recording every exact answer. A replayed state carries no
+// model.
+func (v *Verifier) decide(sess *smt.IncrementalSession, st, out *composed, newConds, extraPre []*expr.Expr, cert *certTable, lbl string) bool {
+	var path []byte
+	if cert != nil {
+		path = certPath(make([]byte, 0, certStep*len(out.elems)), out)
+		if feasible, ok := cert.lookup(path); ok {
+			v.stitchesReplayed.Add(1)
+			v.tel.replays.Inc()
+			out.model = nil
+			return feasible
+		}
+	}
+	feasible, m, unknown, sat := v.feasible(sess, st, newConds, extraPre, "stitch", lbl)
+	if cert != nil && !unknown {
+		cert.record(path, feasible, sat)
+	}
+	out.model = m
+	return feasible
+}
+
 // feasible decides whether the prefix extended by newConds is
 // satisfiable on the given session, using the cached witness first. An
 // Unknown verdict (conflict budget, deadline, or cancellation) reports
@@ -641,8 +679,11 @@ func (v *Verifier) countInfeasible() { v.composedInfeasible.Add(1) }
 // are only ever discharged on Unsat — with unknown=true so callers can
 // surface the obligation as unresolved instead of fabricating a verdict.
 // kind and lbl attribute the query for tracing and the obligation
-// profiler; lbl is empty when neither consumer is active.
-func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown bool) {
+// profiler; lbl is empty when neither consumer is active. solved
+// reports a decision that took the SAT core, on this query or on the
+// earlier one whose verdict the solver's cache returned: on a run
+// without that history it would take the SAT core again.
+func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown, solved bool) {
 	if st.model != nil {
 		ok := true
 		for _, c := range newConds {
@@ -652,7 +693,7 @@ func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds
 			}
 		}
 		if ok {
-			return true, st.model, false
+			return true, st.model, false, false
 		}
 	}
 	pre := v.Pre()
@@ -664,21 +705,24 @@ func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds
 	v.solverQueries.Add(1)
 	sp, started := v.tel.beginSolve(sess, kind, lbl)
 	r, m := sess.Check(cons)
-	v.tel.recordSolve(sess, kind, lbl, started, sp)
-	if r == smt.Unsat {
-		return false, nil, false
+	info := sess.LastSolve()
+	v.tel.recordSolve(info, kind, lbl, started, sp)
+	solved = info.SATCore || info.Cached
+	switch r {
+	case smt.Unsat:
+		return false, nil, false, solved
+	case smt.Unknown:
+		return true, nil, true, false
 	}
-	if r == smt.Unknown {
-		return true, nil, true
-	}
-	return true, m, false
+	return true, m, false, solved
 }
 
 // feasibleRoot is feasible on the root session: only for use under
 // visitMu (visit callbacks, the stateful refinement) or after walk
 // returns (report construction).
-func (v *Verifier) feasibleRoot(st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (bool, *expr.Assignment, bool) {
-	return v.feasible(v.rootSession, st, newConds, extraPre, kind, lbl)
+func (v *Verifier) feasibleRoot(st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown bool) {
+	feasible, m, unknown, _ = v.feasible(v.rootSession, st, newConds, extraPre, kind, lbl)
+	return feasible, m, unknown
 }
 
 // pathEnd describes how a composed path terminated.
@@ -698,6 +742,7 @@ type walker struct {
 	v         *Verifier
 	p         *click.Pipeline
 	extraPre  []*expr.Expr
+	cert      *certTable // nil unless extraPre is empty
 	summaries [][]*symbex.Segment
 	limit     int64
 	visit     func(pathEnd) error
@@ -793,8 +838,8 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 			lbl = pathName(w.p, st) + " -> " + inst
 		}
 	}
-	for _, seg := range w.summaries[elem] {
-		next, err := w.v.stitch(sess, st, seg, elem, inst, w.extraPre, lbl)
+	for si, seg := range w.summaries[elem] {
+		next, err := w.v.stitch(sess, st, seg, elem, si, inst, w.extraPre, w.cert, lbl)
 		if err != nil {
 			return err
 		}
@@ -845,7 +890,9 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 // visit for each terminating path (crash, drop, or egress). extraPre
 // adds property-specific input assumptions (e.g. reachability
 // preconditions). Visit callbacks are serialized; path order is
-// unspecified when Parallelism > 1.
+// unspecified when Parallelism > 1. A walk with no extraPre decides its
+// stitch obligations through the pipeline's Step-2 certificate, and
+// saves the certificate after exploring if the solver added to it.
 func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pathEnd) error) error {
 	limit := v.opts.MaxComposedPaths
 	if limit <= 0 {
@@ -866,6 +913,10 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 		summaries: summaries,
 		limit:     int64(limit),
 		visit:     visit,
+	}
+	if len(extraPre) == 0 {
+		w.cert = v.certTableFor(p, summaries)
+		defer v.saveCert(w.cert)
 	}
 	root := entryState(p)
 	par := v.parallelism()
@@ -919,12 +970,31 @@ func pathName(p *click.Pipeline, st *composed) string {
 	return out
 }
 
+// pathLess is the total order on composed paths: their (element,
+// segment) steps compared lexicographically, a prefix first — the order
+// of their certPath keys.
+func pathLess(a, b *composed) bool {
+	for i := 0; i < len(a.elems) && i < len(b.elems); i++ {
+		if a.elems[i] != b.elems[i] {
+			return a.elems[i] < b.elems[i]
+		}
+		if a.segs[i] != b.segs[i] {
+			return a.segs[i] < b.segs[i]
+		}
+	}
+	return len(a.elems) < len(b.elems)
+}
+
 // sortWitnesses canonicalizes report order: parallel walks discover
 // paths in schedule order, and reports must not depend on the schedule.
+// Paths sharing an element-level name fall back to the total order.
 func sortWitnesses(ws []Witness) {
 	sort.Slice(ws, func(i, j int) bool {
 		if ws[i].Path != ws[j].Path {
 			return ws[i].Path < ws[j].Path
+		}
+		if ws[i].order != ws[j].order {
+			return ws[i].order < ws[j].order
 		}
 		return ws[i].Detail < ws[j].Detail
 	})
