@@ -446,17 +446,18 @@ func runB1(ctx *benchCtx) error {
 	if err != nil {
 		return err
 	}
-	ctx.printf("%-6s %10s %10s %12s %12s %11s %11s %9s %9s %12s\n",
-		"run", "pipelines", "certified", "engine-runs", "store-hits", "cache-hits", "artifacts", "replayed", "sat-calls", "time")
+	ctx.printf("%-6s %10s %10s %12s %13s %12s %11s %11s %9s %9s %12s\n",
+		"run", "pipelines", "certified", "engine-runs", "step1-checks", "store-hits", "cache-hits", "artifacts", "replayed", "sat-calls", "time")
 	var coldNS int64
 	for _, r := range rows {
-		ctx.printf("%-6s %10d %10d %12d %12d %11d %11d %9d %9d %12v\n",
-			r.Run, r.Pipelines, r.Certified, r.EngineRuns, r.StoreHits,
+		ctx.printf("%-6s %10d %10d %12d %13d %12d %11d %11d %9d %9d %12v\n",
+			r.Run, r.Pipelines, r.Certified, r.EngineRuns, r.Step1Checks, r.StoreHits,
 			r.CacheHits, r.StoreFiles, r.StitchesReplayed, r.Solver.SatCalls, r.Duration.Round(1e6))
 		m := map[string]float64{
 			"pipelines":    float64(r.Pipelines),
 			"certified":    float64(r.Certified),
 			"engine-runs":  float64(r.EngineRuns),
+			"step1-checks": float64(r.Step1Checks),
 			"store-hits":   float64(r.StoreHits),
 			"store-misses": float64(r.StoreMisses),
 			"cache-hits":   float64(r.CacheHits),

@@ -24,7 +24,8 @@
 //	-batch DIR                  batch admission: verify every .click file in DIR,
 //	                            printing one verdict JSON line per file to stdout
 //	-batch-stats FILE           write batch run statistics (engine runs, store
-//	                            hits, ...) as JSON to FILE
+//	                            hits, Step-1 checks, Step-2 queries, ...) as
+//	                            JSON to FILE
 //	-monolithic                 also run the whole-pipeline baseline
 //	-dump-ir                    print each element's IR before verifying
 //	-stats                      print verification statistics
@@ -526,6 +527,8 @@ func runBatch(dir, statsFile string, opts verify.Options) {
 			"summary_cache_hits":   st.SummaryCacheHits,
 			"refinement_truncated": st.RefinementTruncated,
 			"stitches_replayed":    st.StitchesReplayed,
+			"step1_checks":         st.SymbexStats.SolverChecks,
+			"step2_queries":        st.SolverQueries,
 			"wall_ms":              dur.Milliseconds(),
 		}
 		// Certificate traffic (DESIGN.md §7.5): a warm pass whose walks

@@ -528,7 +528,8 @@ type B1Row struct {
 	Run         string // "cold" (empty store) or "warm" (store populated by cold)
 	Pipelines   int
 	Certified   int
-	EngineRuns  int // Step-1 symbolic-engine runs
+	EngineRuns  int   // Step-1 symbolic-engine runs
+	Step1Checks int64 // their solver checks
 	StoreHits   int
 	StoreMisses int
 	CacheHits   int // in-memory summary cache hits
@@ -591,6 +592,7 @@ func B1BatchStore(maxLen uint64, parallelism int, storeDir string) ([]B1Row, err
 			Pipelines:   len(items),
 			Certified:   certified,
 			EngineRuns:  st.ElementsSummarized,
+			Step1Checks: st.SymbexStats.SolverChecks,
 			StoreHits:   st.StoreHits,
 			StoreMisses: st.StoreMisses,
 			CacheHits:   st.SummaryCacheHits,

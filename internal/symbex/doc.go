@@ -30,7 +30,10 @@
 //     elements;
 //   - LoopMerge (the default) additionally merges per-iteration
 //     continuations into one state with ite-selected values, keeping
-//     loop exploration linear in the bound (loop.go).
+//     loop exploration linear in the bound (loop.go). It decides
+//     feasibility once per merge group rather than per instance: the
+//     deepest members are checked until one is feasible, and it and
+//     every shallower member are merged unchecked (DESIGN.md §3.1).
 //
 // Mutable data structures (StateRead/StateWrite) follow the paper's
 // modeling: a read returns a fresh unconstrained symbolic value and is

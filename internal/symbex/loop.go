@@ -2,6 +2,7 @@ package symbex
 
 import (
 	"fmt"
+	"sort"
 
 	"vsd/internal/expr"
 	"vsd/internal/ir"
@@ -130,10 +131,12 @@ func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 	return sums, nil
 }
 
-// instantiate applies a body summary to a concrete parent path state,
-// returning the successor state (with conds appended and effects
-// applied) or nil if infeasible.
-func (x *exec) instantiate(sum *bodySummary, parent *pathState) (*pathState, error) {
+// instantiate applies a body summary to a concrete parent path state:
+// pure substitution, returning the successor state with the summary's
+// conditions appended and its effects applied, or nil when a condition
+// folds to false. Whether the successor is feasible is settle's
+// question; merge mode asks it of as few instances as it can.
+func (x *exec) instantiate(sum *bodySummary, parent *pathState) *pathState {
 	sub := expr.NewSubst()
 	sub.BindArr(loopPktName, parent.pkt)
 	sub.BindVar(loopLenName, parent.plen)
@@ -159,27 +162,15 @@ func (x *exec) instantiate(sum *bodySummary, parent *pathState) (*pathState, err
 		fresh := expr.Var(fmt.Sprintf("%s%s.%d", StateReadPrefix, rd.Store, n), rd.Var.Width())
 		sub.BindVar(rd.Var.Name, fresh)
 	}
-	// Feasibility of the instantiated conditions.
-	newConds := make([]*expr.Expr, 0, len(sum.conds))
 	for _, c := range sum.conds {
 		ic := sub.Apply(c)
 		if ic.IsTrue() {
 			continue
 		}
 		if ic.IsFalse() {
-			return nil, nil
+			return nil
 		}
-		newConds = append(newConds, ic)
-	}
-	if len(newConds) > 0 {
-		ok, m := x.feasibleM(parent, expr.And(newConds...))
-		if !ok {
-			return nil, nil
-		}
-		for _, c := range newConds {
-			cs.assume(c)
-		}
-		cs.model = m
+		cs.assume(ic)
 	}
 	cs.pkt = sub.ApplyArray(sum.pkt)
 	for slot, v := range sum.meta {
@@ -211,14 +202,51 @@ func (x *exec) instantiate(sum *bodySummary, parent *pathState) (*pathState, err
 			cs.regs[i] = sub.Apply(r)
 		}
 	}
-	return cs, nil
+	return cs
+}
+
+// instance is one instantiated body summary awaiting its feasibility
+// verdict. parent is the state it was instantiated from, nil once the
+// instance is known to be feasible.
+type instance struct {
+	st     *pathState
+	parent *pathState
+}
+
+// known wraps states that are already known to be feasible.
+func known(states []*pathState) []*instance {
+	out := make([]*instance, len(states))
+	for i, s := range states {
+		out[i] = &instance{st: s}
+	}
+	return out
+}
+
+// settle reports whether the instance is feasible, checking the
+// conditions it added to its parent the way every Step-1 fork is
+// checked (cached witness first, then the session; Unknown counts as
+// feasible). A feasible instance carries the check's witness.
+func (x *exec) settle(in *instance) bool {
+	if in.parent == nil {
+		return true
+	}
+	if delta := in.st.conds[len(in.parent.conds):]; len(delta) > 0 {
+		ok, m := x.feasibleM(in.parent, expr.And(delta...))
+		if !ok {
+			return false
+		}
+		in.st.model = m
+	}
+	in.parent = nil
+	return true
 }
 
 // loopSummarize drives a loop using mini-element summaries: a DFS over
 // iterations where each step is substitution plus a feasibility check —
 // no re-execution of the body. In LoopMerge mode the continuation states
 // of each iteration are merged per parent, keeping the frontier linear
-// in the bound.
+// in the bound, and feasibility is decided per merge group rather than
+// per instance (see mergeStates).
 func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []continuation, error) {
 	if len(stmt.Body) == 0 {
 		return []*pathState{st}, nil, nil
@@ -234,6 +262,9 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 	// segments are emitted: forty per-iteration "malformed option" exits
 	// become one segment with a disjunctive constraint, and downstream
 	// composition sees a handful of loop segments instead of hundreds.
+	// A kind's instances are checked at their own iteration until one is
+	// feasible; later ones are collected unchecked and settled by the
+	// group rule at loop exit.
 	type termKey struct {
 		disp  ir.Disposition
 		port  int
@@ -241,24 +272,8 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 		msg   string
 		crash bool
 	}
-	terminated := map[termKey][]*pathState{}
+	terminated := map[termKey][]*instance{}
 	var termOrder []termKey
-	emitTerm := func(cs *pathState, sum *bodySummary) error {
-		if !merge {
-			return x.emitSegment(cs, sum.disposition, sum.port, sum.crash)
-		}
-		k := termKey{disp: sum.disposition, port: sum.port}
-		if sum.crash != nil {
-			k.crash = true
-			k.kind = sum.crash.Kind
-			k.msg = sum.crash.Msg
-		}
-		if _, ok := terminated[k]; !ok {
-			termOrder = append(termOrder, k)
-		}
-		terminated[k] = append(terminated[k], cs)
-		return nil
-	}
 	active := []*pathState{st}
 	for iter := 0; iter < stmt.Bound && len(active) > 0; iter++ {
 		if iter > 0 {
@@ -267,36 +282,61 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 			}
 		}
 		var next []*pathState
-		var broke []*pathState
 		for _, a := range active {
-			var nextHere, brokeHere []*pathState
+			var nextHere, brokeHere []*instance
 			for _, sum := range sums {
-				cs, err := x.instantiate(sum, a)
-				if err != nil {
-					return nil, nil, err
-				}
+				cs := x.instantiate(sum, a)
 				if cs == nil {
 					continue
 				}
-				switch sum.how {
-				case bodyTerminated:
-					if err := emitTerm(cs, sum); err != nil {
+				in := &instance{st: cs, parent: a}
+				// The exact modes check every instance; merge mode
+				// settles continuing and break instances per group
+				// (mergeStates) and terminated ones per kind.
+				if !merge && !x.settle(in) {
+					continue
+				}
+				switch {
+				case sum.how == bodyFellThrough:
+					nextHere = append(nextHere, in)
+				case sum.how == bodyBroke:
+					brokeHere = append(brokeHere, in)
+				case !merge:
+					if err := x.emitSegment(cs, sum.disposition, sum.port, sum.crash); err != nil {
 						return nil, nil, err
 					}
-				case bodyBroke:
-					brokeHere = append(brokeHere, cs)
-				case bodyFellThrough:
-					nextHere = append(nextHere, cs)
+				default:
+					k := termKey{disp: sum.disposition, port: sum.port}
+					if sum.crash != nil {
+						k.crash = true
+						k.kind = sum.crash.Kind
+						k.msg = sum.crash.Msg
+					}
+					if _, ok := terminated[k]; !ok {
+						if !x.settle(in) {
+							continue
+						}
+						termOrder = append(termOrder, k)
+					}
+					terminated[k] = append(terminated[k], in)
 				}
 			}
-			if merge {
-				nextHere = x.mergeStates(a, nextHere)
-				brokeHere = x.mergeStates(a, brokeHere)
+			if !merge {
+				for _, in := range brokeHere {
+					through = append(through, in.st)
+				}
+				for _, in := range nextHere {
+					next = append(next, in.st)
+				}
+				continue
 			}
-			next = append(next, nextHere...)
-			broke = append(broke, brokeHere...)
+			// Break groups first: the summaries list breaks before
+			// fall-throughs, so a loop whose groups have one member
+			// each is checked in summary order, as the exact modes
+			// check it, and its session sees the same query sequence.
+			through = append(through, x.mergeStates(a, brokeHere)...)
+			next = append(next, x.mergeStates(a, nextHere)...)
 		}
-		through = append(through, broke...)
 		active = next
 	}
 	through = append(through, active...)
@@ -312,37 +352,41 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 				}
 			}
 		}
-		through = x.mergeStates(st, through)
+		through = x.mergeStates(st, known(through))
 	}
 	return through, nil, nil
 }
 
-// mergeStates merges sibling continuation states derived from the same
-// parent into one state per packet-array value: conditions become a
+// mergeStates merges sibling instances derived from the same parent
+// into one state per packet-array value: conditions become a
 // disjunction of the siblings' condition deltas, register and metadata
 // values become ite-chains guarded by those deltas, and the step count
 // becomes the maximum (an upper bound — Stats.Merged records the loss of
 // exactness). Sibling deltas are mutually exclusive by construction
 // (they partition the body's input space), so the ite guards are
 // unambiguous.
-func (x *exec) mergeStates(parent *pathState, states []*pathState) []*pathState {
-	if len(states) <= 1 {
-		return states
-	}
-	groups := map[*expr.Array][]*pathState{}
+//
+// Feasibility is decided per group, not per member (prune): the merge
+// needs only whether some member is feasible and the largest step count
+// among the feasible ones. A member merged unchecked that is in fact
+// infeasible adds a disjunct that is false under the path condition and
+// an ite arm that is never taken, so the merged state is logically the
+// one the feasible members alone would give.
+func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
+	groups := map[*expr.Array][]*instance{}
 	var order []*expr.Array
-	for _, s := range states {
-		if _, ok := groups[s.pkt]; !ok {
-			order = append(order, s.pkt)
+	for _, in := range insts {
+		if _, ok := groups[in.st.pkt]; !ok {
+			order = append(order, in.st.pkt)
 		}
-		groups[s.pkt] = append(groups[s.pkt], s)
+		groups[in.st.pkt] = append(groups[in.st.pkt], in)
 	}
 	var out []*pathState
 	base := len(parent.conds)
 	for _, pktKey := range order {
-		g := groups[pktKey]
-		if len(g) == 1 {
-			out = append(out, g[0])
+		g := x.prune(groups[pktKey])
+		if len(g) <= 1 {
+			out = append(out, g...)
 			continue
 		}
 		x.eng.stats.Merged = true
@@ -428,6 +472,37 @@ func (x *exec) mergeStates(parent *pathState, states []*pathState) []*pathState 
 			}
 		}
 		out = append(out, m)
+	}
+	return out
+}
+
+// prune settles one merge group and returns the members to merge, in
+// their original order. Members are checked in descending step order
+// (ties in summary order) until the first feasible one: those proven
+// infeasible before it are dropped, and it and every member with fewer
+// steps are kept unchecked, so the merged step count is the largest
+// among the feasible members. While the run has merged nothing yet, a
+// group with two or more kept members checks the next one first, so
+// Stats.Merged still means that two feasible members were merged.
+func (x *exec) prune(g []*instance) []*pathState {
+	byDepth := append([]*instance{}, g...)
+	sort.SliceStable(byDepth, func(i, j int) bool { return byDepth[i].st.steps > byDepth[j].st.steps })
+	drop := map[*instance]bool{}
+	i := 0
+	for ; i < len(byDepth) && !x.settle(byDepth[i]); i++ {
+		drop[byDepth[i]] = true
+	}
+	for j := i + 1; j < len(byDepth) && !x.eng.stats.Merged && len(g)-len(drop) > 1; j++ {
+		if x.settle(byDepth[j]) {
+			break
+		}
+		drop[byDepth[j]] = true
+	}
+	out := make([]*pathState, 0, len(g)-len(drop))
+	for _, in := range g {
+		if !drop[in] {
+			out = append(out, in.st)
+		}
 	}
 	return out
 }

@@ -282,6 +282,11 @@ func (e *Engine) Run(p *ir.Program, in Input) ([]*Segment, error) {
 	x := &exec{eng: e, prog: p, pre: in.Pre,
 		session: e.Solver.NewSession(), loopMemo: map[*ir.Stmt][]*bodySummary{}}
 	defer x.session.Close()
+	// Loop merging reads Merged as "this run has merged" (prune), so a
+	// run's work does not depend on what the engine ran before.
+	merged := e.stats.Merged
+	e.stats.Merged = false
+	defer func() { e.stats.Merged = e.stats.Merged || merged }()
 	if err := x.block(p.Body, st); err != nil {
 		return nil, err
 	}

@@ -424,9 +424,11 @@ func TestMaxStepsBudget(t *testing.T) {
 // one Run: an engine that has summarized a loop element and a parser
 // yields, for each, exactly the summary a fresh engine yields (so
 // nothing a run needs is carried over, and nothing carried over changes
-// a result), and every Run opens — and closes — its own session.
+// a result), and every Run opens — and closes — its own session. The
+// last program's first merge group has an infeasible sibling that only
+// a run which has not merged yet checks (and drops).
 func TestRunsShareNoSolverState(t *testing.T) {
-	progs := []*ir.Program{buildOptionsLoop(3), buildParser(), buildOptionsLoop(3)}
+	progs := []*ir.Program{buildOptionsLoop(3), buildParser(), buildOptionsLoop(3), buildShrinkingLoop()}
 	reused := newEngine(Options{})
 	for i, p := range progs {
 		got, err := reused.Run(p, DefaultInput(1, 16))

@@ -4,7 +4,9 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"vsd/internal/click"
 	"vsd/internal/dataplane"
+	"vsd/internal/elements"
 	"vsd/internal/expr"
 	"vsd/internal/ir"
 	"vsd/internal/packet"
@@ -149,5 +151,42 @@ func TestBatchInductionResults(t *testing.T) {
 	again, _, _ := Batch([]BatchItem{items[2], items[2]}, Options{MinLen: packet.MinFrame, MaxLen: 48})
 	if again[1].DuplicateOf != "" {
 		t.Errorf("invariant-carrying item deduplicated: %+v", again[1])
+	}
+}
+
+// TestBatchBoundIsUpperOnlyWhenMerged: loop merging checks a merge
+// group's next member before its first merge (DESIGN.md §3.1), so a loop
+// whose groups each have one feasible member merges nothing and keeps
+// its bound exact, while the checksum loop, whose exits merge, reports
+// an upper bound.
+func TestBatchBoundIsUpperOnlyWhenMerged(t *testing.T) {
+	reg := elements.Default()
+	reg.Register("OneWay", func(string) (*ir.Program, error) {
+		b := ir.NewBuilder("OneWay", 1, 1)
+		i := b.ZExt(b.MetaLoad("n", 8), 32)
+		b.Loop(3, func() {
+			b.If(b.BinC(ir.Ult, i, 300), func() { b.SetReg(i, b.BinC(ir.Add, i, 1)) },
+				func() { b.SetReg(i, b.BinC(ir.Add, i, 2)) })
+		})
+		b.Emit(0)
+		return b.Build()
+	})
+	var items []BatchItem
+	for _, src := range []string{
+		`s :: InfiniteSource; s -> OneWay -> Discard;`,
+		`s :: InfiniteSource; s -> Strip(14) -> chk :: CheckIPHeader; chk[0] -> Discard; chk[1] -> Discard;`,
+	} {
+		p, err := click.Parse(reg, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, BatchItem{Name: src, Pipeline: p})
+	}
+	verdicts, _, _ := Batch(items, Options{MinLen: packet.MinFrame, MaxLen: 48})
+	if v := verdicts[0]; !v.Certified || v.BoundIsUpper {
+		t.Errorf("one-way loop: certified %v, bound %d upper %v; want certified with an exact bound", v.Certified, v.BoundSteps, v.BoundIsUpper)
+	}
+	if v := verdicts[1]; !v.Certified || !v.BoundIsUpper {
+		t.Errorf("checksum loop: certified %v, bound %d upper %v; want certified with an upper bound", v.Certified, v.BoundSteps, v.BoundIsUpper)
 	}
 }

@@ -55,12 +55,13 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 }
 
 // TestOptionsRouterClauseBudget is the count-based gate of the lazy
-// array axioms (DESIGN.md §2): certifying the IPOptions router on one
-// worker takes the same verdicts and SAT calls as when every pair of
-// packet reads got its consistency axiom up front, in under half the
-// clauses (816 286 eager, 227 161 lazy when the gate was set). The
-// bound witness is solved on a fresh session (DESIGN.md §7.5), which
-// adds one SAT call to the 304 of that gate.
+// array axioms (DESIGN.md §2) and of the loop merge-group rule (§3.1):
+// certifying the IPOptions router on one worker takes exactly 139 SAT
+// calls, and under half the clauses that eager axioms needed (816 286
+// eager, 227 161 lazy when the clause gate was set). Of the 139, 77
+// are IPOptions' Step 1, which checks each merge group once instead of
+// every member (the per-member check made the total 305), and one is
+// the bound witness, solved on a fresh session (DESIGN.md §7.5).
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
 	ok, bound, _, work := certifyCounted(t, v, parsePipeline(t, ipRouterConfig))
@@ -68,8 +69,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if !ok || bound != 922 {
 		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
 	}
-	if work.SatCalls != 305 {
-		t.Errorf("%d SAT calls, want 305", work.SatCalls)
+	if work.SatCalls != 139 {
+		t.Errorf("%d SAT calls, want 139", work.SatCalls)
 	}
 	if work.CNFClauses > 400_000 {
 		t.Errorf("%d CNF clauses, want at most 400 000", work.CNFClauses)
