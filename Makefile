@@ -16,7 +16,9 @@ test:
 # race exercises the concurrent solver and the parallel verifier under
 # the race detector (slow; the parallel walk tests fan out real work),
 # the solver package and the concurrent recording of Step-2 certificates
-# at one and two cores. Three tests stay with tier1:
+# at one and two cores, and the lazy/eager walk differential and the
+# concurrent builds of shared composed states at one, two and four.
+# Three tests stay with tier1:
 # each runs on one goroutine, so the detector has nothing to watch, and
 # under it they take ~2, ~4 and ~2 minutes. The certificate cold/warm
 # differential stays there too: it takes 45 s under the detector on the
@@ -27,6 +29,7 @@ race:
 	$(GO) test -race -cpu 1,2 -skip '$(RACE_SKIP)' ./internal/smt
 	$(GO) test -race -skip '$(RACE_SKIP)' ./internal/verify
 	$(GO) test -race -cpu 1,2 -run 'TestCertificateConcurrentRecording|TestBoundTieBreaksOnSegmentPath' ./internal/verify
+	$(GO) test -race -cpu 1,2,4 -run 'TestLazyEagerDifferential|TestConcurrentBuildsShareStates' ./internal/verify
 
 # smt-loc counts the solver's non-test lines (ROADMAP aim 2 watches it).
 smt-loc:
@@ -57,9 +60,13 @@ serve-smoke:
 # runs (pure store hits), replay its Step-2 walks from certificates, and
 # print byte-identical verdicts. A walk that sent a stitch obligation to
 # the SAT core would save a certificate, so the warm run must save none.
+# Replay builds no formula (DESIGN.md §7.5): a third, warm pass over the
+# stateless submissions must substitute no composed state (the NAT's
+# induction reads its terminal paths' formulas, so it builds them).
 STORE_CI_DIR ?= .store-ci
+STORE_CI_STATELESS = router filter probe
 store-roundtrip:
-	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)
+	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)/stateless
 	$(GO) run ./cmd/vsdverify -batch examples/corpus -maxlen 48 \
 		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/cold.json > $(STORE_CI_DIR)/cold.jsonl
 	$(GO) run ./cmd/vsdverify -batch examples/corpus -maxlen 48 \
@@ -69,7 +76,13 @@ store-roundtrip:
 	! grep -q '"store_hits": 0,' $(STORE_CI_DIR)/warm.json
 	! grep -q '"stitches_replayed": 0,' $(STORE_CI_DIR)/warm.json
 	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/warm.json
-	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch solved"
+	for p in $(STORE_CI_STATELESS); do cp examples/corpus/$$p.click $(STORE_CI_DIR)/stateless/; done
+	$(GO) run ./cmd/vsdverify -batch $(STORE_CI_DIR)/stateless -maxlen 48 \
+		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/stateless.json > $(STORE_CI_DIR)/stateless.jsonl
+	grep -q '"stitches_built": 0,' $(STORE_CI_DIR)/stateless.json
+	! grep -q '"stitches_replayed": 0,' $(STORE_CI_DIR)/stateless.json
+	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/stateless.json
+	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch solved, no stateless state built"
 
 # seq-smoke is the multi-packet verification gate (DESIGN.md §8): the
 # k-induction must PROVE the saturating counter crash-free for packet

@@ -443,6 +443,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"induction_refuted":    st.InductionRefuted,
 			"seq_spec_refuted":     st.SeqSpecRefuted,
 			"stitches_replayed":    int(st.StitchesReplayed),
+			"stitches_built":       int(st.StitchesBuilt),
 		},
 	}
 	// The degradation ladder, observable (DESIGN.md §9): every rung the

@@ -8,6 +8,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -157,6 +158,51 @@ func TestStatsExposesRefinementAndInductionCounters(t *testing.T) {
 	}
 	if out.Counters["induction_proved"] != 1 {
 		t.Errorf("induction_proved = %d, want 1", out.Counters["induction_proved"])
+	}
+}
+
+// TestStatsExposeStitchCounters: /stats and /metrics report how many
+// stitch decisions were replayed and how many composed states were
+// built. A resubmission replays its walks from the verifier's
+// certificate tables and builds nothing.
+func TestStatsExposeStitchCounters(t *testing.T) {
+	s := &server{}
+	s.verifier = verify.New(verify.Options{MinLen: 14, MaxLen: 48, Metrics: s.initTelemetry()})
+	counters := func() map[string]int {
+		rec := do(t, s, http.MethodGet, "/stats", "", "")
+		var out struct {
+			Counters map[string]int `json:"counters"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out.Counters
+	}
+	var first map[string]int
+	for i := 0; i < 2; i++ {
+		if rec := do(t, s, http.MethodPost, "/verify", "text/plain", validConfig); rec.Code != http.StatusOK {
+			t.Fatalf("submission %d = %d: %s", i, rec.Code, rec.Body.String())
+		}
+		if i == 0 {
+			first = counters()
+		}
+	}
+	c := counters()
+	if first["stitches_built"] == 0 {
+		t.Error("first submission built no composed state")
+	}
+	if c["stitches_built"] != first["stitches_built"] || c["stitches_replayed"] <= first["stitches_replayed"] {
+		t.Errorf("resubmission: built %d -> %d, replayed %d -> %d; want built unchanged, replayed up",
+			first["stitches_built"], c["stitches_built"], first["stitches_replayed"], c["stitches_replayed"])
+	}
+	rec := do(t, s, http.MethodGet, "/metrics", "", "")
+	for _, line := range []string{
+		fmt.Sprintf("vsd_stitches_built_total %d", c["stitches_built"]),
+		fmt.Sprintf("vsd_stitches_replayed_total %d", c["stitches_replayed"]),
+	} {
+		if !strings.Contains(rec.Body.String(), line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }
 

@@ -527,6 +527,7 @@ func runBatch(dir, statsFile string, opts verify.Options) {
 			"summary_cache_hits":   st.SummaryCacheHits,
 			"refinement_truncated": st.RefinementTruncated,
 			"stitches_replayed":    st.StitchesReplayed,
+			"stitches_built":       st.StitchesBuilt,
 			"step1_checks":         st.SymbexStats.SolverChecks,
 			"step2_queries":        st.SolverQueries,
 			"wall_ms":              dur.Milliseconds(),

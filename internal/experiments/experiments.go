@@ -535,8 +535,10 @@ type B1Row struct {
 	CacheHits   int // in-memory summary cache hits
 	StoreFiles  int // artifacts on disk after the pass
 	// StitchesReplayed counts Step-2 stitch decisions replayed from
-	// certificates; Certs is the pass's certificate traffic.
+	// certificates, StitchesBuilt the composed states whose formulas
+	// were substituted; Certs is the pass's certificate traffic.
 	StitchesReplayed int64
+	StitchesBuilt    int64
 	Certs            verify.StoreStats
 	Duration         time.Duration
 	Solver           smt.Stats
@@ -601,6 +603,7 @@ func B1BatchStore(maxLen uint64, parallelism int, storeDir string) ([]B1Row, err
 			Solver:      st.Solver,
 
 			StitchesReplayed: st.StitchesReplayed,
+			StitchesBuilt:    st.StitchesBuilt,
 			Certs:            certDelta(before, store.Stats()),
 		})
 		if run == "cold" {

@@ -210,7 +210,7 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 		return verdict
 	}
 	verdict.BoundSteps = bound.MaxSteps
-	verdict.BoundIsUpper = v.summariesMerged(it.Pipeline)
+	verdict.BoundIsUpper = bound.upper
 	verdict.Certified = crash.Verified
 	for _, spec := range it.Specs {
 		rep, err := v.VerifyFunc(it.Pipeline, spec)

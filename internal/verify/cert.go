@@ -194,7 +194,7 @@ func (t *certTable) record(path []byte, feasible, sat bool) {
 // over the given summaries (from summarizeAll), loading the stored
 // certificate the first time a key is seen. nil when the summaries are
 // not cached, so have no digest to key on (DisableSummaryCache).
-func (v *Verifier) certTableFor(p *click.Pipeline, summaries [][]*symbex.Segment) *certTable {
+func (v *Verifier) certTableFor(p *click.Pipeline, sums []*summaryEntry) *certTable {
 	if v.opts.DisableSummaryCache {
 		return nil
 	}
@@ -202,20 +202,19 @@ func (v *Verifier) certTableFor(p *click.Pipeline, summaries [][]*symbex.Segment
 	h.Fingerprint(p.Fingerprint())
 	h.U64(v.opts.MinLen)
 	h.U64(v.opts.MaxLen)
-	for _, e := range p.Elements {
-		d, ok := v.summaryDigest(e)
-		if !ok {
-			return nil
-		}
-		h.Fingerprint(d)
+	for _, ent := range sums {
+		h.Fingerprint(ent.digest())
 	}
 	key := h.Sum()
 	v.mu.Lock()
 	t, ok := v.certs[key]
 	if !ok {
-		shape := make([]int, len(summaries))
-		for i, segs := range summaries {
-			shape[i] = len(segs)
+		if v.opts.Store != nil && len(v.certs) >= maxCachedCerts {
+			v.certs = map[ir.Fingerprint]*certTable{}
+		}
+		shape := make([]int, len(sums))
+		for i, ent := range sums {
+			shape[i] = len(ent.segs)
 		}
 		t = &certTable{key: key, shape: shape, entries: map[string]bool{}}
 		v.certs[key] = t
@@ -265,20 +264,11 @@ func (v *Verifier) saveCert(t *certTable) {
 	v.tel.putLane(lane)
 }
 
-// summaryDigest returns the digest of e's cached summary in its encoded
-// form, computed once per cache entry. ok is false when no summary is
-// cached for e.
-func (v *Verifier) summaryDigest(e *click.Instance) (ir.Fingerprint, bool) {
-	v.mu.Lock()
-	ent, ok := v.cache[e.SummaryKey()]
-	v.mu.Unlock()
-	if !ok {
-		return ir.Fingerprint{}, false
-	}
-	// The caller holds e's summary from summarizeAll, so this slot is the
-	// one it was filled into: only failed slots are ever evicted.
+// digest returns the digest of the entry's summary in its encoded
+// form, computed once per cache entry.
+func (ent *summaryEntry) digest() ir.Fingerprint {
 	ent.digestOnce.Do(func() {
-		ent.digest = ir.Fingerprint(sha256.Sum256(symbex.EncodeSummary(&symbex.Summary{Segments: ent.segs, Merged: ent.merged})))
+		ent.sum = ir.Fingerprint(sha256.Sum256(symbex.EncodeSummary(&symbex.Summary{Segments: ent.segs, Merged: ent.merged})))
 	})
-	return ent.digest, true
+	return ent.sum
 }

@@ -90,6 +90,10 @@ func TestCertificateColdWarmDifferential(t *testing.T) {
 			if n := seqSt.Solver.SatCalls; n != 0 {
 				t.Errorf("warm Batch made %d SAT calls, want 0", n)
 			}
+			// Replay builds nothing: no stitch substituted a formula.
+			if n := seqSt.StitchesBuilt; n != 0 {
+				t.Errorf("warm Batch built %d states, want 0 (cold built %d)", n, coldSt.StitchesBuilt)
+			}
 		})
 	}
 }

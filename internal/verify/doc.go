@@ -75,6 +75,15 @@
 // alone (smt.Solver.CheckFresh), so witnesses do not depend on cache
 // temperature or the walk schedule.
 //
+// Replay builds nothing: a composed state records its path, step count
+// and parent, and substitutes its formulas (path constraint, output
+// packet, metadata, state accesses) only on first use — a certificate
+// miss that solves, a crash end or a witness to inspect, a visitor
+// reading formulas. Concurrent walkers share one build per state.
+// Stats.StitchesBuilt counts builds; a warm walk of a stateless
+// pipeline makes none. With a store behind them, the summary cache and
+// the certificate tables are capped, and refilled from the store.
+//
 // Batch (batch.go) is the admission-service entry point on top: a
 // corpus of pipelines verified over one Verifier (shared cache, store,
 // and solver sessions), duplicates deduplicated by pipeline

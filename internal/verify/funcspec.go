@@ -121,7 +121,7 @@ func (pi *PathInfo) InArray() *expr.Array { return expr.BaseArray(symbex.PktArra
 
 // OutArray returns the symbolic OUTPUT packet array: the store chain the
 // composed path leaves behind.
-func (pi *PathInfo) OutArray() *expr.Array { return pi.st.pkt }
+func (pi *PathInfo) OutArray() *expr.Array { return pi.st.formulas().pkt }
 
 // In reads n consecutive bytes of the INPUT packet at concrete offset
 // off, big-endian (network byte order). n must be 1, 2, 4, or 8.
@@ -142,12 +142,12 @@ func (pi *PathInfo) Out(off uint64, n int) *expr.Expr {
 
 // OutAt is Out with a symbolic 32-bit offset.
 func (pi *PathInfo) OutAt(off *expr.Expr, n int) *expr.Expr {
-	return expr.SelectWide(pi.st.pkt, off, n)
+	return expr.SelectWide(pi.st.formulas().pkt, off, n)
 }
 
 // Meta returns the final value of a metadata annotation slot, or nil
 // when no element of the pipeline declares the slot.
-func (pi *PathInfo) Meta(slot string) *expr.Expr { return pi.st.meta[slot] }
+func (pi *PathInfo) Meta(slot string) *expr.Expr { return pi.st.formulas().meta[slot] }
 
 // FuncReport is the outcome of checking one FuncSpec.
 type FuncReport struct {
@@ -185,7 +185,7 @@ func (v *Verifier) VerifyFunc(p *click.Pipeline, spec FuncSpec) (*FuncReport, er
 	sp := v.tel.main.Begin("property", "funcspec:"+spec.Name)
 	defer sp.End()
 	rep := &FuncReport{Spec: spec.Name, Verified: true}
-	err := v.walk(p, spec.Pre, func(end pathEnd) error {
+	_, err := v.walk(p, spec.Pre, func(end pathEnd) error {
 		if end.disp == ir.Crashed {
 			if spec.AllowCrash {
 				return nil
@@ -296,8 +296,9 @@ func (v *Verifier) specWitness(p *click.Pipeline, st *composed, extraPre []*expr
 	// The output packet is the path's store chain evaluated byte-by-byte
 	// under the model (length is invariant, see PathInfo.Len).
 	out := make([]byte, len(in))
+	pkt := st.formulas().pkt
 	for i := range out {
-		b := expr.Eval(expr.Select(st.pkt, expr.Const(32, uint64(i))), m)
+		b := expr.Eval(expr.Select(pkt, expr.Const(32, uint64(i))), m)
 		out[i] = byte(b.Int())
 	}
 	return Witness{Packet: in, Output: out, Path: pathName(p, st), order: string(certPath(nil, st))}, nil

@@ -131,11 +131,11 @@ type seqEnd struct {
 // summary cache, so this reuses Step-1 work from earlier properties.
 func (v *Verifier) terminalPaths(p *click.Pipeline) ([]seqEnd, error) {
 	var ends []seqEnd
-	err := v.walk(p, nil, func(end pathEnd) error {
+	_, err := v.walk(p, nil, func(end pathEnd) error {
 		var b strings.Builder
 		b.WriteString(pathName(p, end.state))
 		fmt.Fprintf(&b, "|%d|%d|%d|", end.disp, end.egress, end.state.steps)
-		for _, c := range end.state.conds {
+		for _, c := range end.state.formulas().conds {
 			b.WriteString(c.String())
 			b.WriteByte('&')
 		}
@@ -204,19 +204,19 @@ func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
 	scope := symbex.SeqScope(t)
 	end := se.end
 	store := pre.store.Fork()
-	keep := make(map[string]bool, len(end.state.reads))
-	for _, rd := range end.state.reads {
+	f := end.state.formulas()
+	keep := make(map[string]bool, len(f.reads))
+	for _, rd := range f.reads {
 		keep[rd.Var.Name] = true
 	}
-	sub := symbex.ScopeSubst(scope, end.state.conds, end.state.pkt,
-		end.state.reads, end.state.writes, keep)
-	symbex.ThreadState(store, sub, end.state.reads, end.state.writes, nil)
-	newConds := make([]*expr.Expr, 0, len(end.state.conds)+2)
+	sub := symbex.ScopeSubst(scope, f.conds, f.pkt, f.reads, f.writes, keep)
+	symbex.ThreadState(store, sub, f.reads, f.writes, nil)
+	newConds := make([]*expr.Expr, 0, len(f.conds)+2)
 	for _, pe := range c.v.Pre() {
 		newConds = append(newConds, sub.Apply(pe))
 	}
 	feasible := true
-	for _, cond := range end.state.conds {
+	for _, cond := range f.conds {
 		ic := sub.Apply(cond)
 		if ic.IsTrue() {
 			continue
@@ -249,7 +249,7 @@ func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
 	next := &seqPrefix{
 		steps: append(pre.steps[:len(pre.steps):len(pre.steps)], seqStepRec{
 			end: &se.end,
-			pkt: sub.ApplyArray(end.state.pkt),
+			pkt: sub.ApplyArray(f.pkt),
 		}),
 		conds: append(pre.conds[:len(pre.conds):len(pre.conds)], newConds...),
 		store: store,
@@ -272,21 +272,14 @@ func (v *Verifier) seqSupported(p *click.Pipeline) error {
 		if len(e.Program().States) == 0 {
 			continue
 		}
-		if _, err := v.Summarize(e); err != nil {
+		ent, err := v.summary(e)
+		if err != nil {
 			return err
 		}
-		v.mu.Lock()
-		var merged bool
-		if v.opts.DisableSummaryCache {
-			// No per-program record without the cache; the verifier-wide
-			// flag is the conservative stand-in (may reject a clean
-			// element, never accepts a merged one).
-			merged = v.stats.SymbexStats.Merged
-		} else if ent, ok := v.cache[e.SummaryKey()]; ok {
-			merged = ent.merged
-		}
-		v.mu.Unlock()
-		if merged {
+		// No per-program record without the cache; the verifier-wide
+		// flag is the conservative stand-in (may reject a clean element,
+		// never accepts a merged one).
+		if v.summariesMerged([]*summaryEntry{ent}) {
 			return fmt.Errorf("verify: %s: loop-state merging unioned the state-access logs; sequence verification needs exact interleavings (rerun with LoopSummarize)", e.Name())
 		}
 	}

@@ -80,8 +80,8 @@ func (v *Verifier) CrashFreedom(p *click.Pipeline) (*CrashReport, error) {
 		return nil, err
 	}
 	anySuspect := false
-	for _, segs := range summaries {
-		for _, s := range segs {
+	for _, ent := range summaries {
+		for _, s := range ent.segs {
 			if s.IsSuspect() {
 				anySuspect = true
 				break
@@ -95,7 +95,7 @@ func (v *Verifier) CrashFreedom(p *click.Pipeline) (*CrashReport, error) {
 	if !anySuspect {
 		return rep, nil
 	}
-	err = v.walk(p, nil, func(end pathEnd) error {
+	_, err = v.walk(p, nil, func(end pathEnd) error {
 		if end.disp != ir.Crashed {
 			return nil
 		}
@@ -152,6 +152,9 @@ type BoundReport struct {
 	// CrashPossible notes that some input crashes the pipeline (the
 	// bound then covers only non-crashing executions).
 	CrashPossible bool
+	// upper notes that MaxSteps may exceed what any packet executes: a
+	// summary merged loop states, so its step counts are upper bounds.
+	upper bool
 }
 
 // BoundedInstructions computes the pipeline's worst-case instruction
@@ -169,7 +172,8 @@ func (v *Verifier) boundedInstructions(p *click.Pipeline, withWitness bool) (*Bo
 	defer sp.End()
 	rep := &BoundReport{}
 	var maxState *composed
-	err := v.walk(p, nil, func(end pathEnd) error {
+	var err error
+	rep.upper, err = v.walk(p, nil, func(end pathEnd) error {
 		if end.disp == ir.Crashed {
 			realizable, err := v.statefulRealizable(p, end.state)
 			if err != nil {
@@ -247,7 +251,7 @@ func (v *Verifier) Reachability(p *click.Pipeline, spec ReachSpec) (*ReachReport
 	sp := v.tel.main.Begin("property", "reachability:"+spec.Name)
 	defer sp.End()
 	rep := &ReachReport{Verified: true}
-	err := v.walk(p, spec.Assume, func(end pathEnd) error {
+	_, err := v.walk(p, spec.Assume, func(end pathEnd) error {
 		bad := ""
 		switch end.disp {
 		case ir.Crashed:
@@ -307,7 +311,7 @@ func (v *Verifier) Reachability(p *click.Pipeline, spec ReachSpec) (*ReachReport
 // (DESIGN.md §7.5). It must only run under visitMu (visit callbacks) or
 // after the walk has completed, where the root lane is free for its span.
 func (v *Verifier) checkedModel(p *click.Pipeline, st *composed, extraPre []*expr.Expr, extra *expr.Expr) (*expr.Assignment, error) {
-	cons := append([]*expr.Expr{}, st.conds...)
+	cons := append([]*expr.Expr{}, st.formulas().conds...)
 	if extra != nil {
 		cons = append(cons, extra)
 	}

@@ -41,12 +41,13 @@ func (v *Verifier) statefulRealizable(p *click.Pipeline, st *composed) (bool, er
 	// Which state-read variables does the path constraint mention?
 	var used []symbex.StateAccess
 	mentioned := map[string]bool{}
-	for _, c := range st.conds {
+	f := st.formulas()
+	for _, c := range f.conds {
 		for _, vr := range expr.Vars(c, nil) {
 			mentioned[vr.Name] = true
 		}
 	}
-	for _, rd := range st.reads {
+	for _, rd := range f.reads {
 		if mentioned[rd.Var.Name] {
 			used = append(used, rd)
 		}
@@ -104,7 +105,7 @@ func (v *Verifier) valueSources(p *click.Pipeline, st *composed, rd symbex.State
 	// Source 1: the default value (key never written).
 	out := []valueSource{{val: expr.Const(decl.ValW, decl.Default)}}
 	// Source 2: earlier writes on this same path (same packet).
-	for _, wr := range st.writes {
+	for _, wr := range st.formulas().writes {
 		if wr.Store != rd.Store {
 			continue
 		}
@@ -190,7 +191,7 @@ func (v *Verifier) anyCombinationFeasible(st *composed, used []symbex.StateAcces
 	if idx == len(used) {
 		cons := append([]*expr.Expr{}, v.Pre()...)
 		cons = append(cons, pre...)
-		for _, c := range st.conds {
+		for _, c := range st.formulas().conds {
 			cons = append(cons, sub.Apply(c))
 		}
 		v.solverQueries.Add(1)

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,6 +83,65 @@ func TestDiskStoreWarmRun(t *testing.T) {
 	// segment counts — composition depends on them).
 	if warmStats.SegmentsTotal != coldStats.SegmentsTotal || warmStats.Suspects != coldStats.Suspects {
 		t.Errorf("summary stats differ: warm %+v vs cold %+v", warmStats, coldStats)
+	}
+}
+
+// TestCacheCapsReloadFromStore: a long-lived verifier with a store
+// holds at most maxCachedSummaries summaries and maxCachedCerts
+// certificate tables. A resubmission whose entries the caps dropped
+// reloads them from the store and returns the byte-identical verdict
+// with no engine run and no SAT call: its walks replay the reloaded
+// certificate.
+func TestCacheCapsReloadFromStore(t *testing.T) {
+	store, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Store: store})
+	p := parsePipeline(t, storeTestPipeline)
+	submit := func() string {
+		blob, err := json.Marshal(v.Batch([]BatchItem{{Name: "p", Pipeline: p}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob)
+	}
+	want := submit()
+	// Two new programs per filler submission: enough to overflow both caps.
+	for i := 0; i < maxCachedSummaries/2+2; i++ {
+		src := fmt.Sprintf("src :: InfiniteSource; src -> Paint(%d) -> Strip(%d) -> Discard;", i, 100+i)
+		if vd := v.Batch([]BatchItem{{Name: "filler", Pipeline: parsePipeline(t, src)}}); vd[0].Error != "" {
+			t.Fatal(vd[0].Error)
+		}
+		if len(v.cache) > maxCachedSummaries || len(v.certs) > maxCachedCerts {
+			t.Fatalf("after %d fillers: %d summaries, %d certificate tables cached", i+1, len(v.cache), len(v.certs))
+		}
+	}
+	evicted := 0
+	for _, e := range p.Elements {
+		if _, ok := v.cache[e.SummaryKey()]; !ok {
+			evicted++
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("setup: the caps dropped none of the pipeline's summaries")
+	}
+	before := v.Stats()
+	if got := submit(); got != want {
+		t.Errorf("verdict after eviction differs:\nwant: %s\ngot:  %s", want, got)
+	}
+	after := v.Stats()
+	if after.ElementsSummarized != before.ElementsSummarized {
+		t.Errorf("resubmission ran the engine %d times", after.ElementsSummarized-before.ElementsSummarized)
+	}
+	if after.StoreHits-before.StoreHits < evicted {
+		t.Errorf("resubmission loaded %d summaries from the store, want >= %d", after.StoreHits-before.StoreHits, evicted)
+	}
+	if n := after.Solver.SatCalls - before.Solver.SatCalls; n != 0 {
+		t.Errorf("resubmission made %d SAT calls, want 0", n)
+	}
+	if after.StitchesReplayed == before.StitchesReplayed {
+		t.Error("resubmission replayed no stitch")
 	}
 }
 

@@ -31,6 +31,7 @@ type vtel struct {
 	storeLoads    *telemetry.Counter
 	storeSaves    *telemetry.Counter
 	replays       *telemetry.Counter
+	builds        *telemetry.Counter
 
 	// Worker lanes are pooled: a goroutine holds a lane for the
 	// duration of one sequential stretch of work, which preserves the
@@ -60,6 +61,8 @@ func newVtel(opts Options) *vtel {
 			"summary-store saves after fresh summarization")
 		t.replays = opts.Metrics.Counter("vsd_stitches_replayed_total",
 			"Step-2 stitch obligations decided from a certificate instead of the solver")
+		t.builds = opts.Metrics.Counter("vsd_stitches_built_total",
+			"Step-2 composed states whose formulas were substituted")
 	} else {
 		t.solveHist = telemetry.NewHistogram()
 		t.summarizeHist = telemetry.NewHistogram()

@@ -109,6 +109,11 @@ type Stats struct {
 	// StitchesReplayed counts stitch obligations decided from a Step-2
 	// certificate instead of the solver (DESIGN.md §7.5).
 	StitchesReplayed int64
+	// StitchesBuilt counts composed states whose formulas were built by
+	// substituting their segment: at the stitch when its decision needed
+	// them, later when a visitor or a descendant's solve read them. A
+	// walk replayed in full builds none.
+	StitchesBuilt int64
 	// RefinementTruncated counts crash paths left suspect because they
 	// read more state values than Options.MaxRefinedReads allows the
 	// bad-value search to enumerate.
@@ -159,6 +164,7 @@ type Verifier struct {
 	composedInfeasible atomic.Int64
 	solverQueries      atomic.Int64
 	stitchesReplayed   atomic.Int64
+	stitchesBuilt      atomic.Int64
 	panicsRecovered    atomic.Int64
 	watchdogFired      atomic.Int64
 
@@ -177,13 +183,17 @@ type Verifier struct {
 
 	// tel is the telemetry spine (always non-nil; see vtel).
 	tel *vtel
+
+	// eagerBuild builds every composed state at its stitch: the eager
+	// walk that TestLazyEagerDifferential holds the lazy one to.
+	eagerBuild bool
 }
 
 // summaryEntry is a once-filled summary cache slot: concurrent walkers
 // requesting the same program block on the first computation instead of
 // duplicating it. merged records whether the summary's step counts are
 // upper bounds (loop-state merging), whether it was computed here or
-// loaded from the store. digest keys Step-2 certificates (cert.go).
+// loaded from the store. Its digest keys Step-2 certificates (cert.go).
 type summaryEntry struct {
 	once   sync.Once
 	segs   []*symbex.Segment
@@ -191,7 +201,7 @@ type summaryEntry struct {
 	err    error
 
 	digestOnce sync.Once
-	digest     ir.Fingerprint
+	sum        ir.Fingerprint
 }
 
 // New returns a Verifier with a fresh solver and empty caches.
@@ -280,6 +290,7 @@ func (v *Verifier) Stats() Stats {
 	s.ComposedInfeasible = int(v.composedInfeasible.Load())
 	s.SolverQueries = v.solverQueries.Load()
 	s.StitchesReplayed = v.stitchesReplayed.Load()
+	s.StitchesBuilt = v.stitchesBuilt.Load()
 	s.PanicsRecovered = int(v.panicsRecovered.Load())
 	s.WatchdogFired = int(v.watchdogFired.Load())
 	s.Solver = v.solver.Stats()
@@ -336,9 +347,30 @@ func (v *Verifier) Pre() []*expr.Expr { return v.input().Pre }
 // computation. With Options.Store set, the persistent store is
 // consulted before the symbolic engine and updated after a fresh run.
 func (v *Verifier) Summarize(e *click.Instance) ([]*symbex.Segment, error) {
+	ent, err := v.summary(e)
+	return ent.segs, err
+}
+
+// maxCachedSummaries and maxCachedCerts cap the summary cache and the
+// certificate tables of a Verifier with a store behind them: a
+// long-lived service would otherwise keep every summary and
+// certificate it ever loaded. Like the solver's verdict cache, a full
+// map is dropped wholesale; what a later walk needs again is reloaded
+// from the store. Without a store the maps are the only copy, and stay.
+const (
+	maxCachedSummaries = 256
+	maxCachedCerts     = 64
+)
+
+// summary is Summarize returning the filled cache slot, whose merged
+// flag and digest belong to exactly these segments even if the cap has
+// since dropped the slot from the cache. With the cache disabled the
+// slot is a fresh one, shared with no one.
+func (v *Verifier) summary(e *click.Instance) (*summaryEntry, error) {
 	if v.opts.DisableSummaryCache {
-		segs, _, err := v.summarize(e)
-		return segs, err
+		ent := &summaryEntry{}
+		ent.segs, ent.merged, ent.err = v.summarize(e)
+		return ent, ent.err
 	}
 	key := e.SummaryKey()
 	v.mu.Lock()
@@ -346,6 +378,9 @@ func (v *Verifier) Summarize(e *click.Instance) ([]*symbex.Segment, error) {
 	if ok {
 		v.stats.SummaryCacheHits++
 	} else {
+		if v.opts.Store != nil && len(v.cache) >= maxCachedSummaries {
+			v.cache = map[ir.Fingerprint]*summaryEntry{}
+		}
 		ent = &summaryEntry{}
 		v.cache[key] = ent
 	}
@@ -362,7 +397,7 @@ func (v *Verifier) Summarize(e *click.Instance) ([]*symbex.Segment, error) {
 		}
 		v.mu.Unlock()
 	}
-	return ent.segs, ent.err
+	return ent, ent.err
 }
 
 // loadOrSummarize fills one summary-cache slot: from the persistent
@@ -400,20 +435,18 @@ func (v *Verifier) loadOrSummarize(e *click.Instance) ([]*symbex.Segment, bool, 
 	return v.summarize(e)
 }
 
-// summariesMerged reports whether any cached summary used by the
-// pipeline's elements carries the merged (steps-are-upper-bounds) flag.
-// Summaries must already be cached (i.e. after a verification ran).
-// With the cache disabled there is no per-program record, so the
+// summariesMerged reports whether any of a walk's summaries carries the
+// merged (steps-are-upper-bounds) flag. With the cache disabled the
 // verifier-wide flag stands in — conservative: it may report an upper
 // bound where the bound is exact, never the reverse.
-func (v *Verifier) summariesMerged(p *click.Pipeline) bool {
-	v.mu.Lock()
-	defer v.mu.Unlock()
+func (v *Verifier) summariesMerged(sums []*summaryEntry) bool {
 	if v.opts.DisableSummaryCache {
+		v.mu.Lock()
+		defer v.mu.Unlock()
 		return v.stats.SymbexStats.Merged
 	}
-	for _, e := range p.Elements {
-		if ent, ok := v.cache[e.SummaryKey()]; ok && ent.merged {
+	for _, ent := range sums {
+		if ent.merged {
 			return true
 		}
 	}
@@ -472,19 +505,19 @@ func (v *Verifier) summarize(e *click.Instance) (segs []*symbex.Segment, merged 
 
 // summarizeAll runs Step 1 for every pipeline element, fanning distinct
 // element classes out across the worker pool.
-func (v *Verifier) summarizeAll(elems []*click.Instance) ([][]*symbex.Segment, error) {
-	out := make([][]*symbex.Segment, len(elems))
+func (v *Verifier) summarizeAll(elems []*click.Instance) ([]*summaryEntry, error) {
+	out := make([]*summaryEntry, len(elems))
 	par := v.parallelism()
 	if par > len(elems) {
 		par = len(elems)
 	}
 	if par <= 1 {
 		for i, e := range elems {
-			segs, err := v.Summarize(e)
+			ent, err := v.summary(e)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = segs
+			out[i] = ent
 		}
 		return out, nil
 	}
@@ -503,7 +536,7 @@ func (v *Verifier) summarizeAll(elems []*click.Instance) ([][]*symbex.Segment, e
 				if i >= len(elems) {
 					return
 				}
-				segs, err := v.Summarize(elems[i])
+				ent, err := v.summary(elems[i])
 				if err != nil {
 					errMu.Lock()
 					if first == nil {
@@ -512,7 +545,7 @@ func (v *Verifier) summarizeAll(elems []*click.Instance) ([][]*symbex.Segment, e
 					errMu.Unlock()
 					return
 				}
-				out[i] = segs
+				out[i] = ent
 			}
 		}()
 	}
@@ -524,7 +557,13 @@ func (v *Verifier) summarizeAll(elems []*click.Instance) ([][]*symbex.Segment, e
 }
 
 // composed is the symbolic state of a stitched path prefix: the
-// pipeline-level analogue of a segment.
+// pipeline-level analogue of a segment. Its path part (elems, segs,
+// ports, steps, nAcc) and its cached witness are set by the stitch that
+// made it; its formulas are built only when something reads them
+// (DESIGN.md §7.5). A stitch decided without them — replayed from a
+// certificate, or a segment with no condition — leaves parent, seg and
+// w naming the substitution, and the first call of formulas performs
+// it, once, for every walker sharing the state.
 type composed struct {
 	// elems and ports record the element-level path so far; segs holds
 	// the segment index stitched at each element, so (elems, segs) names
@@ -532,38 +571,45 @@ type composed struct {
 	elems []int
 	segs  []int
 	ports []int
+	steps int64
+	// nAcc renumbers each stitched segment's state-access order into the
+	// composed path.
+	nAcc  int
+	model *expr.Assignment // cached witness, nil if unknown
+
+	// parent, seg and w are set while the formulas are unbuilt; they are
+	// read and cleared only under once.
+	parent *composed
+	seg    *symbex.Segment
+	w      *walker
+	once   sync.Once
+	f      formulas
+}
+
+// formulas is the substituted part of a composed state.
+type formulas struct {
 	conds []*expr.Expr
 	pkt   *expr.Array
 	meta  map[string]*expr.Expr
-	steps int64
 	// reads and writes accumulate state accesses with globally unique
-	// variable names and instance-qualified store names; nAcc renumbers
-	// each stitched segment's access order into the composed path.
+	// variable names and instance-qualified store names.
 	reads  []symbex.StateAccess
 	writes []symbex.StateUpdate
-	nAcc   int
-	model  *expr.Assignment // cached witness, nil if unknown
 }
 
-func (c *composed) fork() *composed {
-	n := &composed{
-		elems: append([]int{}, c.elems...),
-		segs:  append([]int{}, c.segs...),
-		ports: append([]int{}, c.ports...),
-		conds: append([]*expr.Expr{}, c.conds...),
-		pkt:   c.pkt,
-		meta:  make(map[string]*expr.Expr, len(c.meta)),
-		steps: c.steps,
-		reads: append([]symbex.StateAccess{}, c.reads...),
-		writes: append([]symbex.StateUpdate{},
-			c.writes...),
-		nAcc:  c.nAcc,
-		model: c.model,
-	}
-	for k, val := range c.meta {
-		n.meta[k] = val
-	}
-	return n
+// formulas returns the state's formulas, substituting its stitch on
+// first use: a certificate miss that solves, a crash end the stateful
+// refinement or a witness inspects, and every visitor reading the
+// path's packet, metadata or constraint. Safe for concurrent use.
+func (c *composed) formulas() *formulas {
+	c.once.Do(func() {
+		if c.parent == nil {
+			return // built by its stitch, or the entry state
+		}
+		c.f = c.w.extend(c.parent, c.seg, c.elems[len(c.elems)-1])
+		c.parent, c.seg, c.w = nil, nil, nil
+	})
+	return &c.f
 }
 
 // entryState builds the composed state at pipeline ingress: a fresh
@@ -577,99 +623,167 @@ func entryState(p *click.Pipeline) *composed {
 			}
 		}
 	}
-	return &composed{
+	return &composed{f: formulas{
 		pkt:  expr.BaseArray(symbex.PktArrayName),
 		meta: meta,
-	}
+	}}
 }
 
-// stitch applies segment seg (index si in its summary) of element pos
-// (instance name inst) to the composed prefix, returning the extended
-// state, or nil when the stitched constraint is infeasible. This is the
-// paper's Step-2 substitution: Cp(in) = C_prefix(in) ∧ C_seg(S_prefix(in)).
-// sess is the calling walker's incremental solver session; cert, when
-// non-nil, is the walk's certificate table.
-func (v *Verifier) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.Segment, pos, si int, inst string, extraPre []*expr.Expr, cert *certTable, lbl string) (*composed, error) {
+// stitch applies segment seg (index si in its summary) of element pos to
+// the composed prefix, returning the extended state, or nil when the
+// stitched constraint is infeasible. This is the paper's Step-2
+// substitution: Cp(in) = C_prefix(in) ∧ C_seg(S_prefix(in)). It is
+// performed here only when the decision needs it; a replayed decision
+// and a segment with no condition defer it to formulas. sess is the
+// calling walker's incremental solver session.
+func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.Segment, pos, si int, lbl string) *composed {
+	v := w.v
+	out := &composed{
+		elems: append(append(make([]int, 0, len(st.elems)+1), st.elems...), pos),
+		segs:  append(append(make([]int, 0, len(st.segs)+1), st.segs...), si),
+		ports: append(make([]int, 0, len(st.ports)+1), st.ports...),
+		steps: st.steps + seg.Steps,
+		nAcc:  st.nAcc + symbex.AccessSpan(seg.Reads, seg.Writes),
+		model: st.model,
+	}
+	if len(seg.Cond) == 0 {
+		// Feasible whenever the prefix is, with the prefix's witness.
+		return w.deferBuild(out, st, seg)
+	}
+	var path []byte
+	if w.cert != nil {
+		path = certPath(make([]byte, 0, certStep*len(out.elems)), out)
+		if feasible, ok := w.cert.lookup(path); ok {
+			v.stitchesReplayed.Add(1)
+			v.tel.replays.Inc()
+			if !feasible {
+				v.countInfeasible()
+				return nil
+			}
+			// A replayed state carries no model.
+			out.model = nil
+			return w.deferBuild(out, st, seg)
+		}
+	}
+	pf := st.formulas()
+	sub := stitchSubst(pf, seg, pos)
+	newConds, ok := substConds(sub, seg)
+	if !ok {
+		v.countInfeasible()
+		return nil
+	}
+	if len(newConds) > 0 {
+		feasible, m, unknown, sat := v.feasible(sess, st, newConds, w.extraPre, "stitch", lbl)
+		if w.cert != nil && !unknown {
+			w.cert.record(path, feasible, sat)
+		}
+		if !feasible {
+			v.countInfeasible()
+			return nil
+		}
+		out.model = m
+	}
+	out.f = stitchFormulas(pf, sub, seg, newConds, w.p.Elements[pos].Name(), st.nAcc)
+	v.countBuilt()
+	return out
+}
+
+// deferBuild leaves the formulas of out, the prefix st extended by seg,
+// to its first formulas call (the eager walk of the tests builds them
+// here).
+func (w *walker) deferBuild(out, st *composed, seg *symbex.Segment) *composed {
+	if w.v.eagerBuild {
+		out.f = w.extend(st, seg, out.elems[len(out.elems)-1])
+		return out
+	}
+	out.parent, out.seg, out.w = st, seg, w
+	return out
+}
+
+// extend builds the formulas of the prefix st extended by seg at element
+// pos, a stitch already decided feasible. No condition folds to false
+// then, unless a certificate lied; the false condition stays in the
+// constraint, where any later solve refutes it.
+func (w *walker) extend(st *composed, seg *symbex.Segment, pos int) formulas {
+	pf := st.formulas()
+	sub := stitchSubst(pf, seg, pos)
+	newConds, _ := substConds(sub, seg)
+	w.v.countBuilt()
+	return stitchFormulas(pf, sub, seg, newConds, w.p.Elements[pos].Name(), st.nAcc)
+}
+
+// stitchSubst binds segment seg's inputs, as stitched at element pos,
+// to the prefix formulas pf. State reads get globally unique names.
+func stitchSubst(pf *formulas, seg *symbex.Segment, pos int) *expr.Subst {
 	sub := expr.NewSubst()
-	sub.BindArr(symbex.PktArrayName, st.pkt)
-	for slot, val := range st.meta {
+	sub.BindArr(symbex.PktArrayName, pf.pkt)
+	for slot, val := range pf.meta {
 		sub.BindVar(symbex.MetaVarPrefix+slot, val)
 	}
-	// State reads get globally unique names; stores are qualified by the
-	// instance so the bad-value analysis can find the owning writes.
 	for _, rd := range seg.Reads {
 		sub.BindVar(rd.Var.Name, expr.Var(fmt.Sprintf("p%d.%s", pos, rd.Var.Name), rd.Var.Width()))
 	}
-	out := st.fork()
-	out.elems = append(out.elems, pos)
-	out.segs = append(out.segs, si)
-	var newConds []*expr.Expr
+	return sub
+}
+
+// substConds substitutes seg's conditions, dropping those that fold to
+// true. ok is false when one folds to false; newConds then ends with it.
+func substConds(sub *expr.Subst, seg *symbex.Segment) (newConds []*expr.Expr, ok bool) {
 	for _, c := range seg.Cond {
 		ic := sub.Apply(c)
 		if ic.IsTrue() {
 			continue
 		}
-		if ic.IsFalse() {
-			v.countInfeasible()
-			return nil, nil
-		}
 		newConds = append(newConds, ic)
-	}
-	if len(newConds) > 0 {
-		if !v.decide(sess, st, out, newConds, extraPre, cert, lbl) {
-			v.countInfeasible()
-			return nil, nil
+		if ic.IsFalse() {
+			return newConds, false
 		}
-		out.conds = append(out.conds, newConds...)
 	}
-	out.pkt = sub.ApplyArray(seg.Pkt)
+	return newConds, true
+}
+
+// stitchFormulas builds the formulas of the prefix pf (nAcc accesses
+// long) extended by seg under sub, whose substituted conditions are
+// newConds. Stores are qualified by the instance name inst so the
+// bad-value analysis can find the owning writes.
+func stitchFormulas(pf *formulas, sub *expr.Subst, seg *symbex.Segment, newConds []*expr.Expr, inst string, nAcc int) formulas {
+	f := formulas{
+		conds:  append(pf.conds[:len(pf.conds):len(pf.conds)], newConds...),
+		pkt:    sub.ApplyArray(seg.Pkt),
+		meta:   make(map[string]*expr.Expr, len(pf.meta)),
+		reads:  pf.reads[:len(pf.reads):len(pf.reads)],
+		writes: pf.writes[:len(pf.writes):len(pf.writes)],
+	}
+	for k, val := range pf.meta {
+		f.meta[k] = val
+	}
 	for slot, val := range seg.Meta {
-		out.meta[slot] = sub.Apply(val)
+		f.meta[slot] = sub.Apply(val)
 	}
-	out.steps += seg.Steps
 	for _, rd := range seg.Reads {
-		out.reads = append(out.reads, symbex.StateAccess{
+		f.reads = append(f.reads, symbex.StateAccess{
 			Store: inst + "." + rd.Store,
 			Key:   sub.Apply(rd.Key),
 			Var:   sub.Apply(rd.Var),
-			Seq:   st.nAcc + rd.Seq,
+			Seq:   nAcc + rd.Seq,
 		})
 	}
 	for _, wr := range seg.Writes {
-		out.writes = append(out.writes, symbex.StateUpdate{
+		f.writes = append(f.writes, symbex.StateUpdate{
 			Store: inst + "." + wr.Store,
 			Key:   sub.Apply(wr.Key),
 			Val:   sub.Apply(wr.Val),
-			Seq:   st.nAcc + wr.Seq,
+			Seq:   nAcc + wr.Seq,
 		})
 	}
-	out.nAcc = st.nAcc + symbex.AccessSpan(seg.Reads, seg.Writes)
-	return out, nil
+	return f
 }
 
 func (v *Verifier) countInfeasible() { v.composedInfeasible.Add(1) }
 
-// decide answers the stitch obligation extending st to out by newConds:
-// from the certificate when it holds out's path, from the solver
-// otherwise, recording every exact answer. A replayed state carries no
-// model.
-func (v *Verifier) decide(sess *smt.IncrementalSession, st, out *composed, newConds, extraPre []*expr.Expr, cert *certTable, lbl string) bool {
-	var path []byte
-	if cert != nil {
-		path = certPath(make([]byte, 0, certStep*len(out.elems)), out)
-		if feasible, ok := cert.lookup(path); ok {
-			v.stitchesReplayed.Add(1)
-			v.tel.replays.Inc()
-			out.model = nil
-			return feasible
-		}
-	}
-	feasible, m, unknown, sat := v.feasible(sess, st, newConds, extraPre, "stitch", lbl)
-	if cert != nil && !unknown {
-		cert.record(path, feasible, sat)
-	}
-	out.model = m
-	return feasible
+func (v *Verifier) countBuilt() {
+	v.stitchesBuilt.Add(1)
+	v.tel.builds.Inc()
 }
 
 // feasible decides whether the prefix extended by newConds is
@@ -697,10 +811,11 @@ func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds
 		}
 	}
 	pre := v.Pre()
-	cons := make([]*expr.Expr, 0, len(pre)+len(extraPre)+len(st.conds)+len(newConds))
+	conds := st.formulas().conds
+	cons := make([]*expr.Expr, 0, len(pre)+len(extraPre)+len(conds)+len(newConds))
 	cons = append(cons, pre...)
 	cons = append(cons, extraPre...)
-	cons = append(cons, st.conds...)
+	cons = append(cons, conds...)
 	cons = append(cons, newConds...)
 	v.solverQueries.Add(1)
 	sp, started := v.tel.beginSolve(sess, kind, lbl)
@@ -743,7 +858,7 @@ type walker struct {
 	p         *click.Pipeline
 	extraPre  []*expr.Expr
 	cert      *certTable // nil unless extraPre is empty
-	summaries [][]*symbex.Segment
+	summaries []*summaryEntry
 	limit     int64
 	visit     func(pathEnd) error
 
@@ -838,11 +953,8 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 			lbl = pathName(w.p, st) + " -> " + inst
 		}
 	}
-	for si, seg := range w.summaries[elem] {
-		next, err := w.v.stitch(sess, st, seg, elem, si, inst, w.extraPre, w.cert, lbl)
-		if err != nil {
-			return err
-		}
+	for si, seg := range w.summaries[elem].segs {
+		next := w.stitch(sess, st, seg, elem, si, lbl)
 		if next == nil {
 			continue
 		}
@@ -893,7 +1005,9 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 // unspecified when Parallelism > 1. A walk with no extraPre decides its
 // stitch obligations through the pipeline's Step-2 certificate, and
 // saves the certificate after exploring if the solver added to it.
-func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pathEnd) error) error {
+// merged reports whether the walk's step counts are upper bounds
+// (summariesMerged).
+func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pathEnd) error) (merged bool, err error) {
 	limit := v.opts.MaxComposedPaths
 	if limit <= 0 {
 		limit = DefaultMaxComposedPaths
@@ -902,8 +1016,9 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 	summaries, err := v.summarizeAll(p.Elements)
 	sp.End()
 	if err != nil {
-		return err
+		return false, err
 	}
+	merged = v.summariesMerged(summaries)
 	sp = v.tel.main.Begin("phase", "step2:walk")
 	defer sp.End()
 	w := &walker{
@@ -925,9 +1040,9 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 		err := w.safeDFS(sess, p.Entry, root)
 		v.putSession(sess)
 		if err != nil {
-			return err
+			return merged, err
 		}
-		return w.err
+		return merged, w.err
 	}
 	w.tasks = make(chan walkTask, 4*par)
 	var wg sync.WaitGroup
@@ -952,7 +1067,7 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 		close(w.tasks)
 	}()
 	wg.Wait()
-	return w.err
+	return merged, w.err
 }
 
 // pathName renders a composed path for reports.
