@@ -16,8 +16,9 @@ test:
 # race exercises the concurrent solver and the parallel verifier under
 # the race detector (slow; the parallel walk tests fan out real work),
 # the solver package and the concurrent recording of Step-2 certificates
-# at one and two cores, and the lazy/eager walk differential and the
-# concurrent builds of shared composed states at one, two and four.
+# at one and two cores, and the lazy/eager walk differential, the
+# concurrent builds of shared composed states and the sequence witnesses
+# of replayed inductions at one, two and four.
 # Three tests stay with tier1:
 # each runs on one goroutine, so the detector has nothing to watch, and
 # under it they take ~2, ~4 and ~2 minutes. The certificate cold/warm
@@ -29,7 +30,7 @@ race:
 	$(GO) test -race -cpu 1,2 -skip '$(RACE_SKIP)' ./internal/smt
 	$(GO) test -race -skip '$(RACE_SKIP)' ./internal/verify
 	$(GO) test -race -cpu 1,2 -run 'TestCertificateConcurrentRecording|TestBoundTieBreaksOnSegmentPath' ./internal/verify
-	$(GO) test -race -cpu 1,2,4 -run 'TestLazyEagerDifferential|TestConcurrentBuildsShareStates' ./internal/verify
+	$(GO) test -race -cpu 1,2,4 -run 'TestLazyEagerDifferential|TestConcurrentBuildsShareStates|TestSeqWitnessesIndependentOfReplay' ./internal/verify
 
 # smt-loc counts the solver's non-test lines (ROADMAP aim 2 watches it).
 smt-loc:
@@ -57,16 +58,15 @@ serve-smoke:
 # store-roundtrip is the summary-store correctness gate (DESIGN.md §7):
 # the example corpus is batch-verified twice against one store
 # directory; the second run must perform ZERO Step-1 symbolic-engine
-# runs (pure store hits), replay its Step-2 walks from certificates, and
-# print byte-identical verdicts. A walk that sent a stitch obligation to
-# the SAT core would save a certificate, so the warm run must save none.
-# Replay builds no formula (DESIGN.md §7.5): a third, warm pass over the
-# stateless submissions must substitute no composed state (the NAT's
-# induction reads its terminal paths' formulas, so it builds them).
+# runs (pure store hits), replay its Step-2 walks and the NAT's
+# crash-freedom induction from certificates, and print byte-identical
+# verdicts. A walk or induction that sent an obligation to the solver
+# would save a certificate, so the warm run must save none and make no
+# Step-2 query; and replay builds no formula (DESIGN.md §7.5), so it
+# must substitute no composed state.
 STORE_CI_DIR ?= .store-ci
-STORE_CI_STATELESS = router filter probe
 store-roundtrip:
-	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)/stateless
+	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)
 	$(GO) run ./cmd/vsdverify -batch examples/corpus -maxlen 48 \
 		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/cold.json > $(STORE_CI_DIR)/cold.jsonl
 	$(GO) run ./cmd/vsdverify -batch examples/corpus -maxlen 48 \
@@ -76,13 +76,9 @@ store-roundtrip:
 	! grep -q '"store_hits": 0,' $(STORE_CI_DIR)/warm.json
 	! grep -q '"stitches_replayed": 0,' $(STORE_CI_DIR)/warm.json
 	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/warm.json
-	for p in $(STORE_CI_STATELESS); do cp examples/corpus/$$p.click $(STORE_CI_DIR)/stateless/; done
-	$(GO) run ./cmd/vsdverify -batch $(STORE_CI_DIR)/stateless -maxlen 48 \
-		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/stateless.json > $(STORE_CI_DIR)/stateless.jsonl
-	grep -q '"stitches_built": 0,' $(STORE_CI_DIR)/stateless.json
-	! grep -q '"stitches_replayed": 0,' $(STORE_CI_DIR)/stateless.json
-	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/stateless.json
-	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch solved, no stateless state built"
+	grep -q '"step2_queries": 0,' $(STORE_CI_DIR)/warm.json
+	grep -q '"stitches_built": 0,' $(STORE_CI_DIR)/warm.json
+	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch or sequence extension solved, no state built"
 
 # seq-smoke is the multi-packet verification gate (DESIGN.md §8): the
 # k-induction must PROVE the saturating counter crash-free for packet

@@ -194,7 +194,11 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 		}
 		sort.Strings(verdict.UnresolvedCauses)
 	}()
-	crash, err := v.CrashFreedom(it.Pipeline)
+	// Every stage hands its certificate table to saves, which writes it
+	// once, after the last stage.
+	saves := &certSaves{}
+	defer saves.flush(v)
+	crash, err := v.crashFreedom(it.Pipeline, saves)
 	if err != nil {
 		degradeOrFail(&verdict, err)
 		return verdict
@@ -204,7 +208,7 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 	verdict.Unresolved += crash.Unresolved
 	verdict.UnresolvedCauses = append(verdict.UnresolvedCauses, crash.UnresolvedCauses...)
 	verdict.Witnesses = append(verdict.Witnesses, batchWitnesses(crash.Witnesses)...)
-	bound, err := v.boundedInstructions(it.Pipeline, false)
+	bound, err := v.boundedInstructions(it.Pipeline, false, saves)
 	if err != nil {
 		degradeOrFail(&verdict, err)
 		return verdict
@@ -213,7 +217,7 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 	verdict.BoundIsUpper = bound.upper
 	verdict.Certified = crash.Verified
 	for _, spec := range it.Specs {
-		rep, err := v.VerifyFunc(it.Pipeline, spec)
+		rep, err := v.verifyFunc(it.Pipeline, spec, saves)
 		if err != nil {
 			degradeOrFail(&verdict, err)
 			return verdict
@@ -237,23 +241,23 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 	// The terminal composed paths are shared across every sequence
 	// obligation of this submission — one walk, not one per spec or
 	// invariant.
-	var seqEnds []seqEnd
+	var prepared *seqPaths
 	var seqErr error
 	seqPrepared := false
-	prep := func() ([]seqEnd, error) {
+	prep := func() (*seqPaths, error) {
 		if !seqPrepared {
 			seqPrepared = true
-			seqEnds, seqErr = v.prepareSeq(it.Pipeline)
+			prepared, seqErr = v.prepareSeq(it.Pipeline, saves)
 		}
-		return seqEnds, seqErr
+		return prepared, seqErr
 	}
 	for _, spec := range it.SeqSpecs {
-		ends, err := prep()
+		paths, err := prep()
 		if err != nil {
 			degradeOrFail(&verdict, err)
 			return verdict
 		}
-		rep, err := v.verifySeq(it.Pipeline, ends, spec)
+		rep, err := v.verifySeq(it.Pipeline, paths.ends, spec)
 		if err != nil {
 			degradeOrFail(&verdict, err)
 			return verdict
@@ -275,8 +279,8 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 	// guarantee exists. Induction errors (budget, merged state logs) are
 	// recorded per obligation rather than failing the admission.
 	if pipelineHasState(it.Pipeline) {
-		res := inductionResult(it.Pipeline, "crash-freedom", prep, func(ends []seqEnd) (*InductionReport, error) {
-			return v.seqCrashFreedom(it.Pipeline, ends, SeqOptions{})
+		res := inductionResult(it.Pipeline, "crash-freedom", prep, func(paths *seqPaths) (*InductionReport, error) {
+			return v.seqCrashFreedom(it.Pipeline, paths, SeqOptions{}, saves)
 		})
 		verdict.Induction = append(verdict.Induction, res)
 		if res.Refuted {
@@ -285,8 +289,8 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 		}
 	}
 	for _, inv := range it.Invariants {
-		res := inductionResult(it.Pipeline, inv.Name, prep, func(ends []seqEnd) (*InductionReport, error) {
-			return v.proveInvariant(it.Pipeline, ends, inv, SeqOptions{})
+		res := inductionResult(it.Pipeline, inv.Name, prep, func(paths *seqPaths) (*InductionReport, error) {
+			return v.proveInvariant(it.Pipeline, paths.ends, inv, SeqOptions{})
 		})
 		verdict.Induction = append(verdict.Induction, res)
 		if res.Refuted {
@@ -298,14 +302,14 @@ func (v *Verifier) admit(it BatchItem) (verdict BatchVerdict) {
 
 // inductionResult folds one induction run into its serializable form.
 // prep supplies the submission's shared (memoized) terminal-path set.
-func inductionResult(p *click.Pipeline, name string, prep func() ([]seqEnd, error), run func([]seqEnd) (*InductionReport, error)) InductionResult {
+func inductionResult(p *click.Pipeline, name string, prep func() (*seqPaths, error), run func(*seqPaths) (*InductionReport, error)) InductionResult {
 	res := InductionResult{Invariant: name}
-	ends, err := prep()
+	paths, err := prep()
 	if err != nil {
 		res.Error = unresolvedCause(err)
 		return res
 	}
-	rep, err := run(ends)
+	rep, err := run(paths)
 	if err != nil {
 		res.Error = unresolvedCause(err)
 		return res

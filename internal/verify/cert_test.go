@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"maps"
 	"sync"
 	"testing"
 
@@ -26,8 +28,8 @@ const certFront = `
 // paper's router, two light pipelines, a stateful NAT, and two buggy
 // twins whose verdicts carry witnesses. noSAT marks the pipelines whose
 // warm Batch must not reach the SAT core at all: every obligation there
-// is a stitch (stateful pipelines keep their induction queries, buggy
-// ones their witness solves).
+// is a stitch or an extension of the crash-freedom induction (buggy
+// pipelines keep their witness solves).
 var certCorpus = []struct {
 	name, src string
 	noSAT     bool
@@ -35,18 +37,19 @@ var certCorpus = []struct {
 	{"router", ipRouterConfig, true},
 	{"filter", filterConfig, true},
 	{"strip-check-ttl", storeTestPipeline, true},
-	{"nat", certFront + `nat :: IPRewriter(SNAT 100.64.0.1); chk[0] -> nat -> Discard;`, false},
+	{"nat", certFront + `nat :: IPRewriter(SNAT 100.64.0.1); chk[0] -> nat -> Discard;`, true},
 	{"buggy-reader", certFront + `rd :: UnsafeReader(40); chk[0] -> rd -> Discard;`, false},
 	{"buggy-counter", `src :: InfiniteSource; cnt :: Counter; src -> cnt -> Discard;`, false},
 }
 
 // TestCertificateColdWarmDifferential is the certificate's headline
-// property (DESIGN.md §7.5): a warm Batch that replays its walks from
-// the store's certificates returns the cold Batch's verdict byte for
-// byte — witnesses included — after exploring exactly the same composed
-// paths, and on the stitch-only pipelines it never reaches the SAT core
-// (the count gate: the router's warm crash walk made 19 SAT calls
-// before certificates).
+// property (DESIGN.md §7.5): a warm Batch that replays its walks and its
+// crash-freedom induction from the store's certificates returns the
+// cold Batch's verdict byte for byte — witnesses included — after
+// exploring exactly the same composed paths and sequences, and on the
+// noSAT pipelines it never reaches the SAT core (the count gate: the
+// router's warm crash walk made 19 SAT calls before certificates, the
+// NAT's warm induction 8 before its extensions were recorded).
 func TestCertificateColdWarmDifferential(t *testing.T) {
 	for _, tc := range certCorpus {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,6 +75,10 @@ func TestCertificateColdWarmDifferential(t *testing.T) {
 				t.Errorf("warm walk explored %d paths (%d infeasible), cold %d (%d)",
 					warmSt.ComposedPaths, warmSt.ComposedInfeasible, coldSt.ComposedPaths, coldSt.ComposedInfeasible)
 			}
+			if warmSt.SeqSequences != coldSt.SeqSequences || warmSt.SeqInfeasible != coldSt.SeqInfeasible {
+				t.Errorf("warm induction explored %d sequences (%d infeasible extensions), cold %d (%d)",
+					warmSt.SeqSequences, warmSt.SeqInfeasible, coldSt.SeqSequences, coldSt.SeqInfeasible)
+			}
 			if warmSt.ElementsSummarized != 0 {
 				t.Errorf("warm run performed %d engine runs", warmSt.ElementsSummarized)
 			}
@@ -95,6 +102,98 @@ func TestCertificateColdWarmDifferential(t *testing.T) {
 				t.Errorf("warm Batch built %d states, want 0 (cold built %d)", n, coldSt.StitchesBuilt)
 			}
 		})
+	}
+}
+
+// TestCertificateSavedOncePerSubmission: a Batch item writes its
+// certificate once, after its last stage, so a cold stateful submission
+// pays one write for its walks' and its induction's decisions together,
+// and a warm one, which solves nothing, writes none.
+func TestCertificateSavedOncePerSubmission(t *testing.T) {
+	for _, tc := range certCorpus {
+		p := parsePipeline(t, tc.src)
+		if !pipelineHasState(p) {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := NewDiskStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run, want := range []int64{1, 0} {
+				before := store.Stats().CertSaves
+				v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Store: store})
+				v.Batch([]BatchItem{{Name: tc.name, Pipeline: p}})
+				if n := store.Stats().CertSaves - before; n != want {
+					t.Errorf("run %d saved %d certificates, want %d", run, n, want)
+				}
+			}
+		})
+	}
+}
+
+// TestCertificateCorruptSequenceEntriesFallBack: the NAT's stored
+// certificate, rewritten with one malformed sequence entry of each kind
+// (a bad mode byte, a path outside the shape, entries out of order,
+// trailing bytes), is counted corrupt and ignored; the walk and the
+// induction solve again and reach the same verdict and the same counts.
+func TestCertificateCorruptSequenceEntriesFallBack(t *testing.T) {
+	store, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := parsePipeline(t, certCorpus[3].src)
+	run := func() (string, Stats) {
+		v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1, Store: store})
+		blob, err := json.Marshal(v.Batch([]BatchItem{{Name: "nat", Pipeline: p}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(blob), v.Stats()
+	}
+	cold, coldSt := run()
+	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Store: store})
+	if _, err := v.CrashFreedom(p); err != nil {
+		t.Fatal(err)
+	}
+	var key ir.Fingerprint
+	for k := range v.certs {
+		key = k
+	}
+	good, ok := store.LoadCertificate(key)
+	if !ok || len(good.entries[seqEntry]) < 2 {
+		t.Fatalf("setup: the cold run recorded no sequence entries (%v)", ok)
+	}
+	keys := sortedKeys(good.entries[seqEntry])
+	outside := []byte(keys[0])
+	binary.BigEndian.PutUint32(outside[len(outside)-4:], uint32(good.shape[binary.BigEndian.Uint32(outside[len(outside)-8:])]))
+	badMode := "\x02" + keys[0][1:]
+	malformed := map[string][]byte{
+		"bad mode byte":        testCertShape(good, map[string]bool{badMode: true}).encode(),
+		"path outside shape":   testCertShape(good, map[string]bool{string(outside): true}).encode(),
+		"entries out of order": spliceSeqs(good, keys[1], keys[0]),
+		"trailing bytes":       append(good.encode(), 0),
+	}
+	for name, data := range malformed {
+		if !store.write(store.CertificatePath(key), key, data) {
+			t.Fatal("write failed")
+		}
+		before := store.Stats().CertCorrupt
+		got, st := run()
+		if got != cold {
+			t.Errorf("%s: verdict differs:\ncold: %s\ngot:  %s", name, cold, got)
+		}
+		if store.Stats().CertCorrupt != before+1 {
+			t.Errorf("%s: certificate not counted corrupt", name)
+		}
+		if st.StitchesReplayed != coldSt.StitchesReplayed || st.SolverQueries != coldSt.SolverQueries {
+			t.Errorf("%s: %d decisions replayed, %d queries solved; want the cold run's %d and %d",
+				name, st.StitchesReplayed, st.SolverQueries, coldSt.StitchesReplayed, coldSt.SolverQueries)
+		}
+		if st.SeqSequences != coldSt.SeqSequences || st.SeqInfeasible != coldSt.SeqInfeasible {
+			t.Errorf("%s: %d sequences (%d infeasible), cold %d (%d)", name,
+				st.SeqSequences, st.SeqInfeasible, coldSt.SeqSequences, coldSt.SeqInfeasible)
+		}
 	}
 }
 
@@ -282,78 +381,141 @@ func TestCertificateConcurrentRecording(t *testing.T) {
 		t.Fatalf("%d certificate tables for one pipeline, want 1", len(v.certs))
 	}
 	for _, tbl := range v.certs {
-		if len(tbl.entries) == 0 {
+		if len(tbl.entries[stitchEntry]) == 0 {
 			t.Error("concurrent walks recorded nothing")
 		}
 	}
 }
 
+// certState and certSeq build certificate keys for the codec tests: a
+// composed path from (element, segment) steps, whose certPath is a
+// stitch key, and a sequence key from a mode and its packets' paths.
+func certState(steps ...[2]int) *composed {
+	c := &composed{}
+	for _, s := range steps {
+		c.elems = append(c.elems, s[0])
+		c.segs = append(c.segs, s[1])
+	}
+	return c
+}
+
+func certSeq(mode symbex.InitMode, ends ...*composed) string {
+	key := []byte{byte(mode)}
+	for _, e := range ends {
+		key = seqKey(key, e)
+	}
+	return string(key)
+}
+
+// testCert is a certificate of shape [1 3] holding the given entries.
+func testCert(stitches, seqs map[string]bool) *Certificate {
+	c := newCertificate([]int{1, 3})
+	maps.Copy(c.entries[stitchEntry], stitches)
+	maps.Copy(c.entries[seqEntry], seqs)
+	return c
+}
+
+// spliceSeqs encodes c with its sequence entries replaced by the given
+// keys, written in the given order whatever it is: each key's bytes are
+// cut from an encoding of c holding only that entry.
+func spliceSeqs(c *Certificate, keys ...string) []byte {
+	only := func(seqs map[string]bool) []byte {
+		return testCertShape(c, seqs).encode()
+	}
+	base := only(nil)
+	out := append([]byte{}, base[:len(base)-1]...) // drop the count 0
+	out = binary.AppendUvarint(out, uint64(len(keys)))
+	for _, k := range keys {
+		one := only(map[string]bool{k: true})
+		out = append(out, one[len(base):]...)
+	}
+	return out
+}
+
+func testCertShape(c *Certificate, seqs map[string]bool) *Certificate {
+	d := newCertificate(c.shape)
+	maps.Copy(d.entries[stitchEntry], c.entries[stitchEntry])
+	maps.Copy(d.entries[seqEntry], seqs)
+	return d
+}
+
 // TestCertificateCodec pins the artifact's decoding contract: the
 // encoding depends only on the content, and every malformation —
-// truncation, a path outside the recorded shape, a bad decision byte —
-// is an error, never a panic; through the DiskStore it is a counted
-// corrupt miss.
+// truncation, a stitch or sequence path outside the recorded shape, a
+// bad initial-state mode byte, sequence entries out of order or
+// repeated, a bad decision byte, trailing bytes — is an error, never a
+// panic; through the DiskStore it is a counted corrupt miss.
 func TestCertificateCodec(t *testing.T) {
-	step := func(e, s uint32) []byte { return certPath(nil, &composed{elems: []int{int(e)}, segs: []int{int(s)}}) }
-	path := func(steps ...[]byte) string {
-		var b []byte
-		for _, s := range steps {
-			b = append(b, s...)
-		}
-		return string(b)
+	s00, s10, s12 := certState([2]int{0, 0}), certState([2]int{0, 0}, [2]int{1, 0}), certState([2]int{0, 0}, [2]int{1, 2})
+	stitches := map[string]bool{string(certPath(nil, s00)): true, string(certPath(nil, s12)): false, string(certPath(nil, s10)): true}
+	seqs := map[string]bool{
+		certSeq(symbex.InitDefault, s12):            true,
+		certSeq(symbex.InitDefault, s12, s10):       false,
+		certSeq(symbex.InitSymbolic, s10):           true,
+		certSeq(symbex.InitSymbolic, s10, s00, s12): true,
 	}
-	a := &Certificate{shape: []int{1, 3}, entries: map[string]bool{}}
-	b := &Certificate{shape: []int{1, 3}, entries: map[string]bool{}}
-	paths := []string{path(step(0, 0)), path(step(0, 0), step(1, 2)), path(step(0, 0), step(1, 0))}
-	for i, p := range paths {
-		a.entries[p] = i%2 == 0
-		b.entries[paths[len(paths)-1-i]] = (len(paths)-1-i)%2 == 0
-	}
+	a := testCert(stitches, seqs)
 	enc := a.encode()
-	if string(enc) != string(b.encode()) {
-		t.Fatal("equal certificates encode differently")
-	}
+	// Decoding then re-encoding reproduces the bytes whatever order the
+	// maps iterate in.
 	dec, err := decodeCertificate(enc)
-	if err != nil || len(dec.entries) != 3 || dec.entries[paths[1]] != false || dec.entries[paths[2]] != true {
+	if err != nil || !maps.Equal(dec.entries[stitchEntry], stitches) || !maps.Equal(dec.entries[seqEntry], seqs) {
 		t.Fatalf("round trip: %v, %+v", err, dec)
+	}
+	if string(dec.encode()) != string(enc) {
+		t.Fatal("equal certificates encode differently")
 	}
 	for n := 0; n < len(enc); n++ {
 		if _, err := decodeCertificate(enc[:n]); err == nil {
 			t.Errorf("truncation to %d of %d bytes decoded", n, len(enc))
 		}
 	}
-	bad := map[string]*Certificate{
-		"segment out of range": {shape: []int{1, 3}, entries: map[string]bool{path(step(0, 0), step(1, 3)): true}},
-		"element out of range": {shape: []int{1, 3}, entries: map[string]bool{path(step(2, 0)): true}},
-	}
-	for name, c := range bad {
-		if _, err := decodeCertificate(c.encode()); err == nil {
-			t.Errorf("%s: decoded", name)
-		}
+	early, late := certSeq(symbex.InitDefault, s12), certSeq(symbex.InitSymbolic, s10)
+	if _, err := decodeCertificate(spliceSeqs(a, early, late)); err != nil {
+		t.Fatalf("in-order splice: %v", err)
 	}
 	flipped := append([]byte{}, enc...)
 	flipped[len(flipped)-1] = 7
-	if _, err := decodeCertificate(flipped); err == nil {
-		t.Error("decision byte 7 decoded")
+	bad := map[string][]byte{
+		"segment out of range": testCert(map[string]bool{string(certPath(nil, certState([2]int{0, 0}, [2]int{1, 3}))): true}, nil).encode(),
+		"element out of range": testCert(map[string]bool{string(certPath(nil, certState([2]int{2, 0}))): true}, nil).encode(),
+		"sequence path outside the shape": testCert(nil, map[string]bool{
+			certSeq(symbex.InitDefault, s10, certState([2]int{0, 0}, [2]int{1, 3})): true}).encode(),
+		"bad mode byte":        testCert(nil, map[string]bool{certSeq(symbex.InitSymbolic+1, s10): true}).encode(),
+		"empty sequence":       testCert(nil, map[string]bool{certSeq(symbex.InitDefault): true}).encode(),
+		"entries out of order": spliceSeqs(a, late, early),
+		"repeated entry":       spliceSeqs(a, early, early),
+		"decision byte 7":      flipped,
+		"trailing bytes":       append(append([]byte{}, enc...), 0),
+	}
+	for name, data := range bad {
+		if _, err := decodeCertificate(data); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 
 	store, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	corrupt := int64(0)
+	for name, data := range bad {
+		var key ir.Fingerprint
+		key[0] = byte(corrupt + 1)
+		if !store.write(store.CertificatePath(key), key, data) {
+			t.Fatal("write failed")
+		}
+		if c, ok := store.LoadCertificate(key); ok || c != nil {
+			t.Fatalf("%s: certificate loaded", name)
+		}
+		corrupt++
+	}
+	if st := store.Stats(); st.CertCorrupt != corrupt || st.Corrupt != 0 {
+		t.Fatalf("malformed certificates not counted corrupt (and apart from summaries): %+v", st)
+	}
 	var key ir.Fingerprint
-	key[0] = 1
-	if !store.write(store.CertificatePath(key), key, bad["segment out of range"].encode()) {
-		t.Fatal("write failed")
-	}
-	if c, ok := store.LoadCertificate(key); ok || c != nil {
-		t.Fatal("out-of-range certificate loaded")
-	}
-	if st := store.Stats(); st.CertCorrupt != 1 || st.Corrupt != 0 {
-		t.Fatalf("out-of-range certificate not counted corrupt (and apart from summaries): %+v", st)
-	}
 	store.SaveCertificate(key, a)
-	if c, ok := store.LoadCertificate(key); !ok || len(c.entries) != len(a.entries) {
+	if c, ok := store.LoadCertificate(key); !ok || !maps.Equal(c.entries[seqEntry], seqs) {
 		t.Fatal("saved certificate did not load")
 	}
 	if n, _ := store.Len(); n != 0 {

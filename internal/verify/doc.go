@@ -67,12 +67,14 @@
 // extra input assumptions record every stitch decision — feasible or
 // infeasible, never a model — in a certificate keyed by the pipeline
 // fingerprint, the packet-length bounds and the digests of the
-// elements' encoded summaries. A later walk over the same key, in this
-// Verifier or (through a store implementing CertificateStore) in
-// another process, replays the decisions instead of solving them —
-// Stats.StitchesReplayed counts it. Because a replayed path carries no
-// model, every reported witness is solved afresh from its formula
-// alone (smt.Solver.CheckFresh), so witnesses do not depend on cache
+// elements' encoded summaries; the crash-freedom induction records its
+// sequence extensions in the same certificate. A later walk over the
+// same key, in this Verifier or (through a store implementing
+// CertificateStore) in another process, replays the decisions instead
+// of solving them — Stats.StitchesReplayed counts it. Because a
+// replayed path carries no model, every reported witness, sequence
+// witnesses and CTIs included, is solved afresh from its formula alone
+// (smt.Solver.CheckFresh), so witnesses do not depend on cache
 // temperature or the walk schedule.
 //
 // Replay builds nothing: a composed state records its path, step count
@@ -80,8 +82,10 @@
 // packet, metadata, state accesses) only on first use — a certificate
 // miss that solves, a crash end or a witness to inspect, a visitor
 // reading formulas. Concurrent walkers share one build per state.
-// Stats.StitchesBuilt counts builds; a warm walk of a stateless
-// pipeline makes none. With a store behind them, the summary cache and
+// Stats.StitchesBuilt counts builds; a warm Batch whose verdict needs
+// no witness makes none. A sequence prefix replayed from a certificate
+// likewise threads its state only when a deeper extension misses or a
+// witness reads it. With a store behind them, the summary cache and
 // the certificate tables are capped, and refilled from the store.
 //
 // Batch (batch.go) is the admission-service entry point on top: a

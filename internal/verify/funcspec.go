@@ -182,10 +182,15 @@ type FuncReport struct {
 // AllowCrash) exactly as in CrashFreedom, including the stateful
 // bad-value refinement.
 func (v *Verifier) VerifyFunc(p *click.Pipeline, spec FuncSpec) (*FuncReport, error) {
+	return v.verifyFunc(p, spec, nil)
+}
+
+// verifyFunc is VerifyFunc, handing its walk's certificate to saves.
+func (v *Verifier) verifyFunc(p *click.Pipeline, spec FuncSpec, saves *certSaves) (*FuncReport, error) {
 	sp := v.tel.main.Begin("property", "funcspec:"+spec.Name)
 	defer sp.End()
 	rep := &FuncReport{Spec: spec.Name, Verified: true}
-	_, err := v.walk(p, spec.Pre, func(end pathEnd) error {
+	_, _, err := v.walk(p, spec.Pre, saves, func(end pathEnd) error {
 		if end.disp == ir.Crashed {
 			if spec.AllowCrash {
 				return nil

@@ -126,50 +126,69 @@ type seqEnd struct {
 	key string
 }
 
+// seqPaths is a pipeline's terminal composed paths in exploration
+// order, with the Step-2 certificate table of the walk that collected
+// them (nil without one), in which the crash-freedom induction records
+// its sequence extensions.
+type seqPaths struct {
+	ends []seqEnd
+	cert *certTable
+}
+
 // terminalPaths collects every feasible terminal composed path of the
-// pipeline in deterministic order. The walk shares the verifier's
-// summary cache, so this reuses Step-1 work from earlier properties.
-func (v *Verifier) terminalPaths(p *click.Pipeline) ([]seqEnd, error) {
+// pipeline, ordered by name, disposition, egress and step count, ties
+// broken by pathLess. The walk shares the verifier's summary cache, so
+// this reuses Step-1 work from earlier properties, and it reads no
+// formula: a replayed walk hands over unbuilt paths.
+func (v *Verifier) terminalPaths(p *click.Pipeline, saves *certSaves) (*seqPaths, error) {
 	var ends []seqEnd
-	_, err := v.walk(p, nil, func(end pathEnd) error {
-		var b strings.Builder
-		b.WriteString(pathName(p, end.state))
-		fmt.Fprintf(&b, "|%d|%d|%d|", end.disp, end.egress, end.state.steps)
-		for _, c := range end.state.formulas().conds {
-			b.WriteString(c.String())
-			b.WriteByte('&')
-		}
-		ends = append(ends, seqEnd{end: end, key: b.String()})
+	_, cert, err := v.walk(p, nil, saves, func(end pathEnd) error {
+		key := fmt.Sprintf("%s|%d|%d|%d|", pathName(p, end.state), end.disp, end.egress, end.state.steps)
+		ends = append(ends, seqEnd{end: end, key: key})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(ends, func(i, j int) bool { return ends[i].key < ends[j].key })
-	return ends, nil
+	sort.Slice(ends, func(i, j int) bool {
+		if ends[i].key != ends[j].key {
+			return ends[i].key < ends[j].key
+		}
+		return pathLess(ends[i].end.state, ends[j].end.state)
+	})
+	return &seqPaths{ends: ends, cert: cert}, nil
 }
 
-// seqStepRec is one committed step of a sequence prefix.
+// seqStepRec is one committed step of a sequence prefix. Its output
+// packet and mark are set when the prefix that ends with it is built.
 type seqStepRec struct {
 	end  *pathEnd
 	pkt  *expr.Array // step-scoped output packet
 	mark symbex.Mark // state-log position after this step
 }
 
-// seqPrefix is a sequence of committed steps: their scoped conditions,
-// the threaded state, and the model of the last feasibility check.
+// seqPrefix is a sequence of committed steps: their scoped conditions
+// and the threaded state. key is its certificate key (seqKey). A prefix
+// made by an extension replayed from a certificate is unbuilt: parent
+// is set, and conds, store and its last step's pkt and mark are filled
+// in by seqCtx.build when a deeper extension misses or a witness reads
+// them. Only a search with a certificate makes unbuilt prefixes.
 type seqPrefix struct {
-	steps []seqStepRec
-	conds []*expr.Expr
-	store *symbex.SeqState
-	model *expr.Assignment
+	steps  []*seqStepRec
+	key    []byte
+	conds  []*expr.Expr
+	store  *symbex.SeqState
+	parent *seqPrefix
 }
 
-// seqCtx carries one sequence-verification call's shared pieces.
+// seqCtx carries one sequence-verification call's shared pieces. cert
+// is the certificate table its extensions are decided through, nil for
+// a search that always solves.
 type seqCtx struct {
 	v        *Verifier
 	p        *click.Pipeline
 	sess     *smt.IncrementalSession
+	cert     *certTable
 	budget   int
 	explored int
 }
@@ -191,43 +210,93 @@ func newSeqRoot(p *click.Pipeline, mode symbex.InitMode) *seqPrefix {
 			st.Declare(e.Name()+"."+d.Name, d)
 		}
 	}
-	return &seqPrefix{store: st}
+	return &seqPrefix{key: []byte{byte(mode)}, store: st}
 }
 
-// extend stitches end as the next step of pre, returning nil when the
-// extended sequence constraint is infeasible.
-func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
-	if err := c.spend(); err != nil {
-		return nil, err
-	}
-	t := len(pre.steps)
-	scope := symbex.SeqScope(t)
-	end := se.end
-	store := pre.store.Fork()
+// step threads end onto the built prefix pre as its next packet,
+// returning the forked state, the step's scoping substitution and its
+// scoped conditions, length bounds first. ok is false when a condition
+// folds to false; newConds then ends with it.
+func (c *seqCtx) step(pre *seqPrefix, end *pathEnd) (store *symbex.SeqState, sub *expr.Subst, newConds []*expr.Expr, ok bool) {
+	scope := symbex.SeqScope(len(pre.steps))
+	store = pre.store.Fork()
 	f := end.state.formulas()
 	keep := make(map[string]bool, len(f.reads))
 	for _, rd := range f.reads {
 		keep[rd.Var.Name] = true
 	}
-	sub := symbex.ScopeSubst(scope, f.conds, f.pkt, f.reads, f.writes, keep)
+	sub = symbex.ScopeSubst(scope, f.conds, f.pkt, f.reads, f.writes, keep)
 	symbex.ThreadState(store, sub, f.reads, f.writes, nil)
-	newConds := make([]*expr.Expr, 0, len(f.conds)+2)
+	newConds = make([]*expr.Expr, 0, len(f.conds)+2)
 	for _, pe := range c.v.Pre() {
 		newConds = append(newConds, sub.Apply(pe))
 	}
-	feasible := true
 	for _, cond := range f.conds {
 		ic := sub.Apply(cond)
 		if ic.IsTrue() {
 			continue
 		}
-		if ic.IsFalse() {
-			feasible = false
-			break
-		}
 		newConds = append(newConds, ic)
+		if ic.IsFalse() {
+			return store, sub, newConds, false
+		}
 	}
-	var m *expr.Assignment
+	return store, sub, newConds, true
+}
+
+// commit sets next, the prefix pre extended by one step, to the step's
+// threaded state, conditions and output packet.
+func commit(next, pre *seqPrefix, store *symbex.SeqState, sub *expr.Subst, newConds []*expr.Expr) {
+	next.conds = append(pre.conds[:len(pre.conds):len(pre.conds)], newConds...)
+	next.store = store
+	last := next.steps[len(next.steps)-1]
+	last.pkt, last.mark = sub.ApplyArray(last.end.state.formulas().pkt), store.Mark()
+}
+
+// build builds an unbuilt prefix, its unbuilt ancestors first. Its
+// extension was decided feasible, so no condition folds to false unless
+// a certificate lied; the false condition then stays in the constraint,
+// where a later solve refutes it.
+func (c *seqCtx) build(pre *seqPrefix) {
+	parent := pre.parent
+	if parent == nil {
+		return
+	}
+	c.build(parent)
+	store, sub, newConds, _ := c.step(parent, pre.steps[len(pre.steps)-1].end)
+	commit(pre, parent, store, sub, newConds)
+	pre.parent = nil
+}
+
+// extend stitches end as the next step of pre, returning nil when the
+// extended sequence constraint is infeasible. With a certificate the
+// decision is replayed when recorded; a replayed feasible extension is
+// left unbuilt (the eager walk of the tests builds it here). Otherwise
+// the extension is built and solved, and an exact decision recorded.
+func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
+	if err := c.spend(); err != nil {
+		return nil, err
+	}
+	next := &seqPrefix{steps: append(pre.steps[:len(pre.steps):len(pre.steps)], &seqStepRec{end: &se.end})}
+	if c.cert != nil {
+		next.key = seqKey(pre.key, se.end.state)
+		if feasible, ok := c.cert.lookup(seqEntry, next.key); ok {
+			c.v.countReplayed()
+			if !feasible {
+				c.v.countSeq(false)
+				return nil, nil
+			}
+			next.parent = pre
+			if c.v.eagerBuild {
+				c.build(next)
+			}
+			c.v.countSeq(true)
+			return next, nil
+		}
+	}
+	c.build(pre)
+	store, sub, newConds, feasible := c.step(pre, &se.end)
+	unknown, sat := false, false
 	if feasible {
 		cons := make([]*expr.Expr, 0, len(pre.conds)+len(newConds)+len(store.Conds()))
 		cons = append(cons, pre.conds...)
@@ -235,31 +304,34 @@ func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
 		cons = append(cons, store.Conds()...)
 		c.v.solverQueries.Add(1)
 		sp, started := c.v.tel.beginSolve(c.sess, "seq-extend", "")
-		var r smt.Result
-		r, m = c.sess.Check(cons)
-		c.v.tel.recordSolve(c.sess.LastSolve(), "seq-extend", "seq-extend", started, sp)
-		feasible = r != smt.Unsat
+		r, _ := c.sess.Check(cons)
+		info := c.sess.LastSolve()
+		c.v.tel.recordSolve(info, "seq-extend", "seq-extend", started, sp)
+		feasible, unknown = r != smt.Unsat, r == smt.Unknown
+		sat = info.SATCore || info.Cached
+	}
+	if c.cert != nil && !unknown {
+		c.cert.record(seqEntry, next.key, feasible, sat)
 	}
 	if !feasible {
-		c.v.mu.Lock()
-		c.v.stats.SeqInfeasible++
-		c.v.mu.Unlock()
+		c.v.countSeq(false)
 		return nil, nil
 	}
-	next := &seqPrefix{
-		steps: append(pre.steps[:len(pre.steps):len(pre.steps)], seqStepRec{
-			end: &se.end,
-			pkt: sub.ApplyArray(f.pkt),
-		}),
-		conds: append(pre.conds[:len(pre.conds):len(pre.conds)], newConds...),
-		store: store,
-		model: m,
-	}
-	next.steps[len(next.steps)-1].mark = store.Mark()
-	c.v.mu.Lock()
-	c.v.stats.SeqSequences++
-	c.v.mu.Unlock()
+	commit(next, pre, store, sub, newConds)
+	c.v.countSeq(true)
 	return next, nil
+}
+
+// countSeq counts one sequence extension: a feasible sequence explored,
+// or an infeasible extension discharged.
+func (v *Verifier) countSeq(feasible bool) {
+	v.mu.Lock()
+	if feasible {
+		v.stats.SeqSequences++
+	} else {
+		v.stats.SeqInfeasible++
+	}
+	v.mu.Unlock()
 }
 
 // seqSupported rejects pipelines whose summaries cannot be threaded
@@ -290,11 +362,11 @@ func (v *Verifier) seqSupported(p *click.Pipeline) error {
 // exactly and collects its terminal composed paths — the per-pipeline
 // setup every sequence entry point needs. Batch admission prepares once
 // and shares the path set across all of a submission's obligations.
-func (v *Verifier) prepareSeq(p *click.Pipeline) ([]seqEnd, error) {
+func (v *Verifier) prepareSeq(p *click.Pipeline, saves *certSaves) (*seqPaths, error) {
 	if err := v.seqSupported(p); err != nil {
 		return nil, err
 	}
-	return v.terminalPaths(p)
+	return v.terminalPaths(p, saves)
 }
 
 // pipelineHasState reports whether any element declares a private
@@ -328,19 +400,28 @@ func pipelineHasState(p *click.Pipeline) bool {
 // on a Refuted verdict should ReplaySeq it first (batch admission and
 // the CLI both do).
 func (v *Verifier) SeqCrashFreedom(p *click.Pipeline, opts SeqOptions) (*InductionReport, error) {
-	ends, err := v.prepareSeq(p)
+	saves := &certSaves{}
+	defer saves.flush(v)
+	paths, err := v.prepareSeq(p, saves)
 	if err != nil {
 		return nil, err
 	}
-	return v.seqCrashFreedom(p, ends, opts)
+	return v.seqCrashFreedom(p, paths, opts, saves)
 }
 
-func (v *Verifier) seqCrashFreedom(p *click.Pipeline, ends []seqEnd, opts SeqOptions) (rep *InductionReport, err error) {
+// seqCrashFreedom is SeqCrashFreedom over prepared terminal paths. It
+// decides every extension through the paths' certificate table (DESIGN
+// §7.5): the extension's constraint is fixed by the table's key, the
+// initial-state mode and the sequence of paths, which is the entry's
+// key. It hands the table to saves when done.
+func (v *Verifier) seqCrashFreedom(p *click.Pipeline, paths *seqPaths, opts SeqOptions, saves *certSaves) (rep *InductionReport, err error) {
 	rep = &InductionReport{Property: "crash-freedom"}
-	ctx := &seqCtx{v: v, p: p, sess: v.getSession(), budget: opts.maxSequences()}
+	ends := paths.ends
+	ctx := &seqCtx{v: v, p: p, sess: v.getSession(), cert: paths.cert, budget: opts.maxSequences()}
 	defer func() {
 		rep.Sequences = ctx.explored
 		v.putSession(ctx.sess)
+		saves.done(v, ctx.cert)
 	}()
 	// Registered after the session-return defer, so containment resets the
 	// (possibly poisoned) session before it re-enters the pool.
@@ -352,11 +433,15 @@ func (v *Verifier) seqCrashFreedom(p *click.Pipeline, ends []seqEnd, opts SeqOpt
 		// Base: no crash within k packets of boot state. Positions < k
 		// were discharged by the earlier iterations, so only k = 1 must
 		// look at every position; deeper rounds check exactly position k.
-		w, err := ctx.findCrashSeq(ends, newSeqRoot(p, symbex.InitDefault), k, k == 1)
+		bad, err := ctx.findCrashSeq(ends, newSeqRoot(p, symbex.InitDefault), k, k == 1)
 		if err != nil {
 			return nil, err
 		}
-		if w != nil {
+		if bad != nil {
+			w, err := ctx.witness(bad)
+			if err != nil {
+				return nil, err
+			}
 			w.Detail = fmt.Sprintf("crash freedom refuted by a %d-packet sequence from boot state", len(w.Packets))
 			rep.K, rep.Refuted, rep.Witness = k, true, w
 			v.countInduction(false)
@@ -367,19 +452,22 @@ func (v *Verifier) seqCrashFreedom(p *click.Pipeline, ends []seqEnd, opts SeqOpt
 		// induction hypothesis, so the crash may not come earlier (that
 		// would re-find the weaker k-1 counterexample and the deeper
 		// hypothesis would never help). Unsatisfiable closes the proof.
-		w, err = ctx.findCrashSeq(ends, newSeqRoot(p, symbex.InitSymbolic), k+1, false)
+		bad, err = ctx.findCrashSeq(ends, newSeqRoot(p, symbex.InitSymbolic), k+1, false)
 		if err != nil {
 			return nil, err
 		}
-		if w == nil {
+		if bad == nil {
 			rep.Proved, rep.K = true, k
 			v.countInduction(true)
 			return rep, nil
 		}
+		// Only the first CTI is reported, so only it is solved for.
 		if cti == nil {
-			w.Detail = fmt.Sprintf("counterexample to %d-induction: %d packets from the seeded state end in a crash",
-				k, len(w.Packets))
-			cti = w
+			if cti, err = ctx.witness(bad); err != nil {
+				return nil, err
+			}
+			cti.Detail = fmt.Sprintf("counterexample to %d-induction: %d packets from the seeded state end in a crash",
+				k, len(cti.Packets))
 		}
 	}
 	rep.K, rep.CTI, rep.Witness = maxK, true, cti
@@ -388,11 +476,11 @@ func (v *Verifier) seqCrashFreedom(p *click.Pipeline, ends []seqEnd, opts SeqOpt
 
 // findCrashSeq searches for a feasible sequence of at most depth steps
 // built from non-crashing prefixes plus one crashing step, returning
-// its witness or nil. With crashAnywhere the crash may occur at any
+// it or nil. With crashAnywhere the crash may occur at any
 // position (the base case: any crash from boot state refutes); without
 // it the crash must land exactly at position depth (the inductive step:
 // the depth-1 non-crashing prefix is the induction hypothesis).
-func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAnywhere bool) (*MultiWitness, error) {
+func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAnywhere bool) (*seqPrefix, error) {
 	t := len(pre.steps)
 	final := t == depth-1
 	for i := range ends {
@@ -406,7 +494,7 @@ func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAny
 				return nil, err
 			}
 			if got != nil {
-				return c.v.seqWitness(c.p, got)
+				return got, nil
 			}
 			continue
 		}
@@ -420,9 +508,9 @@ func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAny
 		if got == nil {
 			continue
 		}
-		w, err := c.findCrashSeq(ends, got, depth, crashAnywhere)
-		if err != nil || w != nil {
-			return w, err
+		bad, err := c.findCrashSeq(ends, got, depth, crashAnywhere)
+		if err != nil || bad != nil {
+			return bad, err
 		}
 	}
 	return nil, nil
@@ -434,10 +522,11 @@ func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAny
 // (the S1 experiment measures exactly that); SeqCrashFreedom's
 // induction replaces it with a depth-independent proof.
 func (v *Verifier) SeqCrashBounded(p *click.Pipeline, depth int, opts SeqOptions) (*BoundedSeqReport, error) {
-	ends, err := v.prepareSeq(p)
+	paths, err := v.prepareSeq(p, nil)
 	if err != nil {
 		return nil, err
 	}
+	ends := paths.ends
 	ctx := &seqCtx{v: v, p: p, sess: v.getSession(), budget: opts.maxSequences()}
 	defer v.putSession(ctx.sess)
 	rep := &BoundedSeqReport{Depth: depth}
@@ -460,7 +549,7 @@ func (v *Verifier) SeqCrashBounded(p *click.Pipeline, depth int, opts SeqOptions
 			if se.end.disp == ir.Crashed {
 				rep.Sequences++
 				if !rep.Refuted {
-					w, err := v.seqWitness(p, got)
+					w, err := ctx.witness(got)
 					if err != nil {
 						return err
 					}
@@ -516,13 +605,16 @@ type StateInvariant struct {
 // packet k+1 preserves it. Crashing paths terminate a sequence and are
 // not extended (crash reachability is SeqCrashFreedom's property).
 func (v *Verifier) ProveInvariant(p *click.Pipeline, inv StateInvariant, opts SeqOptions) (*InductionReport, error) {
-	ends, err := v.prepareSeq(p)
+	paths, err := v.prepareSeq(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return v.proveInvariant(p, ends, inv, opts)
+	return v.proveInvariant(p, paths.ends, inv, opts)
 }
 
+// proveInvariant is ProveInvariant over prepared terminal paths. Its
+// invariant checks add predicates no certificate key can name, so its
+// search solves without one.
 func (v *Verifier) proveInvariant(p *click.Pipeline, ends []seqEnd, inv StateInvariant, opts SeqOptions) (rep *InductionReport, err error) {
 	rep = &InductionReport{Property: inv.Name}
 	ctx := &seqCtx{v: v, p: p, sess: v.getSession(), budget: opts.maxSequences()}
@@ -593,11 +685,10 @@ func (c *seqCtx) findInvariantBreak(ends []seqEnd, inv StateInvariant, pre *seqP
 		cons = append(cons, bad)
 		c.v.solverQueries.Add(1)
 		sp, started := c.v.tel.beginSolve(c.sess, "induction", "")
-		r, m := c.sess.Check(cons)
+		r, _ := c.sess.Check(cons)
 		c.v.tel.recordSolve(c.sess.LastSolve(), "induction", "invariant-check", started, sp)
 		if r != smt.Unsat {
-			broken := &seqPrefix{steps: pre.steps, conds: cons, store: pre.store, model: m}
-			return c.v.seqWitness(c.p, broken)
+			return c.witness(pre, append(assume, bad)...)
 		}
 	}
 	if t == depth {
@@ -767,13 +858,16 @@ type SeqReport struct {
 // (unlike the single-packet walk), so a reported witness is a real
 // multi-packet trace — ReplaySeq reproduces it on the dataplane.
 func (v *Verifier) VerifySeq(p *click.Pipeline, spec SeqSpec) (*SeqReport, error) {
-	ends, err := v.prepareSeq(p)
+	paths, err := v.prepareSeq(p, nil)
 	if err != nil {
 		return nil, err
 	}
-	return v.verifySeq(p, ends, spec)
+	return v.verifySeq(p, paths.ends, spec)
 }
 
+// verifySeq is VerifySeq over prepared terminal paths. Its obligations
+// add postconditions no certificate key can name, so its search solves
+// without one.
 func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*SeqReport, error) {
 	if spec.Steps <= 0 {
 		return nil, fmt.Errorf("verify: sequence spec %s: Steps must be positive", spec.Name)
@@ -786,7 +880,7 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 		rep.Sequences++
 		si := &SeqInfo{p: p, pre: pre}
 		if crashed && !spec.AllowCrash {
-			w, err := v.seqWitness(p, pre)
+			w, err := ctx.witness(pre)
 			if err != nil {
 				return err
 			}
@@ -813,7 +907,7 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 		cons = append(cons, expr.Not(post))
 		v.solverQueries.Add(1)
 		sp, started := v.tel.beginSolve(ctx.sess, "seq-spec", "")
-		r, m := ctx.sess.Check(cons)
+		r, _ := ctx.sess.Check(cons)
 		v.tel.recordSolve(ctx.sess.LastSolve(), "seq-spec", "seq-spec:"+spec.Name, started, sp)
 		if r == smt.Unsat {
 			rep.Proved++
@@ -828,8 +922,7 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 				fmt.Sprintf("spec %s: obligation on a %d-packet sequence unresolved within solver budget", spec.Name, len(pre.steps)))
 			return nil
 		}
-		broken := &seqPrefix{steps: pre.steps, conds: cons, store: pre.store, model: m}
-		w, err := v.seqWitness(p, broken)
+		w, err := ctx.witness(pre, expr.Not(post))
 		if err != nil {
 			return err
 		}
@@ -885,29 +978,30 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 
 // ---- witnesses ----
 
-// seqWitness materializes a multi-packet witness from a feasible
-// sequence prefix. The prefix's cached model (from the feasibility or
-// violation query) is validated under evaluation semantics; a mismatch
-// is an internal error, never a property verdict.
-func (v *Verifier) seqWitness(p *click.Pipeline, pre *seqPrefix) (*MultiWitness, error) {
-	m := pre.model
-	all := make([]*expr.Expr, 0, len(pre.conds)+len(pre.store.Conds()))
+// witness materializes a multi-packet witness from a feasible sequence
+// prefix, under the extra constraints of the violation it shows (none
+// for a crash). The model comes from a fresh solve of exactly that
+// formula (smt.Solver.CheckFresh), never from the search's session or
+// the verdict cache, so the witness is the same whether the prefix was
+// solved, replayed from a certificate or built eagerly, on any core
+// count (DESIGN.md §7.5). It is validated under evaluation semantics; a
+// mismatch is an internal error, never a property verdict.
+func (c *seqCtx) witness(pre *seqPrefix, extra ...*expr.Expr) (*MultiWitness, error) {
+	v, p := c.v, c.p
+	c.build(pre)
+	all := make([]*expr.Expr, 0, len(pre.conds)+len(pre.store.Conds())+len(extra))
 	all = append(all, pre.conds...)
 	all = append(all, pre.store.Conds()...)
-	if m == nil {
-		v.visitMu.Lock()
-		v.solverQueries.Add(1)
-		sp, started := v.tel.beginSolve(v.rootSession, "witness", "")
-		r, got := v.rootSession.Check(all)
-		v.tel.recordSolve(v.rootSession.LastSolve(), "witness", "seq-witness", started, sp)
-		v.visitMu.Unlock()
-		if r == smt.Unknown {
-			return nil, fmt.Errorf("%w: sequence witness query", errUnresolved)
-		}
-		if r == smt.Unsat || got == nil {
-			return nil, fmt.Errorf("verify: cannot produce witness for feasible sequence")
-		}
-		m = got
+	all = append(all, extra...)
+	v.solverQueries.Add(1)
+	sp, started := v.tel.beginSolve(c.sess, "witness", "")
+	r, m, info := v.solver.CheckFresh(all)
+	v.tel.recordSolve(info, "witness", "seq-witness", started, sp)
+	if r == smt.Unknown {
+		return nil, fmt.Errorf("%w: sequence witness query", errUnresolved)
+	}
+	if r == smt.Unsat || m == nil {
+		return nil, fmt.Errorf("verify: cannot produce witness for feasible sequence")
 	}
 	for _, c := range all {
 		if !expr.Eval(c, m).IsTrue() {

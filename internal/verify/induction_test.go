@@ -227,3 +227,53 @@ func TestInductionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestSeqWitnessesIndependentOfReplay: sequence witnesses are solved
+// fresh from their formula (DESIGN.md §7.5), so the plain counter's
+// 2-packet counterexample to induction and its invariant refutation
+// are byte-identical on a cold run, a warm run that replayed the
+// induction's extensions from the certificate, and an eager run that
+// builds every replayed prefix at once. make race runs it at -cpu
+// 1,2,4.
+func TestSeqWitnessesIndependentOfReplay(t *testing.T) {
+	p := parseSeq(t, counterOverflowConfig)
+	inv := StateInvariant{Name: "count-below-2", Pred: func(sv *StateView) *expr.Expr {
+		return expr.Ult(sv.Read("cnt.count", expr.Const(8, 0)), expr.Const(32, 2))
+	}}
+	store := NewMemStore()
+	run := func(eager bool) (string, *InductionReport, Stats) {
+		v := New(Options{MinLen: 14, MaxLen: 48, Store: store})
+		v.eagerBuild = eager
+		crash, err := v.SeqCrashFreedom(p, SeqOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !crash.CTI || crash.Witness == nil || len(crash.Witness.Packets) != 2 {
+			t.Fatalf("report %+v, want a 2-packet counterexample to induction", crash)
+		}
+		broken, err := v.ProveInvariant(p, inv, SeqOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !broken.Refuted || broken.Witness == nil {
+			t.Fatalf("invariant report %+v, want a refutation", broken)
+		}
+		return FormatMultiWitness(crash.Witness) + FormatMultiWitness(broken.Witness), crash, v.Stats()
+	}
+	cold, coldRep, coldSt := run(false)
+	for _, eager := range []bool{false, true} {
+		got, rep, st := run(eager)
+		if got != cold {
+			t.Errorf("eager=%v: witnesses differ from the cold run's:\ncold:\n%s\ngot:\n%s", eager, cold, got)
+		}
+		if st.StitchesReplayed == 0 {
+			t.Errorf("eager=%v: the warm run replayed nothing", eager)
+		}
+		if rep.K != coldRep.K || rep.Sequences != coldRep.Sequences ||
+			st.SeqSequences != coldSt.SeqSequences || st.SeqInfeasible != coldSt.SeqInfeasible {
+			t.Errorf("eager=%v: k %d, %d sequences, %d feasible, %d infeasible; cold %d, %d, %d, %d", eager,
+				rep.K, rep.Sequences, st.SeqSequences, st.SeqInfeasible,
+				coldRep.K, coldRep.Sequences, coldSt.SeqSequences, coldSt.SeqInfeasible)
+		}
+	}
+}

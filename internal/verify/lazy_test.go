@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -67,25 +66,24 @@ func lazyCorpus(t *testing.T) []BatchItem {
 	return items
 }
 
-// thinCertificates drops every other entry, in path order, of the
-// certificates v's walks used from store: a later walk replays half its
-// stitches and solves the rest, so walkers build replayed states to
-// decide their misses while others read them. (A walk the SAT core
-// never helped saved no certificate to thin.)
+// thinCertificates drops every other entry of each kind, in key order,
+// of the certificates v's walks used from store: a later walk replays
+// half its stitches and solves the rest, so walkers build replayed
+// states to decide their misses while others read them, and the
+// crash-freedom induction re-solves half its sequence extensions on
+// top of unbuilt replayed prefixes. (A walk the SAT core never helped
+// saved no certificate to thin.)
 func thinCertificates(v *Verifier, store *DiskStore) {
 	for key := range v.certs {
 		c, ok := store.LoadCertificate(key)
 		if !ok {
 			continue
 		}
-		paths := make([]string, 0, len(c.entries))
-		for p := range c.entries {
-			paths = append(paths, p)
-		}
-		sort.Strings(paths)
-		for i, p := range paths {
-			if i%2 == 1 {
-				delete(c.entries, p)
+		for _, m := range c.entries {
+			for i, k := range sortedKeys(m) {
+				if i%2 == 1 {
+					delete(m, k)
+				}
 			}
 		}
 		store.SaveCertificate(key, c)
@@ -96,8 +94,8 @@ func thinCertificates(v *Verifier, store *DiskStore) {
 // eager one, which builds every composed state at its stitch. Cold,
 // warm, and warm from a thinned certificate, the verdict JSON is
 // byte-identical, witness packets and outputs included, both walks
-// decide the same stitches the same way, and a warm lazy walk builds
-// fewer states. `make race` runs it at -cpu 1,2,4, where walkers share
+// decide the same stitches the same way, the induction explores the
+// same sequences, and a warm lazy walk builds fewer states. `make race` runs it at -cpu 1,2,4, where walkers share
 // the states they build.
 func TestLazyEagerDifferential(t *testing.T) {
 	runs := []string{"cold", "warm", "thinned"}
@@ -137,6 +135,21 @@ func TestLazyEagerDifferential(t *testing.T) {
 						e.ComposedPaths, e.ComposedInfeasible, e.StitchesReplayed, e.SolverQueries)
 				}
 			}
+			// The induction explores the same sequences whatever it replayed,
+			// and from the thinned certificate it replays part and solves part.
+			for eager := range stats {
+				for run, st := range stats[eager] {
+					if c := stats[0][0]; st.SeqSequences != c.SeqSequences || st.SeqInfeasible != c.SeqInfeasible {
+						t.Errorf("eager=%d %s: %d sequences (%d infeasible), cold %d (%d)", eager, runs[run],
+							st.SeqSequences, st.SeqInfeasible, c.SeqSequences, c.SeqInfeasible)
+					}
+				}
+			}
+			if cold, warm, thin := stats[0][0], stats[0][1], stats[0][2]; pipelineHasState(it.Pipeline) &&
+				!(warm.SolverQueries < thin.SolverQueries && thin.SolverQueries < cold.SolverQueries) {
+				t.Errorf("thinned run solved %d queries, want a partial re-solve between warm %d and cold %d",
+					thin.SolverQueries, warm.SolverQueries, cold.SolverQueries)
+			}
 			lazy, eager := stats[0][1], stats[1][1]
 			if lazy.StitchesReplayed == 0 {
 				t.Error("warm run replayed no stitch")
@@ -161,7 +174,7 @@ func TestConcurrentBuildsShareStates(t *testing.T) {
 	replay := func() (*Verifier, []*composed) {
 		v := New(opts)
 		var ends []*composed
-		if _, err := v.walk(p, nil, func(end pathEnd) error {
+		if _, _, err := v.walk(p, nil, nil, func(end pathEnd) error {
 			ends = append(ends, end.state)
 			return nil
 		}); err != nil {

@@ -63,6 +63,11 @@ type CrashReport struct {
 // any packet contents and any length within the configured bounds.
 // If the proof fails it returns concrete witness packets.
 func (v *Verifier) CrashFreedom(p *click.Pipeline) (*CrashReport, error) {
+	return v.crashFreedom(p, nil)
+}
+
+// crashFreedom is CrashFreedom, handing its certificate to saves.
+func (v *Verifier) crashFreedom(p *click.Pipeline, saves *certSaves) (*CrashReport, error) {
 	sp := v.tel.main.Begin("property", "crash-freedom")
 	defer sp.End()
 	// Step-1 fast path: if no element has a suspect segment, the
@@ -95,7 +100,7 @@ func (v *Verifier) CrashFreedom(p *click.Pipeline) (*CrashReport, error) {
 	if !anySuspect {
 		return rep, nil
 	}
-	_, err = v.walk(p, nil, func(end pathEnd) error {
+	_, _, err = v.walk(p, nil, saves, func(end pathEnd) error {
 		if end.disp != ir.Crashed {
 			return nil
 		}
@@ -162,18 +167,18 @@ type BoundReport struct {
 // instructions that each pipeline may ever execute and which input
 // causes it".
 func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) {
-	return v.boundedInstructions(p, true)
+	return v.boundedInstructions(p, true, nil)
 }
 
 // boundedInstructions is BoundedInstructions; withWitness false skips
 // the attaining packet (Batch reports only the bound).
-func (v *Verifier) boundedInstructions(p *click.Pipeline, withWitness bool) (*BoundReport, error) {
+func (v *Verifier) boundedInstructions(p *click.Pipeline, withWitness bool, saves *certSaves) (*BoundReport, error) {
 	sp := v.tel.main.Begin("property", "bounded-instructions")
 	defer sp.End()
 	rep := &BoundReport{}
 	var maxState *composed
 	var err error
-	rep.upper, err = v.walk(p, nil, func(end pathEnd) error {
+	rep.upper, _, err = v.walk(p, nil, saves, func(end pathEnd) error {
 		if end.disp == ir.Crashed {
 			realizable, err := v.statefulRealizable(p, end.state)
 			if err != nil {
@@ -251,7 +256,7 @@ func (v *Verifier) Reachability(p *click.Pipeline, spec ReachSpec) (*ReachReport
 	sp := v.tel.main.Begin("property", "reachability:"+spec.Name)
 	defer sp.End()
 	rep := &ReachReport{Verified: true}
-	_, err := v.walk(p, spec.Assume, func(end pathEnd) error {
+	_, _, err := v.walk(p, spec.Assume, nil, func(end pathEnd) error {
 		bad := ""
 		switch end.disp {
 		case ir.Crashed:

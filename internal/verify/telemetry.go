@@ -60,7 +60,7 @@ func newVtel(opts Options) *vtel {
 		t.storeSaves = opts.Metrics.Counter("vsd_store_saves_total",
 			"summary-store saves after fresh summarization")
 		t.replays = opts.Metrics.Counter("vsd_stitches_replayed_total",
-			"Step-2 stitch obligations decided from a certificate instead of the solver")
+			"Step-2 stitch obligations and induction sequence extensions decided from a certificate instead of the solver")
 		t.builds = opts.Metrics.Counter("vsd_stitches_built_total",
 			"Step-2 composed states whose formulas were substituted")
 	} else {

@@ -106,7 +106,8 @@ type Stats struct {
 	ComposedPaths      int   // stitched paths explored in Step 2
 	ComposedInfeasible int   // stitched paths discharged as infeasible
 	SolverQueries      int64 // feasibility queries in Step 2
-	// StitchesReplayed counts stitch obligations decided from a Step-2
+	// StitchesReplayed counts stitch obligations, and sequence
+	// extensions of the crash-freedom induction, decided from a Step-2
 	// certificate instead of the solver (DESIGN.md §7.5).
 	StitchesReplayed int64
 	// StitchesBuilt counts composed states whose formulas were built by
@@ -653,9 +654,8 @@ func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.
 	var path []byte
 	if w.cert != nil {
 		path = certPath(make([]byte, 0, certStep*len(out.elems)), out)
-		if feasible, ok := w.cert.lookup(path); ok {
-			v.stitchesReplayed.Add(1)
-			v.tel.replays.Inc()
+		if feasible, ok := w.cert.lookup(stitchEntry, path); ok {
+			v.countReplayed()
 			if !feasible {
 				v.countInfeasible()
 				return nil
@@ -675,7 +675,7 @@ func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.
 	if len(newConds) > 0 {
 		feasible, m, unknown, sat := v.feasible(sess, st, newConds, w.extraPre, "stitch", lbl)
 		if w.cert != nil && !unknown {
-			w.cert.record(path, feasible, sat)
+			w.cert.record(stitchEntry, path, feasible, sat)
 		}
 		if !feasible {
 			v.countInfeasible()
@@ -780,6 +780,13 @@ func stitchFormulas(pf *formulas, sub *expr.Subst, seg *symbex.Segment, newConds
 }
 
 func (v *Verifier) countInfeasible() { v.composedInfeasible.Add(1) }
+
+// countReplayed counts one decision replayed from a certificate: a
+// stitch, or a sequence extension of the crash-freedom induction.
+func (v *Verifier) countReplayed() {
+	v.stitchesReplayed.Add(1)
+	v.tel.replays.Inc()
+}
 
 func (v *Verifier) countBuilt() {
 	v.stitchesBuilt.Add(1)
@@ -1003,11 +1010,11 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 // adds property-specific input assumptions (e.g. reachability
 // preconditions). Visit callbacks are serialized; path order is
 // unspecified when Parallelism > 1. A walk with no extraPre decides its
-// stitch obligations through the pipeline's Step-2 certificate, and
-// saves the certificate after exploring if the solver added to it.
-// merged reports whether the walk's step counts are upper bounds
+// stitch obligations through the pipeline's Step-2 certificate, which
+// it returns, and hands the table to saves after exploring. merged
+// reports whether the walk's step counts are upper bounds
 // (summariesMerged).
-func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pathEnd) error) (merged bool, err error) {
+func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, saves *certSaves, visit func(pathEnd) error) (merged bool, cert *certTable, err error) {
 	limit := v.opts.MaxComposedPaths
 	if limit <= 0 {
 		limit = DefaultMaxComposedPaths
@@ -1016,7 +1023,7 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 	summaries, err := v.summarizeAll(p.Elements)
 	sp.End()
 	if err != nil {
-		return false, err
+		return false, nil, err
 	}
 	merged = v.summariesMerged(summaries)
 	sp = v.tel.main.Begin("phase", "step2:walk")
@@ -1031,7 +1038,7 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 	}
 	if len(extraPre) == 0 {
 		w.cert = v.certTableFor(p, summaries)
-		defer v.saveCert(w.cert)
+		defer saves.done(v, w.cert)
 	}
 	root := entryState(p)
 	par := v.parallelism()
@@ -1040,9 +1047,9 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 		err := w.safeDFS(sess, p.Entry, root)
 		v.putSession(sess)
 		if err != nil {
-			return merged, err
+			return merged, w.cert, err
 		}
-		return merged, w.err
+		return merged, w.cert, w.err
 	}
 	w.tasks = make(chan walkTask, 4*par)
 	var wg sync.WaitGroup
@@ -1067,7 +1074,7 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, visit func(pat
 		close(w.tasks)
 	}()
 	wg.Wait()
-	return merged, w.err
+	return merged, w.cert, w.err
 }
 
 // pathName renders a composed path for reports.
