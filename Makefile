@@ -36,7 +36,8 @@ race:
 smt-loc:
 	@ls internal/smt/*.go | grep -v _test.go | xargs wc -l | tail -1
 
-# bench regenerates the paper's evaluation as Go benchmarks.
+# bench regenerates the paper's evaluation as Go benchmarks, one
+# iteration each, so the checks inside them run too (CI runs it).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 

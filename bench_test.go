@@ -270,38 +270,6 @@ func BenchmarkAblationIntervals(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSummaryCache measures Step-1 summary reuse: the same
-// element class at several pipeline positions, with and without the
-// cache ("we process each element once").
-func BenchmarkAblationSummaryCache(b *testing.B) {
-	src := `
-		src :: InfiniteSource;
-		src -> Strip(7) -> Strip(7) -> a :: CheckIPHeader(NOCHECKSUM);
-		a[0] -> b :: CheckIPHeader(NOCHECKSUM); a[1] -> Discard;
-		b[1] -> Discard;`
-	for _, disable := range []bool{false, true} {
-		name := "cache-on"
-		if disable {
-			name = "cache-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := experiments.MustParse(src)
-				v := verify.New(verify.Options{
-					MinLen: packet.MinFrame, MaxLen: benchMaxLen,
-					DisableSummaryCache: disable,
-				})
-				if _, err := v.CrashFreedom(p); err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(v.Stats().ElementsSummarized), "summarized")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationIncrementalSAT replays a stitching-shaped query log —
 // monotonically growing constraint prefixes with a fresh branch atom per
 // step, exactly the pattern segment composition produces — through the

@@ -544,36 +544,47 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 }
 
 func main() {
-	addr := flag.String("addr", ":8847", "listen address")
-	storeDir := flag.String("store", "", "persistent summary store directory (empty = in-memory only)")
-	maxLen := flag.Uint64("maxlen", 256, "maximum packet length considered")
-	parallel := flag.Int("parallel", 0, "verification worker pool size (0 = GOMAXPROCS)")
-	baseline := flag.String("baseline", "", "operator baseline pipeline for the latency-delta report")
-	smoke := flag.String("smoke", "", "self-test: serve on an ephemeral port, submit every .click file in this directory, exit")
-	solverTimeout := flag.Duration("solver-timeout", 0, "per-obligation wall budget (0 = none); exceeded obligations report unresolved, never a verdict")
-	queueDir := flag.String("queue", "", "crash-safe submission queue journal directory (empty = synchronous, no journal)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests and queued jobs; undrained jobs stay journaled")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-job wall deadline in the queue (0 = none)")
-	watchdog := flag.Duration("watchdog", 0, "per-job verification watchdog budget (0 = off); interrupted obligations report unresolved, never a verdict")
-	chaos := flag.String("chaos", "", "chaos smoke: run the fault-injection self-test over every .click file in this directory, exit")
-	chaosSeed := flag.Uint64("chaos-seed", 0xc0ffee, "deterministic seed for -chaos")
-	flag.Parse()
-
-	if *chaos != "" {
-		if err := runChaos(*chaos, *chaosSeed, *maxLen); err != nil {
-			log.Fatal(err)
-		}
-		return
+	if err := run(os.Args[1:]); err != nil {
+		log.Fatal(err)
 	}
+}
+
+// run parses the command line and runs the daemon, or one of its
+// self-tests, until shutdown. A configuration that no verification can
+// accept (an empty packet-length range) is refused before anything is
+// opened or bound.
+func run(args []string) error {
+	fs := flag.NewFlagSet("vsdserve", flag.ExitOnError)
+	addr := fs.String("addr", ":8847", "listen address")
+	storeDir := fs.String("store", "", "persistent summary store directory (empty = in-memory only)")
+	maxLen := fs.Uint64("maxlen", 256, "maximum packet length considered")
+	parallel := fs.Int("parallel", 0, "verification worker pool size (0 = GOMAXPROCS)")
+	baseline := fs.String("baseline", "", "operator baseline pipeline for the latency-delta report")
+	smoke := fs.String("smoke", "", "self-test: serve on an ephemeral port, submit every .click file in this directory, exit")
+	solverTimeout := fs.Duration("solver-timeout", 0, "per-obligation wall budget (0 = none); exceeded obligations report unresolved, never a verdict")
+	queueDir := fs.String("queue", "", "crash-safe submission queue journal directory (empty = synchronous, no journal)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight requests and queued jobs; undrained jobs stay journaled")
+	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall deadline in the queue (0 = none)")
+	watchdog := fs.Duration("watchdog", 0, "per-job verification watchdog budget (0 = off); interrupted obligations report unresolved, never a verdict")
+	chaos := fs.String("chaos", "", "chaos smoke: run the fault-injection self-test over every .click file in this directory, exit")
+	chaosSeed := fs.Uint64("chaos-seed", 0xc0ffee, "deterministic seed for -chaos")
+	fs.Parse(args)
 
 	opts := verify.Options{MinLen: packet.MinFrame, MaxLen: *maxLen, Parallelism: *parallel,
 		SolverTimeout: *solverTimeout}
+	if err := opts.Validate(); err != nil {
+		return fmt.Errorf("vsdserve: -maxlen %d: %w", *maxLen, err)
+	}
+	if *chaos != "" {
+		return runChaos(*chaos, *chaosSeed, *maxLen)
+	}
+
 	s := &server{jobBudget: *watchdog}
 	opts.Metrics = s.initTelemetry()
 	if *storeDir != "" {
 		store, err := verify.NewDiskStore(*storeDir)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s.store = store
 		opts.Store = store
@@ -590,31 +601,28 @@ func main() {
 	if *baseline != "" {
 		src, err := os.ReadFile(*baseline)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		p, err := click.Parse(elements.Default(), string(src))
 		if err != nil {
-			log.Fatalf("vsdserve: baseline: %v", err)
+			return fmt.Errorf("vsdserve: baseline: %w", err)
 		}
 		rep, err := s.verifier.BoundedInstructions(p)
 		if err != nil {
-			log.Fatalf("vsdserve: baseline bound: %v", err)
+			return fmt.Errorf("vsdserve: baseline bound: %w", err)
 		}
 		s.baselineBound = &rep.MaxSteps
 		log.Printf("vsdserve: baseline bound %d IR statements (%s)", rep.MaxSteps, *baseline)
 	}
 
 	if *smoke != "" {
-		if err := runSmoke(s, *smoke); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runSmoke(s, *smoke)
 	}
 
 	if *queueDir != "" {
 		q, err := queue.Open(queue.Options{Dir: *queueDir, JobTimeout: *jobTimeout, Metrics: s.metrics})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s.queue = q
 		s.maxAttempts = 3 // the queue.Options default retry budget
@@ -643,7 +651,7 @@ func main() {
 	log.Printf("vsdserve: admission service listening on %s (maxlen %d)", *addr, *maxLen)
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		return err
 	case <-ctx.Done():
 	}
 	stop()
@@ -666,6 +674,7 @@ func main() {
 	}
 	cancelWorkers()
 	workers.Wait()
+	return nil
 }
 
 // runSmoke drives the server end to end over real HTTP: every .click

@@ -357,3 +357,26 @@ func TestHealthz(t *testing.T) {
 		t.Fatalf("healthz: %d %q", rec.Code, rec.Body.String())
 	}
 }
+
+// TestRefusesEmptyLengthRange: a -maxlen below the minimum frame length
+// leaves no packet to verify, so the daemon must refuse to start rather
+// than certify every submission vacuously. It refuses before it opens a
+// store or a queue, binds an address (the unbindable one here would fail
+// differently), or runs a self-test.
+func TestRefusesEmptyLengthRange(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:-1", "-maxlen", "10",
+			"-store", filepath.Join(dir, "store"), "-queue", filepath.Join(dir, "queue")},
+		{"-maxlen", "13", "-smoke", dir},
+		{"-maxlen", "10", "-chaos", dir},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "empty packet-length range 14..") {
+			t.Errorf("vsdserve %s: %v; want the empty-range refusal", strings.Join(args, " "), err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("a refused start left %d entries behind", len(entries))
+	}
+}

@@ -253,6 +253,9 @@ func main() {
 	}
 
 	opts := verify.Options{MinLen: packet.MinFrame, MaxLen: *maxLen, Parallelism: *parallel, Profile: *profile}
+	if err := opts.Validate(); err != nil {
+		fatal(fmt.Errorf("-maxlen %d: %w", *maxLen, err))
+	}
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		tracer = telemetry.New(telemetry.Opts{})
@@ -432,7 +435,7 @@ func main() {
 
 	if *monolithic {
 		start := time.Now()
-		rep, err := verify.Monolithic(pipeline, verify.Options{MinLen: packet.MinFrame, MaxLen: *maxLen})
+		rep, err := verify.Monolithic(pipeline, verify.Options{MinLen: packet.MinFrame, MaxLen: *maxLen}, 0)
 		if err != nil {
 			fatal(err)
 		}

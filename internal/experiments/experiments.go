@@ -393,10 +393,7 @@ func E3ComposedVsMonolithic(branches, maxElems int, monoBudget int, parallelism 
 		composedTime := time.Since(start)
 
 		start = time.Now()
-		mono, err := verify.Monolithic(pipe, verify.Options{
-			MinLen: 14, MaxLen: 64,
-			Symbex: symbex.Options{MaxSegments: monoBudget},
-		})
+		mono, err := verify.Monolithic(pipe, verify.Options{MinLen: 14, MaxLen: 64}, monoBudget)
 		if err != nil {
 			return nil, err
 		}
@@ -651,7 +648,7 @@ func A1PathScaling(branches, maxElems int, parallelism int) ([]A1Row, error) {
 			return nil, err
 		}
 		st := v.Stats()
-		mono, err := verify.Monolithic(pipe, verify.Options{MinLen: 14, MaxLen: 64})
+		mono, err := verify.Monolithic(pipe, verify.Options{MinLen: 14, MaxLen: 64}, 0)
 		if err != nil {
 			return nil, err
 		}

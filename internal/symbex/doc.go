@@ -20,20 +20,21 @@
 //
 // Loops are handled two ways, selected by Options.LoopMode:
 //
+//   - LoopMerge (the default) applies the paper's decomposition: the
+//     body is symbexed once as a "mini-element" with fresh symbolic
+//     loop-carried state, and iterations are composed by substitution,
+//     the same mechanism used to compose pipeline elements. The
+//     per-iteration continuations are merged into one state with
+//     ite-selected values, keeping loop exploration linear in the bound
+//     (loop.go), and feasibility is decided once per merge group rather
+//     than per instance: the deepest members are checked until one is
+//     feasible, and it and every shallower member are merged unchecked
+//     (DESIGN.md §3.1). Step counts are exact unless Stats.Merged
+//     reports a merge, and upper bounds otherwise;
 //   - LoopUnroll inlines the body up to its static bound, the naive
 //     strategy the paper estimates at "millions of segments" for the IP
-//     options element;
-//   - LoopSummarize applies the paper's decomposition: the body is
-//     symbexed once as a "mini-element" with fresh symbolic loop-carried
-//     state, and iterations are composed by substitution with eager
-//     infeasibility pruning, the same mechanism used to compose pipeline
-//     elements;
-//   - LoopMerge (the default) additionally merges per-iteration
-//     continuations into one state with ite-selected values, keeping
-//     loop exploration linear in the bound (loop.go). It decides
-//     feasibility once per merge group rather than per instance: the
-//     deepest members are checked until one is feasible, and it and
-//     every shallower member are merged unchecked (DESIGN.md §3.1).
+//     options element. It is the baseline of verify.Monolithic and of
+//     the A2 experiment.
 //
 // Mutable data structures (StateRead/StateWrite) follow the paper's
 // modeling: a read returns a fresh unconstrained symbolic value and is

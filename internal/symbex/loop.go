@@ -135,7 +135,7 @@ func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 // pure substitution, returning the successor state with the summary's
 // conditions appended and its effects applied, or nil when a condition
 // folds to false. Whether the successor is feasible is settle's
-// question; merge mode asks it of as few instances as it can.
+// question; the merge-group rule asks it of as few instances as it can.
 func (x *exec) instantiate(sum *bodySummary, parent *pathState) *pathState {
 	sub := expr.NewSubst()
 	sub.BindArr(loopPktName, parent.pkt)
@@ -243,10 +243,10 @@ func (x *exec) settle(in *instance) bool {
 
 // loopSummarize drives a loop using mini-element summaries: a DFS over
 // iterations where each step is substitution plus a feasibility check —
-// no re-execution of the body. In LoopMerge mode the continuation states
-// of each iteration are merged per parent, keeping the frontier linear
-// in the bound, and feasibility is decided per merge group rather than
-// per instance (see mergeStates).
+// no re-execution of the body. The continuation states of each
+// iteration are merged per parent, keeping the frontier linear in the
+// bound, and feasibility is decided per merge group rather than per
+// instance (see mergeStates).
 func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []continuation, error) {
 	if len(stmt.Body) == 0 {
 		return []*pathState{st}, nil, nil
@@ -255,14 +255,13 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 	if err != nil {
 		return nil, nil, err
 	}
-	merge := x.eng.Opts.LoopMode == LoopMerge
 	var through []*pathState
-	// In merge mode, paths that terminate inside the loop are collected
-	// and merged per terminal kind against the loop-entry state before
-	// segments are emitted: forty per-iteration "malformed option" exits
-	// become one segment with a disjunctive constraint, and downstream
-	// composition sees a handful of loop segments instead of hundreds.
-	// A kind's instances are checked at their own iteration until one is
+	// Paths that terminate inside the loop are collected and merged per
+	// terminal kind against the loop-entry state before segments are
+	// emitted: forty per-iteration "malformed option" exits become one
+	// segment with a disjunctive constraint, and downstream composition
+	// sees a handful of loop segments instead of hundreds. A kind's
+	// instances are checked at their own iteration until one is
 	// feasible; later ones are collected unchecked and settled by the
 	// group rule at loop exit.
 	type termKey struct {
@@ -289,22 +288,14 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 				if cs == nil {
 					continue
 				}
+				// Continuing and break instances are settled per group
+				// (mergeStates), terminated ones per kind.
 				in := &instance{st: cs, parent: a}
-				// The exact modes check every instance; merge mode
-				// settles continuing and break instances per group
-				// (mergeStates) and terminated ones per kind.
-				if !merge && !x.settle(in) {
-					continue
-				}
-				switch {
-				case sum.how == bodyFellThrough:
+				switch sum.how {
+				case bodyFellThrough:
 					nextHere = append(nextHere, in)
-				case sum.how == bodyBroke:
+				case bodyBroke:
 					brokeHere = append(brokeHere, in)
-				case !merge:
-					if err := x.emitSegment(cs, sum.disposition, sum.port, sum.crash); err != nil {
-						return nil, nil, err
-					}
 				default:
 					k := termKey{disp: sum.disposition, port: sum.port}
 					if sum.crash != nil {
@@ -321,40 +312,28 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 					terminated[k] = append(terminated[k], in)
 				}
 			}
-			if !merge {
-				for _, in := range brokeHere {
-					through = append(through, in.st)
-				}
-				for _, in := range nextHere {
-					next = append(next, in.st)
-				}
-				continue
-			}
 			// Break groups first: the summaries list breaks before
 			// fall-throughs, so a loop whose groups have one member
-			// each is checked in summary order, as the exact modes
-			// check it, and its session sees the same query sequence.
+			// each is checked in summary order, and its session sees
+			// the query sequence a per-instance check would send.
 			through = append(through, x.mergeStates(a, brokeHere)...)
 			next = append(next, x.mergeStates(a, nextHere)...)
 		}
 		active = next
 	}
 	through = append(through, active...)
-	if merge {
-		for _, k := range termOrder {
-			var crash *CrashRecord
-			if k.crash {
-				crash = &CrashRecord{Kind: k.kind, Msg: k.msg}
-			}
-			for _, m := range x.mergeStates(st, terminated[k]) {
-				if err := x.emitSegment(m, k.disp, k.port, crash); err != nil {
-					return nil, nil, err
-				}
+	for _, k := range termOrder {
+		var crash *CrashRecord
+		if k.crash {
+			crash = &CrashRecord{Kind: k.kind, Msg: k.msg}
+		}
+		for _, m := range x.mergeStates(st, terminated[k]) {
+			if err := x.emitSegment(m, k.disp, k.port, crash); err != nil {
+				return nil, nil, err
 			}
 		}
-		through = x.mergeStates(st, known(through))
 	}
-	return through, nil, nil
+	return x.mergeStates(st, known(through)), nil, nil
 }
 
 // mergeStates merges sibling instances derived from the same parent

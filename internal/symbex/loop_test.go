@@ -225,15 +225,22 @@ func TestLoopMergeGroupRule(t *testing.T) {
 	})
 	// Unknown counts as feasible: a run whose every SAT search the fault
 	// hook forces to Unknown drops nothing, exactly like a run that never
-	// asks the solver (PruneFold). The crash of NeverCrash then stays a
-	// suspect segment, and Shrink keeps its infeasible long paths.
+	// asks the solver. The wanted shapes are those of an engine that cut
+	// only branches folding to a constant. The crash of NeverCrash then
+	// stays a suspect segment, and Shrink keeps its infeasible long
+	// paths: its step count overshoots the interpreter's maximum.
 	t.Run("unknown-kept-as-feasible", func(t *testing.T) {
 		so := smt.Options{DisableIntervals: true, FaultHook: func() smt.SolveFault { return smt.ForceUnknown }}
-		for _, p := range []*ir.Program{buildShrinkingLoop(), buildNeverCrashLoop()} {
-			segs, _ := run(t, p, so, Options{})
-			fold, _ := run(t, p, smt.Options{}, Options{PruneMode: PruneFold})
-			if got, want := segmentShape(segs), segmentShape(fold); got != want {
-				t.Errorf("%s: segments %q under Unknown, %q without pruning", p.Name, got, want)
+		for _, tc := range []struct {
+			p    *ir.Program
+			want string
+		}{
+			{buildShrinkingLoop(), "emit0 85"},
+			{buildNeverCrashLoop(), "crash 46, emit0 51"},
+		} {
+			segs, _ := run(t, tc.p, so, Options{})
+			if got := segmentShape(segs); got != tc.want {
+				t.Errorf("%s: segments %q under Unknown, want %q, the shape without pruning", tc.p.Name, got, tc.want)
 			}
 		}
 	})

@@ -1,78 +1,10 @@
 package symbex
 
 import (
-	"math/rand"
 	"testing"
 
-	"vsd/internal/bv"
-	"vsd/internal/expr"
 	"vsd/internal/ir"
 )
-
-// TestLoopMergeSoundness checks the merged-mode contract: segments still
-// partition the input space, the predicted disposition/port/packet
-// bytes/metadata match the interpreter, and step counts are upper
-// bounds (not necessarily exact).
-func TestLoopMergeSoundness(t *testing.T) {
-	p := buildOptionsLoop(6)
-	e := newEngine(Options{LoopMode: LoopMerge})
-	segs, err := e.Run(p, DefaultInput(1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + r.Intn(16)
-		pkt := make([]byte, n)
-		r.Read(pkt)
-		pkt[0] = byte(r.Intn(n + 2))
-		for i := 1; i < n; i++ {
-			switch r.Intn(4) {
-			case 0:
-				pkt[i] = 0
-			case 1:
-				pkt[i] = 1
-			case 2:
-				pkt[i] = byte(2 + r.Intn(4))
-			}
-		}
-		asn := assignmentFor(pkt, nil)
-		var match *Segment
-		for _, s := range segs {
-			if evalSegment(s, asn) {
-				if match != nil {
-					t.Fatalf("packet % x satisfies two merged segments", pkt)
-				}
-				match = s
-			}
-		}
-		if match == nil {
-			t.Fatalf("packet % x satisfies no merged segment", pkt)
-		}
-		env2 := &ir.ExecEnv{Pkt: append([]byte{}, pkt...), Meta: map[string]bv.V{}, State: ir.NewState()}
-		out := ir.Exec(p, env2)
-		if out.Disposition != match.Disposition {
-			t.Fatalf("packet % x: concrete %v, merged symbolic %v", pkt, out.Disposition, match.Disposition)
-		}
-		if out.Disposition == ir.Emitted && out.Port != match.Port {
-			t.Fatalf("packet % x: port %d vs %d", pkt, out.Port, match.Port)
-		}
-		if out.Steps > match.Steps {
-			t.Fatalf("packet % x: concrete steps %d exceed merged upper bound %d", pkt, out.Steps, match.Steps)
-		}
-		if out.Disposition != ir.Crashed {
-			for i := range pkt {
-				got := expr.Eval(expr.Select(match.Pkt, expr.Const(32, uint64(i))), asn)
-				if byte(got.Int()) != env2.Pkt[i] {
-					t.Fatalf("packet % x: byte %d mismatch under merge", pkt, i)
-				}
-			}
-		}
-	}
-	if !e.Stats().Merged {
-		t.Error("merge mode reported no merging on a loop with multiple continuations")
-	}
-}
 
 // TestLoopMergeKeepsCrashDetection ensures merging never hides a crash:
 // a loop whose body crashes on a specific byte still yields a crash
@@ -91,7 +23,7 @@ func TestLoopMergeKeepsCrashDetection(t *testing.T) {
 	b.Emit(0)
 	p := b.MustBuild()
 
-	e := newEngine(Options{LoopMode: LoopMerge})
+	e := newEngine(Options{})
 	segs, err := e.Run(p, DefaultInput(1, 8))
 	if err != nil {
 		t.Fatal(err)

@@ -125,35 +125,14 @@ const (
 	// per-segment step counts upper bounds rather than exact values
 	// (Stats.Merged reports whether any merge happened).
 	LoopMerge LoopMode = iota
-	// LoopSummarize applies the mini-element decomposition with exact
-	// path enumeration: each feasible iteration interleaving is its own
-	// path. Exponential in the bound; exact step accounting.
-	LoopSummarize
 	// LoopUnroll inlines loop bodies up to their bound — the naive
 	// baseline ("millions of segments" for IP options).
 	LoopUnroll
 )
 
-// PruneMode selects how aggressively infeasible branches are cut during
-// exploration.
-type PruneMode uint8
-
-// Pruning strategies.
-const (
-	// PruneSolver queries the solver at every fork (constant folding
-	// runs first; most queries are decided by the cheap passes).
-	PruneSolver PruneMode = iota
-	// PruneFold only cuts branches whose condition folds to a constant.
-	// Segments with unsatisfiable path constraints may be reported; the
-	// verifier's composition step re-checks feasibility, so the end
-	// result is unchanged — only the work factor differs.
-	PruneFold
-)
-
 // Options configures an Engine.
 type Options struct {
-	LoopMode  LoopMode
-	PruneMode PruneMode
+	LoopMode LoopMode
 	// MaxSegments bounds the number of segments explored (0 = default).
 	// Exceeding it aborts with ErrBudget — how the "did not complete in
 	// 12 hours" baseline manifests at our scale.
@@ -370,9 +349,6 @@ func (x *exec) feasibleM(st *pathState, extra *expr.Expr) (bool, *expr.Assignmen
 	}
 	if st.model != nil && expr.Eval(extra, st.model).IsTrue() {
 		return true, st.model
-	}
-	if x.eng.Opts.PruneMode == PruneFold {
-		return true, nil
 	}
 	cons := make([]*expr.Expr, 0, len(x.pre)+len(st.conds)+1)
 	cons = append(cons, x.pre...)

@@ -119,9 +119,11 @@ func assignmentFor(pkt []byte, meta map[string]bv.V) *expr.Assignment {
 // checkAgreement runs the cross-validation property at the heart of the
 // test suite: for a concrete packet, exactly one segment's constraint is
 // satisfied, and that segment's symbolic effect predicts the concrete
-// interpreter's behaviour exactly (disposition, port, crash kind, step
-// count, every packet byte, every written metadata slot).
-func checkAgreement(t *testing.T, p *ir.Program, segs []*Segment, pkt []byte, meta map[string]bv.V) {
+// interpreter's behaviour exactly (disposition, port, crash kind, every
+// packet byte, every written metadata slot). The step count is exact
+// unless the run merged loop states (merged, from Stats.Merged), in
+// which case it is an upper bound.
+func checkAgreement(t *testing.T, p *ir.Program, segs []*Segment, merged bool, pkt []byte, meta map[string]bv.V) {
 	t.Helper()
 	asn := assignmentFor(pkt, meta)
 	var match *Segment
@@ -151,8 +153,8 @@ func checkAgreement(t *testing.T, p *ir.Program, segs []*Segment, pkt []byte, me
 	if out.Disposition == ir.Crashed && out.Crash.Kind != match.Crash.Kind {
 		t.Fatalf("packet % x: concrete crash %v, symbolic %v", pkt, out.Crash.Kind, match.Crash.Kind)
 	}
-	if out.Steps != match.Steps {
-		t.Fatalf("packet % x: concrete steps %d, symbolic %d", pkt, out.Steps, match.Steps)
+	if out.Steps > match.Steps || !merged && out.Steps != match.Steps {
+		t.Fatalf("packet % x: concrete steps %d, symbolic %d (merged %v)", pkt, out.Steps, match.Steps, merged)
 	}
 	if out.Disposition != ir.Crashed {
 		for i := range pkt {
@@ -177,12 +179,13 @@ func checkAgreement(t *testing.T, p *ir.Program, segs []*Segment, pkt []byte, me
 
 func TestParserSymbexAgreesWithInterpreter(t *testing.T) {
 	p := buildParser()
-	for _, mode := range []LoopMode{LoopSummarize, LoopUnroll} {
+	for _, mode := range []LoopMode{LoopMerge, LoopUnroll} {
 		e := newEngine(Options{LoopMode: mode})
 		segs, err := e.Run(p, DefaultInput(1, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
+		merged := e.Stats().Merged
 		r := rand.New(rand.NewSource(3))
 		for trial := 0; trial < 300; trial++ {
 			n := 1 + r.Intn(16)
@@ -195,7 +198,7 @@ func TestParserSymbexAgreesWithInterpreter(t *testing.T) {
 			if n > 1 && r.Intn(3) == 0 {
 				pkt[1] = 0 // trigger the division crash path
 			}
-			checkAgreement(t, p, segs, pkt, nil)
+			checkAgreement(t, p, segs, merged, pkt, nil)
 		}
 	}
 }
@@ -243,33 +246,55 @@ func buildOptionsLoop(bound int) *ir.Program {
 	return b.MustBuild()
 }
 
+// TestLoopModesAgreeWithInterpreter cross-validates both loop modes
+// against the interpreter on TLV walks. The merge cases hold the
+// production mode to the contract checkAgreement states: segments
+// partition the input space, predictions match the interpreter, and step
+// counts are exact unless the run merged, upper bounds otherwise.
 func TestLoopModesAgreeWithInterpreter(t *testing.T) {
-	p := buildOptionsLoop(4)
-	for _, mode := range []LoopMode{LoopUnroll, LoopSummarize} {
-		e := newEngine(Options{LoopMode: mode})
-		segs, err := e.Run(p, DefaultInput(1, 12))
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		r := rand.New(rand.NewSource(11))
-		for trial := 0; trial < 250; trial++ {
-			n := 1 + r.Intn(12)
-			pkt := make([]byte, n)
-			r.Read(pkt)
-			pkt[0] = byte(r.Intn(n + 2)) // end cursor near packet size
-			for i := 1; i < n; i++ {
-				// Bias option bytes toward the interesting kinds.
-				switch r.Intn(4) {
-				case 0:
-					pkt[i] = 0
-				case 1:
-					pkt[i] = 1
-				case 2:
-					pkt[i] = byte(2 + r.Intn(4))
-				}
+	for _, tc := range []struct {
+		name   string
+		mode   LoopMode
+		bound  int
+		maxLen uint64
+		seed   int64
+		trials int
+	}{
+		{"unroll", LoopUnroll, 4, 12, 11, 250},
+		{"merge", LoopMerge, 4, 12, 11, 250},
+		{"merge-bound6", LoopMerge, 6, 16, 17, 300},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := buildOptionsLoop(tc.bound)
+			e := newEngine(Options{LoopMode: tc.mode})
+			segs, err := e.Run(p, DefaultInput(1, tc.maxLen))
+			if err != nil {
+				t.Fatal(err)
 			}
-			checkAgreement(t, p, segs, pkt, nil)
-		}
+			merged := e.Stats().Merged
+			if tc.mode == LoopMerge && !merged {
+				t.Error("merge mode reported no merging on a loop with multiple continuations")
+			}
+			r := rand.New(rand.NewSource(tc.seed))
+			for trial := 0; trial < tc.trials; trial++ {
+				n := 1 + r.Intn(int(tc.maxLen))
+				pkt := make([]byte, n)
+				r.Read(pkt)
+				pkt[0] = byte(r.Intn(n + 2)) // end cursor near packet size
+				for i := 1; i < n; i++ {
+					// Bias option bytes toward the interesting kinds.
+					switch r.Intn(4) {
+					case 0:
+						pkt[i] = 0
+					case 1:
+						pkt[i] = 1
+					case 2:
+						pkt[i] = byte(2 + r.Intn(4))
+					}
+				}
+				checkAgreement(t, p, segs, merged, pkt, nil)
+			}
+		})
 	}
 }
 
@@ -277,13 +302,13 @@ func TestLoopSummarizeExploresFewerStepsThanUnroll(t *testing.T) {
 	// The point of the paper's loop decomposition: the body is executed
 	// once; iterations are composed. The unrolled engine re-executes the
 	// body per iteration per path, so its symbolic step count grows much
-	// faster with the bound.
+	// faster with the bound than the summarizing (merge) engine's.
 	p := buildOptionsLoop(5)
 	eu := newEngine(Options{LoopMode: LoopUnroll})
 	if _, err := eu.Run(p, DefaultInput(1, 12)); err != nil {
 		t.Fatal(err)
 	}
-	es := newEngine(Options{LoopMode: LoopSummarize})
+	es := newEngine(Options{LoopMode: LoopMerge})
 	if _, err := es.Run(p, DefaultInput(1, 12)); err != nil {
 		t.Fatal(err)
 	}
@@ -389,25 +414,6 @@ func TestSegmentBudgetExceeded(t *testing.T) {
 	_, err := e.Run(p, DefaultInput(12, 64))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-}
-
-func TestPruneFoldStillSound(t *testing.T) {
-	// With solver pruning off, extra (infeasible) segments may appear,
-	// but every concrete packet must still match exactly one segment
-	// whose prediction is correct.
-	p := buildParser()
-	e := newEngine(Options{PruneMode: PruneFold})
-	segs, err := e.Run(p, DefaultInput(1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 100; trial++ {
-		n := 1 + r.Intn(16)
-		pkt := make([]byte, n)
-		r.Read(pkt)
-		checkAgreement(t, p, segs, pkt, nil)
 	}
 }
 

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"encoding/hex"
+	"strings"
 	"testing"
 
 	"vsd/internal/click"
@@ -188,5 +189,21 @@ func TestBatchBoundIsUpperOnlyWhenMerged(t *testing.T) {
 	}
 	if v := verdicts[1]; !v.Certified || !v.BoundIsUpper {
 		t.Errorf("checksum loop: certified %v, bound %d upper %v; want certified with an upper bound", v.Certified, v.BoundSteps, v.BoundIsUpper)
+	}
+}
+
+// TestBatchRejectsEmptyLengthRange: a batch under MinLen > MaxLen gives
+// every submission its configuration error as the verdict's Error, and
+// certifies none.
+func TestBatchRejectsEmptyLengthRange(t *testing.T) {
+	items := []BatchItem{
+		{Name: "router", Pipeline: parsePipeline(t, ipRouterConfig)},
+		{Name: "counter", Pipeline: parsePipeline(t, counterSatConfig)},
+	}
+	verdicts, _, _ := Batch(items, Options{MinLen: packet.MinFrame, MaxLen: 10})
+	for _, v := range verdicts {
+		if v.Certified || v.CrashFree || !strings.Contains(v.Error, "empty packet-length range 14..10") {
+			t.Errorf("%s: certified %v, crash-free %v, error %q; want the empty-range error", v.Name, v.Certified, v.CrashFree, v.Error)
+		}
 	}
 }

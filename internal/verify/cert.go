@@ -308,12 +308,8 @@ func (t *certTable) record(kind int, key []byte, feasible, sat bool) {
 
 // certTableFor returns the verifier's decision table for a walk of p
 // over the given summaries (from summarizeAll), loading the stored
-// certificate the first time a key is seen. nil when the summaries are
-// not cached, so have no digest to key on (DisableSummaryCache).
+// certificate the first time a key is seen.
 func (v *Verifier) certTableFor(p *click.Pipeline, sums []*summaryEntry) *certTable {
-	if v.opts.DisableSummaryCache {
-		return nil
-	}
 	h := ir.NewHasher(certVersion)
 	h.Fingerprint(p.Fingerprint())
 	h.U64(v.opts.MinLen)

@@ -46,8 +46,13 @@
 // §3): distinct element classes are summarized concurrently, and the
 // composed-path walk fans subtrees out to a bounded worker pool, each
 // worker discharging suspect paths on its own incremental solver
-// session (DESIGN.md §2). Options.Parallelism bounds the pool; every
-// verdict is independent of the schedule.
+// session (DESIGN.md §2). Options.Parallelism bounds the pool. Every
+// verdict and instruction bound is independent of the schedule, and so
+// are the Stats fields ComposedPaths, ComposedInfeasible and
+// SegmentsTotal. The solver's search counters in Stats.Solver
+// (decisions, conflicts, propagations, learnt clauses) are not: a
+// pooled walk session carries learnt clauses across whichever subtrees
+// the schedule hands it.
 //
 // # Persistence and batch admission
 //

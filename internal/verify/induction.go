@@ -348,11 +348,8 @@ func (v *Verifier) seqSupported(p *click.Pipeline) error {
 		if err != nil {
 			return err
 		}
-		// No per-program record without the cache; the verifier-wide
-		// flag is the conservative stand-in (may reject a clean element,
-		// never accepts a merged one).
-		if v.summariesMerged([]*summaryEntry{ent}) {
-			return fmt.Errorf("verify: %s: loop-state merging unioned the state-access logs; sequence verification needs exact interleavings (rerun with LoopSummarize)", e.Name())
+		if ent.merged {
+			return fmt.Errorf("verify: %s: loop-state merging unioned the state-access logs; sequence verification needs exact interleavings", e.Name())
 		}
 	}
 	return nil

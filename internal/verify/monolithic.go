@@ -25,23 +25,23 @@ type MonolithicReport struct {
 // inline everything into one program and symbolically execute it whole,
 // with no decomposition, no summary reuse, and loops unrolled. The
 // explored path count is ~2^(k·n) instead of the compositional ~k·2^n,
-// which is why the paper's baseline did not finish within 12 hours. The
-// budget options make the blow-up observable at benchmark scale instead
-// of wall-clock scale.
-func Monolithic(p *click.Pipeline, opts Options) (*MonolithicReport, error) {
-	if opts.MinLen == 0 {
-		opts.MinLen = 14
-	}
-	if opts.MaxLen == 0 {
-		opts.MaxLen = 1514
+// which is why the paper's baseline did not finish within 12 hours.
+// maxSegments bounds the explored segments (0 = symbex's default), which
+// makes the blow-up observable at benchmark scale instead of wall-clock
+// scale.
+func Monolithic(p *click.Pipeline, opts Options, maxSegments int) (*MonolithicReport, error) {
+	opts, err := opts.normalize()
+	if err != nil {
+		return nil, err
 	}
 	prog, err := click.Inline(p)
 	if err != nil {
 		return nil, fmt.Errorf("verify: inlining: %w", err)
 	}
-	sopts := opts.Symbex
-	sopts.LoopMode = symbex.LoopUnroll // "without ... any of the presented ideas"
-	engine := symbex.New(smt.New(opts.solverOptions()), sopts)
+	engine := symbex.New(smt.New(opts.solverOptions()), symbex.Options{
+		LoopMode:    symbex.LoopUnroll, // "without ... any of the presented ideas"
+		MaxSegments: maxSegments,
+	})
 	// Pipeline ingress semantics match the compositional verifier:
 	// metadata annotations start zeroed.
 	input := symbex.DefaultInput(opts.MinLen, opts.MaxLen)

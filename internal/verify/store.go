@@ -42,23 +42,15 @@ type SummaryStore interface {
 // without recording them in segment conditions — a summary computed
 // under [64,128] legitimately omits crash segments that only packets
 // shorter than 64 bytes can reach, so reusing it at [14,48] would be
-// unsound. The loop and pruning modes likewise change which segments a
-// summary contains. Zero option values normalize exactly as in New, so
-// equal effective configurations share keys.
+// unsound. Step 1 has one engine configuration, so nothing else enters
+// the key. Zero option values normalize exactly as in New, so equal
+// effective configurations share keys.
 func StoreKey(prog *ir.Program, opts Options) ir.Fingerprint {
-	minLen, maxLen := opts.MinLen, opts.MaxLen
-	if minLen == 0 {
-		minLen = 14
-	}
-	if maxLen == 0 {
-		maxLen = 1514
-	}
-	h := ir.NewHasher("vsd/sumkey/v1")
+	opts, _ = opts.normalize()
+	h := ir.NewHasher("vsd/sumkey/v2")
 	h.Fingerprint(prog.Fingerprint())
-	h.U64(minLen)
-	h.U64(maxLen)
-	h.U64(uint64(opts.Symbex.LoopMode))
-	h.U64(uint64(opts.Symbex.PruneMode))
+	h.U64(opts.MinLen)
+	h.U64(opts.MaxLen)
 	return h.Sum()
 }
 

@@ -204,24 +204,24 @@ func TestDiskStoreRejectsFingerprintMismatch(t *testing.T) {
 	if _, err := v.CrashFreedom(p); err != nil {
 		t.Fatal(err)
 	}
-	ents, err := os.ReadDir(dir)
+	// The summaries only: the directory also holds the walk's
+	// certificate, and where its name sorts depends on key bytes.
+	ents, err := filepath.Glob(filepath.Join(dir, "*"+summaryExt))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ents) < 2 {
-		t.Fatalf("want at least 2 artifacts, got %d", len(ents))
+		t.Fatalf("want at least 2 summary artifacts, got %d", len(ents))
 	}
 	// Swap one artifact's name for another's key.
-	a := filepath.Join(dir, ents[0].Name())
-	b := filepath.Join(dir, ents[1].Name())
-	data, err := os.ReadFile(a)
+	data, err := os.ReadFile(ents[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(b, data, 0o644); err != nil {
+	if err := os.WriteFile(ents[1], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	keyB, err := ir.ParseFingerprint(ents[1].Name()[:64])
+	keyB, err := ir.ParseFingerprint(filepath.Base(ents[1])[:64])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,20 +22,18 @@ import (
 type Options struct {
 	// MinLen and MaxLen bound the symbolic packet length (defaults:
 	// packet.MinFrame and packet.MaxFrame are typical; zero values become
-	// 14 and 1514).
+	// 14 and 1514). MinLen > MaxLen is an empty range, which every
+	// property rejects with an error.
 	MinLen, MaxLen uint64
-	// Engine options forwarded to the symbolic executor.
-	Symbex symbex.Options
-	// DisableSummaryCache re-runs Step 1 for every pipeline position
-	// (ablation: the paper processes each element once).
-	DisableSummaryCache bool
-	// MaxComposedPaths bounds Step-2 exploration (0 = default).
-	MaxComposedPaths int
 	// Parallelism bounds the worker pool for Step-1 summarization and
 	// the Step-2 composed-path walk. 0 uses GOMAXPROCS; 1 disables
-	// concurrency. Verdicts and statistics are schedule-independent;
-	// witness ordering is canonicalized by path (name, then (element,
-	// segment) steps).
+	// concurrency. Verdicts, the instruction bound and the Stats fields
+	// ComposedPaths, ComposedInfeasible and SegmentsTotal are
+	// schedule-independent; witness ordering is canonicalized by path
+	// (name, then (element, segment) steps). The solver's search
+	// counters (Stats.Solver: decisions, conflicts, propagations, learnt
+	// clauses) are not: pooled walk sessions carry learnt clauses across
+	// whichever subtrees the schedule hands them.
 	Parallelism int
 	// Store persists Step-1 summaries across Verifier instances (and,
 	// with a DiskStore, across processes), keyed by program fingerprint.
@@ -77,6 +75,30 @@ type Options struct {
 	Profile bool
 }
 
+// normalize applies New's defaults to the packet-length bounds and
+// rejects an empty range: no packet has a length in MinLen..MaxLen when
+// MinLen > MaxLen, so every property would hold vacuously. Every
+// property (through Verifier.summary) and Monolithic pass through here.
+func (o Options) normalize() (Options, error) {
+	if o.MinLen == 0 {
+		o.MinLen = 14
+	}
+	if o.MaxLen == 0 {
+		o.MaxLen = 1514
+	}
+	if o.MinLen > o.MaxLen {
+		return o, fmt.Errorf("verify: empty packet-length range %d..%d: MinLen exceeds MaxLen", o.MinLen, o.MaxLen)
+	}
+	return o, nil
+}
+
+// Validate reports the error every property returns under this
+// configuration, if any, so a command can refuse it before it starts.
+func (o Options) Validate() error {
+	_, err := o.normalize()
+	return err
+}
+
 // solverOptions translates the verifier-level solver budgets into
 // smt.Options (shared by the compositional verifier and the monolithic
 // baseline so the two compare like with like).
@@ -92,7 +114,8 @@ func (o Options) solverOptions() smt.Options {
 // Options.MaxRefinedReads is zero.
 const DefaultMaxRefinedReads = 2
 
-// DefaultMaxComposedPaths bounds Step-2 path enumeration.
+// DefaultMaxComposedPaths bounds Step-2 path enumeration: a walk that
+// would explore more composed paths fails with an error.
 const DefaultMaxComposedPaths = 1 << 18
 
 // Stats describes the work a verification performed.
@@ -150,6 +173,9 @@ type Stats struct {
 type Verifier struct {
 	solver *smt.Solver
 	opts   Options
+	// optsErr is opts' normalize error: an invalid configuration every
+	// property reports instead of a verdict.
+	optsErr error
 
 	// mu guards the summary cache, the statistics, and the idle pools.
 	// The per-query counters below are atomics instead: every walker
@@ -207,17 +233,13 @@ type summaryEntry struct {
 
 // New returns a Verifier with a fresh solver and empty caches.
 func New(opts Options) *Verifier {
-	if opts.MinLen == 0 {
-		opts.MinLen = 14
-	}
-	if opts.MaxLen == 0 {
-		opts.MaxLen = 1514
-	}
+	opts, optsErr := opts.normalize()
 	v := &Verifier{
-		opts:  opts,
-		cache: map[ir.Fingerprint]*summaryEntry{},
-		certs: map[ir.Fingerprint]*certTable{},
-		tel:   newVtel(opts),
+		opts:    opts,
+		optsErr: optsErr,
+		cache:   map[ir.Fingerprint]*summaryEntry{},
+		certs:   map[ir.Fingerprint]*certTable{},
+		tel:     newVtel(opts),
 	}
 	so := opts.solverOptions()
 	so.Interrupt = &v.interrupt
@@ -365,13 +387,12 @@ const (
 
 // summary is Summarize returning the filled cache slot, whose merged
 // flag and digest belong to exactly these segments even if the cap has
-// since dropped the slot from the cache. With the cache disabled the
-// slot is a fresh one, shared with no one.
+// since dropped the slot from the cache. Every property asks for its
+// summaries here first, so an invalid configuration (normalize) fails
+// them all before any work.
 func (v *Verifier) summary(e *click.Instance) (*summaryEntry, error) {
-	if v.opts.DisableSummaryCache {
-		ent := &summaryEntry{}
-		ent.segs, ent.merged, ent.err = v.summarize(e)
-		return ent, ent.err
+	if v.optsErr != nil {
+		return &summaryEntry{err: v.optsErr}, v.optsErr
 	}
 	key := e.SummaryKey()
 	v.mu.Lock()
@@ -437,15 +458,8 @@ func (v *Verifier) loadOrSummarize(e *click.Instance) ([]*symbex.Segment, bool, 
 }
 
 // summariesMerged reports whether any of a walk's summaries carries the
-// merged (steps-are-upper-bounds) flag. With the cache disabled the
-// verifier-wide flag stands in — conservative: it may report an upper
-// bound where the bound is exact, never the reverse.
+// merged (steps-are-upper-bounds) flag.
 func (v *Verifier) summariesMerged(sums []*summaryEntry) bool {
-	if v.opts.DisableSummaryCache {
-		v.mu.Lock()
-		defer v.mu.Unlock()
-		return v.stats.SymbexStats.Merged
-	}
 	for _, ent := range sums {
 		if ent.merged {
 			return true
@@ -486,7 +500,7 @@ func (v *Verifier) summarize(e *click.Instance) (segs []*symbex.Segment, merged 
 	lane := v.tel.getLane()
 	sp := lane.Begin("step1", "summarize:"+e.Name())
 	start := time.Now()
-	eng := symbex.New(v.solver, v.opts.Symbex)
+	eng := symbex.New(v.solver, symbex.Options{})
 	segs, err = eng.Run(e.Program(), v.input())
 	est := eng.Stats()
 	merged = est.Merged
@@ -866,7 +880,6 @@ type walker struct {
 	extraPre  []*expr.Expr
 	cert      *certTable // nil unless extraPre is empty
 	summaries []*summaryEntry
-	limit     int64
 	visit     func(pathEnd) error
 
 	tasks    chan walkTask
@@ -994,8 +1007,8 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 			if err := w.doVisit(end); err != nil {
 				return err
 			}
-			if n > w.limit {
-				return fmt.Errorf("verify: more than %d composed paths", w.limit)
+			if n > DefaultMaxComposedPaths {
+				return fmt.Errorf("verify: more than %d composed paths", DefaultMaxComposedPaths)
 			}
 		}
 		if w.stopped.Load() {
@@ -1015,10 +1028,6 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 // reports whether the walk's step counts are upper bounds
 // (summariesMerged).
 func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, saves *certSaves, visit func(pathEnd) error) (merged bool, cert *certTable, err error) {
-	limit := v.opts.MaxComposedPaths
-	if limit <= 0 {
-		limit = DefaultMaxComposedPaths
-	}
 	sp := v.tel.main.Begin("phase", "step1:summarize-all")
 	summaries, err := v.summarizeAll(p.Elements)
 	sp.End()
@@ -1033,7 +1042,6 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, saves *certSav
 		p:         p,
 		extraPre:  extraPre,
 		summaries: summaries,
-		limit:     int64(limit),
 		visit:     visit,
 	}
 	if len(extraPre) == 0 {

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"strings"
 	"testing"
 
 	"vsd/internal/bv"
@@ -176,7 +177,7 @@ func TestIPRouterInstructionBound(t *testing.T) {
 		t.Errorf("witness executes %d statements, above the bound %d", res.Steps, rep.MaxSteps)
 	}
 	if !v.Stats().SymbexStats.Merged && res.Steps != rep.MaxSteps {
-		t.Errorf("exact mode: witness executes %d statements, bound says %d", res.Steps, rep.MaxSteps)
+		t.Errorf("no merge reported: witness executes %d statements, bound says %d", res.Steps, rep.MaxSteps)
 	}
 	t.Logf("instruction bound: %d, witness %d bytes", rep.MaxSteps, len(rep.Witness.Packet))
 }
@@ -202,7 +203,7 @@ func TestComposedAgreesWithMonolithic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mono, err := Monolithic(p, Options{MinLen: packet.MinFrame, MaxLen: 64})
+			mono, err := Monolithic(p, Options{MinLen: packet.MinFrame, MaxLen: 64}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -361,14 +362,9 @@ func TestSummaryCacheSharesAcrossPositions(t *testing.T) {
 	if st.SummaryCacheHits == 0 {
 		t.Errorf("no cache hits; stats = %+v", st)
 	}
-	// Ablation: with the cache disabled every position re-summarizes.
-	v2 := New(Options{MinLen: packet.MinFrame, MaxLen: 64, DisableSummaryCache: true})
-	if _, err := v2.CrashFreedom(p); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Stats().ElementsSummarized <= st.ElementsSummarized {
-		t.Errorf("cache ablation did not increase summarization work: %d vs %d",
-			v2.Stats().ElementsSummarized, st.ElementsSummarized)
+	if st.ElementsSummarized >= len(p.Elements) {
+		t.Errorf("%d engine runs for %d elements; the two Strip(7) positions should share one",
+			st.ElementsSummarized, len(p.Elements))
 	}
 }
 
@@ -413,6 +409,46 @@ func TestVerifierStatsAndPre(t *testing.T) {
 	for _, c := range pre {
 		if !expr.Eval(c, asn).IsTrue() {
 			t.Errorf("len=64 violates precondition %s", c)
+		}
+	}
+}
+
+// TestEmptyLengthRangeRejected pins the length-range check: with MinLen
+// above MaxLen (here MaxLen 10 below the default MinLen 14) no packet
+// exists, so a property must report an error, never a vacuous verdict.
+// Every property and Monolithic fail the same way; a one-length range
+// is still valid.
+func TestEmptyLengthRangeRejected(t *testing.T) {
+	p := parsePipeline(t, ipRouterConfig)
+	v := New(Options{MaxLen: 10})
+	if rep, err := v.CrashFreedom(p); err == nil || !strings.Contains(err.Error(), "14..10") {
+		t.Errorf("crash freedom over lengths 14..10: report %+v, error %v; want the empty-range error", rep, err)
+	}
+	if rep, err := v.BoundedInstructions(p); err == nil {
+		t.Errorf("bound over an empty range: %+v, want an error", rep)
+	}
+	if segs, err := v.Summarize(p.Elements[0]); err == nil {
+		t.Errorf("Step 1 over an empty range gave %d segments, want an error", len(segs))
+	}
+	if st := v.Stats(); st.ElementsSummarized != 0 || st.Solver.Queries != 0 {
+		t.Errorf("an invalid configuration did work: %d engine runs, %d solver queries", st.ElementsSummarized, st.Solver.Queries)
+	}
+	if rep, err := Monolithic(p, Options{MinLen: 60, MaxLen: 59}, 0); err == nil {
+		t.Errorf("monolithic baseline over an empty range: %+v, want an error", rep)
+	}
+	// UnsafeReader(16) reads packet bytes 16..19: a one-length range at
+	// 20 is safe, one at 19 is not.
+	one := parsePipeline(t, "s :: InfiniteSource; s -> UnsafeReader(16) -> Discard;")
+	for _, tc := range []struct {
+		n    uint64
+		safe bool
+	}{{20, true}, {19, false}} {
+		rep, err := New(Options{MinLen: tc.n, MaxLen: tc.n}).CrashFreedom(one)
+		if err != nil {
+			t.Fatalf("lengths %d..%d: %v", tc.n, tc.n, err)
+		}
+		if rep.Verified != tc.safe || !tc.safe && len(rep.Witnesses[0].Packet) != int(tc.n) {
+			t.Errorf("lengths %d..%d: verified %v, witnesses %d; want verified %v", tc.n, tc.n, rep.Verified, len(rep.Witnesses), tc.safe)
 		}
 	}
 }
