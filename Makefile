@@ -64,7 +64,11 @@ serve-smoke:
 # verdicts. A walk or induction that sent an obligation to the solver
 # would save a certificate, so the warm run must save none and make no
 # Step-2 query; and replay builds no formula (DESIGN.md §7.5), so it
-# must substitute no composed state.
+# must substitute no composed state. A third run batches a copy of the
+# corpus whose router has other prefixes on the same ports: Step 1 sees
+# a route table only through its value set (DESIGN.md §3.2), so this
+# route edit must also run no engine, solve no Step-2 query, save no
+# certificate, and print the cold verdicts but for the fingerprint.
 STORE_CI_DIR ?= .store-ci
 store-roundtrip:
 	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)
@@ -79,7 +83,19 @@ store-roundtrip:
 	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/warm.json
 	grep -q '"step2_queries": 0,' $(STORE_CI_DIR)/warm.json
 	grep -q '"stitches_built": 0,' $(STORE_CI_DIR)/warm.json
-	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch or sequence extension solved, no state built"
+	cp -r examples/corpus $(STORE_CI_DIR)/edit
+	sed -i 's|LookupIPRoute(10.0.0.0/8 0, 192.168.0.0/16 1, 0.0.0.0/0 2)|LookupIPRoute(172.16.0.0/12 0, 10.1.0.0/16 1, 0.0.0.0/0 2)|' $(STORE_CI_DIR)/edit/router.click
+	grep -q '172.16.0.0/12 0, 10.1.0.0/16 1' $(STORE_CI_DIR)/edit/router.click
+	$(GO) run ./cmd/vsdverify -batch $(STORE_CI_DIR)/edit -maxlen 48 \
+		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/edit.json > $(STORE_CI_DIR)/edit.jsonl
+	sed 's/"fingerprint":"[0-9a-f]*"//' $(STORE_CI_DIR)/cold.jsonl > $(STORE_CI_DIR)/cold.nofp
+	sed 's/"fingerprint":"[0-9a-f]*"//' $(STORE_CI_DIR)/edit.jsonl > $(STORE_CI_DIR)/edit.nofp
+	diff $(STORE_CI_DIR)/cold.nofp $(STORE_CI_DIR)/edit.nofp
+	! diff -q $(STORE_CI_DIR)/cold.jsonl $(STORE_CI_DIR)/edit.jsonl > /dev/null
+	grep -q '"elements_summarized": 0,' $(STORE_CI_DIR)/edit.json
+	grep -q '"step2_queries": 0,' $(STORE_CI_DIR)/edit.json
+	grep -q '"cert_saves": 0,' $(STORE_CI_DIR)/edit.json
+	@echo "store-roundtrip: warm run identical, zero engine runs, no stitch or sequence extension solved, no state built; route edit re-solved nothing"
 
 # seq-smoke is the multi-packet verification gate (DESIGN.md §8): the
 # k-induction must PROVE the saturating counter crash-free for packet

@@ -446,13 +446,13 @@ func runB1(ctx *benchCtx) error {
 	if err != nil {
 		return err
 	}
-	ctx.printf("%-6s %10s %10s %12s %13s %12s %11s %11s %9s %7s %9s %12s\n",
-		"run", "pipelines", "certified", "engine-runs", "step1-checks", "store-hits", "cache-hits", "artifacts", "replayed", "built", "sat-calls", "time")
+	ctx.printf("%-6s %10s %10s %12s %13s %12s %11s %11s %9s %7s %8s %9s %12s\n",
+		"run", "pipelines", "certified", "engine-runs", "step1-checks", "store-hits", "cache-hits", "artifacts", "replayed", "built", "refined", "sat-calls", "time")
 	var coldNS int64
 	for _, r := range rows {
-		ctx.printf("%-6s %10d %10d %12d %13d %12d %11d %11d %9d %7d %9d %12v\n",
+		ctx.printf("%-6s %10d %10d %12d %13d %12d %11d %11d %9d %7d %8d %9d %12v\n",
 			r.Run, r.Pipelines, r.Certified, r.EngineRuns, r.Step1Checks, r.StoreHits,
-			r.CacheHits, r.StoreFiles, r.StitchesReplayed, r.StitchesBuilt, r.Solver.SatCalls, r.Duration.Round(1e6))
+			r.CacheHits, r.StoreFiles, r.StitchesReplayed, r.StitchesBuilt, r.TableRefinements, r.Solver.SatCalls, r.Duration.Round(1e6))
 		m := map[string]float64{
 			"pipelines":    float64(r.Pipelines),
 			"certified":    float64(r.Certified),
@@ -465,6 +465,7 @@ func runB1(ctx *benchCtx) error {
 
 			"stitches-replayed": float64(r.StitchesReplayed),
 			"stitches-built":    float64(r.StitchesBuilt),
+			"table-refinements": float64(r.TableRefinements),
 			"cert-hits":         float64(r.Certs.CertHits),
 			"cert-misses":       float64(r.Certs.CertMisses),
 			"cert-corrupt":      float64(r.Certs.CertCorrupt),

@@ -444,6 +444,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"seq_spec_refuted":     st.SeqSpecRefuted,
 			"stitches_replayed":    int(st.StitchesReplayed),
 			"stitches_built":       int(st.StitchesBuilt),
+			"table_refinements":    int(st.TableRefinements),
 		},
 	}
 	// The degradation ladder, observable (DESIGN.md §9): every rung the

@@ -162,9 +162,10 @@ func TestStatsExposesRefinementAndInductionCounters(t *testing.T) {
 }
 
 // TestStatsExposeStitchCounters: /stats and /metrics report how many
-// stitch decisions were replayed and how many composed states were
-// built. A resubmission replays its walks from the verifier's
-// certificate tables and builds nothing.
+// stitch decisions were replayed, how many composed states were built
+// and how many path ends the concrete tables ruled out (none here). A
+// resubmission replays its walks from the verifier's certificate tables
+// and builds nothing.
 func TestStatsExposeStitchCounters(t *testing.T) {
 	s := &server{}
 	s.verifier = verify.New(verify.Options{MinLen: 14, MaxLen: 48, Metrics: s.initTelemetry()})
@@ -195,10 +196,14 @@ func TestStatsExposeStitchCounters(t *testing.T) {
 		t.Errorf("resubmission: built %d -> %d, replayed %d -> %d; want built unchanged, replayed up",
 			first["stitches_built"], c["stitches_built"], first["stitches_replayed"], c["stitches_replayed"])
 	}
+	if n, ok := c["table_refinements"]; !ok || n != 0 {
+		t.Errorf("table_refinements = %d (present %v), want 0", n, ok)
+	}
 	rec := do(t, s, http.MethodGet, "/metrics", "", "")
 	for _, line := range []string{
 		fmt.Sprintf("vsd_stitches_built_total %d", c["stitches_built"]),
 		fmt.Sprintf("vsd_stitches_replayed_total %d", c["stitches_replayed"]),
+		"vsd_table_refinements_total 0",
 	} {
 		if !strings.Contains(rec.Body.String(), line+"\n") {
 			t.Errorf("/metrics lacks %q", line)

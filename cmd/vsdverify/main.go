@@ -531,6 +531,7 @@ func runBatch(dir, statsFile string, opts verify.Options) {
 			"refinement_truncated": st.RefinementTruncated,
 			"stitches_replayed":    st.StitchesReplayed,
 			"stitches_built":       st.StitchesBuilt,
+			"table_refinements":    st.TableRefinements,
 			"step1_checks":         st.SymbexStats.SolverChecks,
 			"step2_queries":        st.SolverQueries,
 			"wall_ms":              dur.Milliseconds(),

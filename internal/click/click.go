@@ -35,15 +35,16 @@ func (e *Instance) Config() string { return e.cfg }
 func (e *Instance) Program() *ir.Program { return e.prog }
 
 // SummaryKey identifies the Step-1 summary this element can share:
-// instances with content-identical programs have interchangeable segment
-// summaries. This is the paper's "we process each element once, even if
-// it may be called from different points in the pipeline". The key is
-// the compiled program's content fingerprint, not the class+config
-// string: two registries (or a re-registered class) binding the same
-// name to different element code can never alias each other's
-// summaries, and identical programs registered under different names
-// still share one.
-func (e *Instance) SummaryKey() ir.Fingerprint { return e.prog.Fingerprint() }
+// instances whose programs agree up to their static tables' ranges have
+// interchangeable segment summaries. This is the paper's "we process
+// each element once, even if it may be called from different points in
+// the pipeline". The key is the compiled program's summary fingerprint
+// (ir.Program.SummaryFingerprint), not the class+config string: two
+// registries (or a re-registered class) binding the same name to
+// different element code can never alias each other's summaries,
+// identical programs registered under different names still share one,
+// and so do two route tables with the same value set.
+func (e *Instance) SummaryKey() ir.Fingerprint { return e.prog.SummaryFingerprint() }
 
 // Constructor builds an element program from a configuration string.
 type Constructor func(cfg string) (*ir.Program, error)
@@ -95,11 +96,22 @@ func (r *Registry) Make(name, class, cfg string) (*Instance, error) {
 // paths, so they are part of the identity). Batch admission uses this
 // to deduplicate resubmitted configurations.
 func (p *Pipeline) Fingerprint() ir.Fingerprint {
-	h := ir.NewHasher("vsd/click/v1")
+	return p.fingerprint("vsd/click/v1", (*ir.Program).Fingerprint)
+}
+
+// SummaryFingerprint is Fingerprint over the elements' summary
+// fingerprints: the pipeline as Step 2 sees it, blind to the ranges of
+// its static tables. Step-2 certificate keys hash it.
+func (p *Pipeline) SummaryFingerprint() ir.Fingerprint {
+	return p.fingerprint("vsd/click/values/v1", (*ir.Program).SummaryFingerprint)
+}
+
+func (p *Pipeline) fingerprint(format string, progFP func(*ir.Program) ir.Fingerprint) ir.Fingerprint {
+	h := ir.NewHasher(format)
 	h.U64(uint64(len(p.Elements)))
 	for _, e := range p.Elements {
 		h.Str(e.Name())
-		h.Fingerprint(e.Program().Fingerprint())
+		h.Fingerprint(progFP(e.Program()))
 	}
 	h.U64(uint64(p.Entry))
 	for _, edges := range p.Edges {

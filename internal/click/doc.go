@@ -15,10 +15,14 @@
 //
 // Instance.SummaryKey is the contract with the verifier's Step-1 cache
 // and the persistent summary store (DESIGN.md §3, §7): it is the
-// compiled program's content fingerprint, so instances with identical
+// compiled program's summary fingerprint, its content hash with static
+// tables reduced to their value sets, so instances with identical
 // element code share summaries — the paper's "we process each element
 // once, even if it may be called from different points in the
-// pipeline" — while same-named classes from different registries can
-// never alias each other's. Pipeline.Fingerprint lifts the identity to
-// whole configurations for batch-admission deduplication.
+// pipeline" — and so do route tables that differ only in their ranges,
+// while same-named classes from different registries can never alias
+// each other's. Pipeline.Fingerprint lifts the concrete identity to
+// whole configurations for batch-admission deduplication;
+// Pipeline.SummaryFingerprint lifts the summary one for Step-2
+// certificate keys.
 package click

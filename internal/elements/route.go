@@ -41,9 +41,10 @@ const noRouteSentinel = 0xff
 
 // compileLPM turns a route list into disjoint [lo, hi] -> value ranges,
 // longest prefix winning, with adjacent equal-valued ranges merged.
-// The value packs gateway<<8 | port. This is the paper's array-chain
-// observation made concrete: a symbolic lookup forks one path per range
-// (a handful), not one per address or per table entry.
+// The value packs gateway<<8 | port. The ranges serve the interpreter
+// and the compiled dataplane; a symbolic lookup forks one path per
+// distinct value (a (gateway, port) pair), however many routes or
+// ranges hold it, so the verifier's work does not grow with the table.
 func compileLPM(routes []routeEntry) []ir.RangeEntry {
 	// Collect elementary interval boundaries: each prefix contributes
 	// [lo, hi]; boundaries at lo and hi+1.
@@ -137,7 +138,8 @@ func parseRoutes(cfg string) ([]routeEntry, int, error) {
 // routing on the IPv4 destination address: the matched route's gateway
 // is stored in the gw annotation and the packet leaves on the route's
 // output port. Packets matching no route are dropped. The route table is
-// static state, compiled to a range table at configuration time.
+// static state, compiled to a range table at configuration time;
+// verification sees it only through its value set (DESIGN.md §3.2).
 func LookupIPRoute(cfg string) (*ir.Program, error) {
 	routes, maxPort, err := parseRoutes(cfg)
 	if err != nil {

@@ -533,9 +533,11 @@ type B1Row struct {
 	StoreFiles  int // artifacts on disk after the pass
 	// StitchesReplayed counts Step-2 stitch decisions replayed from
 	// certificates, StitchesBuilt the composed states whose formulas
-	// were substituted; Certs is the pass's certificate traffic.
+	// were substituted, TableRefinements the path ends the concrete
+	// static tables ruled out; Certs is the pass's certificate traffic.
 	StitchesReplayed int64
 	StitchesBuilt    int64
+	TableRefinements int64
 	Certs            verify.StoreStats
 	Duration         time.Duration
 	Solver           smt.Stats
@@ -601,6 +603,7 @@ func B1BatchStore(maxLen uint64, parallelism int, storeDir string) ([]B1Row, err
 
 			StitchesReplayed: st.StitchesReplayed,
 			StitchesBuilt:    st.StitchesBuilt,
+			TableRefinements: st.TableRefinements,
 			Certs:            certDelta(before, store.Stats()),
 		})
 		if run == "cold" {

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"slices"
 	"sort"
 )
 
@@ -45,8 +46,25 @@ func ParseFingerprint(s string) (Fingerprint, error) {
 // cached. Programs are immutable after Build, so the cache is sound; it
 // is safe for concurrent use.
 func (p *Program) Fingerprint() Fingerprint {
-	p.fpOnce.Do(func() { p.fp = fingerprint(p) })
+	p.fpOnce.Do(func() { p.fp = fingerprint(p, false) })
 	return p.fp
+}
+
+// SummaryFingerprint is the program's identity as Step 1 sees it: the
+// content hash with each static table reduced to its name, widths,
+// default and sorted value set. Symbolic execution reads a table only
+// through its values (StaticTable.Values), so two programs that differ
+// only in their ranges have the same summary, and a route edit that
+// keeps the value set keeps every summary key. Computed once and
+// cached, like Fingerprint. A program without tables has nothing to
+// reduce: its summary fingerprint is its fingerprint, so a submission
+// pays the second hash only for its table elements.
+func (p *Program) SummaryFingerprint() Fingerprint {
+	if len(p.Tables) == 0 {
+		return p.Fingerprint()
+	}
+	p.sfpOnce.Do(func() { p.sfp = fingerprint(p, true) })
+	return p.sfp
 }
 
 // Hasher exposes the fingerprint serialization discipline to the other
@@ -101,9 +119,14 @@ func (w *fpWriter) str(s string) {
 	w.h.Write([]byte(s))
 }
 
-func fingerprint(p *Program) Fingerprint {
+func fingerprint(p *Program, valuesOnly bool) Fingerprint {
 	w := &fpWriter{h: sha256.New()}
-	w.str("vsd/ir/v1") // format version: bump on any encoding change
+	// Format versions: bump on any encoding change.
+	if valuesOnly {
+		w.str("vsd/ir/values/v1")
+	} else {
+		w.str("vsd/ir/v1")
+	}
 	w.str(p.Name)
 	w.u64(uint64(p.NumIn))
 	w.u64(uint64(p.NumOut))
@@ -125,6 +148,15 @@ func fingerprint(p *Program) Fingerprint {
 		w.u64(uint64(t.KeyW))
 		w.u64(uint64(t.ValW))
 		w.u64(t.Default)
+		if valuesOnly {
+			vals := t.Values()
+			slices.Sort(vals)
+			w.u64(uint64(len(vals)))
+			for _, v := range vals {
+				w.u64(v)
+			}
+			continue
+		}
 		w.u64(uint64(len(t.Entries)))
 		for _, e := range t.Entries {
 			w.u64(e.Lo)

@@ -166,3 +166,87 @@ func TestFingerprintWidthMatters(t *testing.T) {
 		t.Error("constant width ignored by fingerprint")
 	}
 }
+
+// TestSummaryFingerprintSeesValueSets pins the summary identity of
+// static tables (DESIGN.md §3.2): a table counts by name, widths,
+// default and the set of values a lookup can return, never by its
+// ranges, while the concrete fingerprint still sees every range.
+func TestSummaryFingerprintSeesValueSets(t *testing.T) {
+	body := fig1Variant(t, 10)
+	withTable := func(entries ...RangeEntry) *Program {
+		return &Program{
+			Name: body.Name, NumIn: body.NumIn, NumOut: body.NumOut, RegWidths: body.RegWidths,
+			Tables: []*StaticTable{{Name: "t", KeyW: 8, ValW: 8, Entries: entries, Default: 7}},
+			Body:   body.Body, MetaSlots: body.MetaSlots,
+		}
+	}
+	base := withTable(RangeEntry{Lo: 0, Hi: 99, Val: 1}, RangeEntry{Lo: 100, Hi: 255, Val: 2})
+	same := []*Program{
+		withTable(RangeEntry{Lo: 0, Hi: 9, Val: 2}, RangeEntry{Lo: 10, Hi: 255, Val: 1}),
+		withTable(RangeEntry{Lo: 0, Hi: 9, Val: 1}, RangeEntry{Lo: 10, Hi: 19, Val: 2}, RangeEntry{Lo: 20, Hi: 255, Val: 1}),
+	}
+	for i, p := range same {
+		if p.SummaryFingerprint() != base.SummaryFingerprint() {
+			t.Errorf("same value set %d: summary fingerprints differ", i)
+		}
+		if p.Fingerprint() == base.Fingerprint() {
+			t.Errorf("other ranges %d: concrete fingerprints collide", i)
+		}
+	}
+	differ := map[string]*Program{
+		"other value":         withTable(RangeEntry{Lo: 0, Hi: 99, Val: 1}, RangeEntry{Lo: 100, Hi: 255, Val: 3}),
+		"a gap adds 7":        withTable(RangeEntry{Lo: 0, Hi: 99, Val: 1}, RangeEntry{Lo: 100, Hi: 254, Val: 2}),
+		"the table's program": body,
+	}
+	for name, p := range differ {
+		if p.SummaryFingerprint() == base.SummaryFingerprint() {
+			t.Errorf("%s: summary fingerprints collide", name)
+		}
+	}
+	if body.SummaryFingerprint() != body.Fingerprint() {
+		t.Error("a program without tables has a second identity")
+	}
+}
+
+func TestStaticTableValuesAndKeys(t *testing.T) {
+	tbl := &StaticTable{Name: "t", KeyW: 8, ValW: 8, Default: 7, Entries: []RangeEntry{
+		{Lo: 5, Hi: 9, Val: 2}, {Lo: 10, Hi: 19, Val: 1}, {Lo: 20, Hi: 29, Val: 2}, {Lo: 40, Hi: 255, Val: 1}}}
+	if got := tbl.Values(); len(got) != 3 || got[0] != 2 || got[1] != 1 || got[2] != 7 {
+		t.Errorf("Values = %v, want [2 1 7]: first appearance, then the default of the gaps", got)
+	}
+	keys := map[uint64][]RangeEntry{
+		2: {{Lo: 5, Hi: 9}, {Lo: 20, Hi: 29}},
+		1: {{Lo: 10, Hi: 19}, {Lo: 40, Hi: 255}},
+		7: {{Lo: 0, Hi: 4}, {Lo: 30, Hi: 39}},
+		9: nil,
+	}
+	for val, want := range keys {
+		got := tbl.KeysOf(val)
+		if len(got) != len(want) {
+			t.Errorf("KeysOf(%d) = %v, want %v", val, got, want)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("KeysOf(%d) = %v, want %v", val, got, want)
+			}
+		}
+	}
+	for k := uint64(0); k <= 255; k++ {
+		v, _ := tbl.Lookup(k)
+		found := false
+		for _, iv := range tbl.KeysOf(v) {
+			found = found || (iv.Lo <= k && k <= iv.Hi)
+		}
+		if !found {
+			t.Fatalf("key %d looks up %d but is not among KeysOf(%d)", k, v, v)
+		}
+	}
+	full := &StaticTable{Name: "f", KeyW: 8, ValW: 8, Default: 7, Entries: []RangeEntry{{Lo: 0, Hi: 127, Val: 1}, {Lo: 128, Hi: 255, Val: 1}}}
+	if got := full.Values(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("covering table Values = %v, want [1] (no default)", got)
+	}
+	if got := full.KeysOf(1); len(got) != 1 || got[0] != (RangeEntry{Lo: 0, Hi: 255}) {
+		t.Errorf("adjacent ranges of one value: KeysOf = %v, want one merged interval", got)
+	}
+}

@@ -261,8 +261,9 @@ type RangeEntry struct {
 // StaticTable is an immutable range-compressed lookup table: the static
 // state of the paper (forwarding tables, filter tables). Entries must be
 // sorted and disjoint; Lookup returns Default when no range contains the
-// key. Range compression is what keeps symbolic lookups tractable — a
-// symbolic key forks one path per range, not one per table entry.
+// key. Symbolic execution sees it only through its value set: a lookup
+// on a symbolic key forks one path per value (Values), not per range or
+// entry, so the ranges stay out of every summary (DESIGN.md §3.2).
 type StaticTable struct {
 	Name    string
 	KeyW    bv.Width
@@ -287,6 +288,75 @@ func (t *StaticTable) Lookup(key uint64) (uint64, bool) {
 		}
 	}
 	return t.Default, false
+}
+
+// Values returns the values a lookup can return, each once, in order of
+// first appearance over the key space's ranges, with Default last when
+// some key falls in no range.
+func (t *StaticTable) Values() []uint64 {
+	var out []uint64
+	seen := map[uint64]bool{}
+	add := func(v uint64) {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
+		}
+	}
+	for _, e := range t.Entries {
+		add(e.Val)
+	}
+	if !t.covers() {
+		add(t.Default)
+	}
+	return out
+}
+
+// covers reports whether the entries leave no key of the key width
+// uncovered (they are sorted and disjoint, so adjacency suffices).
+func (t *StaticTable) covers() bool {
+	next := uint64(0)
+	for _, e := range t.Entries {
+		if e.Lo != next {
+			return false
+		}
+		if e.Hi == t.KeyW.Mask() {
+			return true
+		}
+		next = e.Hi + 1
+	}
+	return false
+}
+
+// KeysOf returns the keys that look up val, as sorted disjoint [Lo, Hi]
+// intervals with adjacent ones merged (Val is unset): the ranges holding
+// val, and the uncovered gaps when val is the default.
+func (t *StaticTable) KeysOf(val uint64) []RangeEntry {
+	var out []RangeEntry
+	add := func(lo, hi uint64) {
+		if n := len(out); n > 0 && out[n-1].Hi+1 == lo {
+			out[n-1].Hi = hi
+			return
+		}
+		out = append(out, RangeEntry{Lo: lo, Hi: hi})
+	}
+	next, done := uint64(0), false
+	for _, e := range t.Entries {
+		if val == t.Default && e.Lo > next {
+			add(next, e.Lo-1)
+		}
+		if e.Val == val {
+			add(e.Lo, e.Hi)
+		}
+		if e.Hi == t.KeyW.Mask() {
+			done = true
+			break
+		}
+		next = e.Hi + 1
+	}
+	if val == t.Default && !done {
+		add(next, t.KeyW.Mask())
+	}
+	return out
 }
 
 // Validate checks that entries are sorted, disjoint, and within the key
@@ -325,9 +395,12 @@ type Program struct {
 	Body      []Stmt
 	MetaSlots map[string]bv.Width // metadata annotations referenced
 
-	// fp caches Fingerprint(); see fingerprint.go.
-	fpOnce sync.Once
-	fp     Fingerprint
+	// fp caches Fingerprint() and sfp SummaryFingerprint(); see
+	// fingerprint.go.
+	fpOnce  sync.Once
+	fp      Fingerprint
+	sfpOnce sync.Once
+	sfp     Fingerprint
 }
 
 // RegWidth returns the declared width of r.

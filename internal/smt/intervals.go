@@ -420,3 +420,19 @@ func preAnalyze(atoms []*expr.Expr) (intervalVerdict, *expr.Assignment) {
 	}
 	return intervalMaybe, nil
 }
+
+// Ranges returns, for each expression, a sound over-approximation
+// [lo, hi] of the values it can take under any assignment: the interval
+// pre-pass's range analysis with no refinements, shared across es. The
+// analysis is not pooled: its memo spans whole expression DAGs, and a
+// map keeps its size, so every later query that drew it from iaPool
+// would pay for that size when clearing it.
+func Ranges(es []*expr.Expr) [][2]uint64 {
+	ia := &intervalAnalysis{leaves: map[*expr.Expr]interval{}, memo: map[*expr.Expr]interval{}}
+	out := make([][2]uint64, len(es))
+	for i, e := range es {
+		iv := ia.rangeOf(e)
+		out[i] = [2]uint64{iv.Lo, iv.Hi}
+	}
+	return out
+}

@@ -36,6 +36,13 @@
 //     options element. It is the baseline of verify.Monolithic and of
 //     the A2 experiment.
 //
+// Static tables (StaticLookup) are read through their value set: a
+// constant key looks up exactly, and a symbolic key forks one path per
+// value the table can return, with the key unconstrained and the lookup
+// logged on the segment (TableLookup), so no range of the table enters
+// a summary. The verifier ties a reported path's keys back to the
+// concrete table (DESIGN.md §3.2).
+//
 // Mutable data structures (StateRead/StateWrite) follow the paper's
 // modeling: a read returns a fresh unconstrained symbolic value and is
 // logged, a write is logged; the verifier later checks whether any "bad"

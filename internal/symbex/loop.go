@@ -45,11 +45,12 @@ type bodySummary struct {
 	how   summaryKind
 	conds []*expr.Expr
 	// Effects (always present).
-	pkt    *expr.Array
-	meta   map[string]*expr.Expr
-	steps  int64
-	reads  []StateAccess
-	writes []StateUpdate
+	pkt     *expr.Array
+	meta    map[string]*expr.Expr
+	steps   int64
+	reads   []StateAccess
+	writes  []StateUpdate
+	lookups []TableLookup
 	// regs are the final register values, needed for fellThrough and
 	// brokeLoop to continue the parent path.
 	regs []*expr.Expr
@@ -106,6 +107,7 @@ func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 			steps:       seg.Steps,
 			reads:       seg.Reads,
 			writes:      seg.Writes,
+			lookups:     seg.Lookups,
 			disposition: seg.Disposition,
 			port:        seg.Port,
 			crash:       seg.Crash,
@@ -117,14 +119,15 @@ func (x *exec) summaries(stmt ir.LoopStmt) ([]*bodySummary, error) {
 			how = bodyBroke
 		}
 		sums = append(sums, &bodySummary{
-			how:    how,
-			conds:  c.st.conds,
-			pkt:    c.st.pkt,
-			meta:   c.st.meta,
-			steps:  c.st.steps,
-			reads:  c.st.reads,
-			writes: c.st.writes,
-			regs:   c.st.regs,
+			how:     how,
+			conds:   c.st.conds,
+			pkt:     c.st.pkt,
+			meta:    c.st.meta,
+			steps:   c.st.steps,
+			reads:   c.st.reads,
+			writes:  c.st.writes,
+			lookups: c.st.lookups,
+			regs:    c.st.regs,
 		})
 	}
 	x.loopMemo[key] = sums
@@ -197,6 +200,13 @@ func (x *exec) instantiate(sum *bodySummary, parent *pathState) *pathState {
 		})
 	}
 	cs.nAcc = base + AccessSpan(sum.reads, sum.writes)
+	for _, lk := range sum.lookups {
+		lk.Key = sub.Apply(lk.Key)
+		if lk.Guard != nil {
+			lk.Guard = sub.Apply(lk.Guard)
+		}
+		cs.lookups = append(cs.lookups, lk)
+	}
 	if sum.regs != nil {
 		for i, r := range sum.regs {
 			cs.regs[i] = sub.Apply(r)
@@ -440,6 +450,19 @@ func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
 				if n > m.nRead[store] {
 					m.nRead[store] = n
 				}
+			}
+		}
+		// Table lookups: each sibling's own, guarded by its delta, so a
+		// reported path constrains the key of the lookup it took only.
+		m.lookups = parent.lookups[:len(parent.lookups):len(parent.lookups)]
+		for i, s := range g {
+			for _, lk := range s.lookups[len(parent.lookups):] {
+				if lk.Guard == nil {
+					lk.Guard = deltas[i]
+				} else {
+					lk.Guard = expr.And(deltas[i], lk.Guard)
+				}
+				m.lookups = append(m.lookups, lk)
 			}
 		}
 		// Any sibling's witness satisfies the disjunction.

@@ -338,7 +338,7 @@ func (e *Engine) seqDFS(sess *smt.IncrementalSession, in Input, segs []*Segment,
 func (e *Engine) seqExtend(sess *smt.IncrementalSession, in Input, path *SeqPath, seg *Segment, t int) (*SeqPath, error) {
 	scope := SeqScope(t)
 	state := path.State.Fork()
-	sub := ScopeSubst(scope, seg.Cond, seg.Pkt, seg.Reads, seg.Writes, readVarNames(seg.Reads))
+	sub := ScopeSubst(scope, seg.Cond, seg.Pkt, seg.Reads, seg.Writes, seg.Lookups, readVarNames(seg.Reads))
 	ThreadState(state, sub, seg.Reads, seg.Writes, nil)
 	var conds []*expr.Expr
 	for _, pre := range in.Pre {
@@ -396,13 +396,14 @@ func readVarNames(reads []StateAccess) map[string]bool {
 
 // ScopeSubst builds the step-t input renaming for one execution: the
 // entry packet array and length move into the scope, and every other
-// free variable of the execution's conditions, effects, and state
-// access expressions — element-level metadata inputs, loop leftovers —
+// free variable of the execution's conditions, effects, state access
+// and table-lookup expressions — element-level metadata inputs, loop
+// leftovers —
 // is scoped likewise, except the state-read variables in keep, which
 // ThreadState resolves. Renaming everything (rather than an allowlist)
 // is what guarantees two steps of a sequence share no accidental
 // variables.
-func ScopeSubst(scope string, conds []*expr.Expr, pkt *expr.Array, reads []StateAccess, writes []StateUpdate, keep map[string]bool) *expr.Subst {
+func ScopeSubst(scope string, conds []*expr.Expr, pkt *expr.Array, reads []StateAccess, writes []StateUpdate, lookups []TableLookup, keep map[string]bool) *expr.Subst {
 	sub := expr.NewSubst()
 	sub.BindArr(PktArrayName, expr.BaseArray(scope+PktArrayName))
 	sub.BindVar(PktLenVar, expr.Var(scope+PktLenVar, 32))
@@ -429,6 +430,12 @@ func ScopeSubst(scope string, conds []*expr.Expr, pkt *expr.Array, reads []State
 	for _, wr := range writes {
 		bind(expr.Vars(wr.Key, nil))
 		bind(expr.Vars(wr.Val, nil))
+	}
+	for _, lk := range lookups {
+		bind(expr.Vars(lk.Key, nil))
+		if lk.Guard != nil {
+			bind(expr.Vars(lk.Guard, nil))
+		}
 	}
 	return sub
 }

@@ -3,7 +3,7 @@ package symbex
 // Summary artifacts: the serializable form of a Step-1 result
 // (DESIGN.md §7). A Summary is engine-independent — it carries only the
 // segment set (path constraints, packet store chains, metadata, state
-// access logs, crash records) plus the exactness flag, all expressed in
+// access logs, table-lookup logs, crash records) plus the exactness flag, all expressed in
 // the hash-consed expr universe. EncodeSummary/DecodeSummary are the
 // stable binary codec behind the verifier's on-disk summary store:
 // decoding re-interns every term through the expr constructors, so a
@@ -30,10 +30,10 @@ type Summary struct {
 // summaryMagic versions the segment-table layout; the expr record
 // stream is versioned separately by its own tags. v2 added the
 // access-order Seq field to state reads and writes (sequence execution
-// needs the interleaving); v1 artifacts fail the magic check and decode
-// as store misses, which re-summarizes — exactly the invalidation the
-// format change requires.
-const summaryMagic = "vsdsum2\n"
+// needs the interleaving); v3 added the table-lookup log. Older
+// artifacts fail the magic check and decode as store misses, which
+// re-summarizes — exactly the invalidation the format change requires.
+const summaryMagic = "vsdsum3\n"
 
 // EncodeSummary serializes s into a self-contained byte stream:
 // the magic, one shared expr/array record stream, and the segment
@@ -86,6 +86,18 @@ func EncodeSummary(s *Summary) []byte {
 			u(enc.AddExpr(wr.Key))
 			u(enc.AddExpr(wr.Val))
 			u(uint64(wr.Seq))
+		}
+		u(uint64(len(sg.Lookups)))
+		for _, lk := range sg.Lookups {
+			str(lk.Table)
+			u(enc.AddExpr(lk.Key))
+			u(lk.Val)
+			if lk.Guard != nil {
+				u(1)
+				u(enc.AddExpr(lk.Guard))
+			} else {
+				u(0)
+			}
 		}
 	}
 	out := append([]byte{}, summaryMagic...)
@@ -174,6 +186,14 @@ func DecodeSummary(data []byte) (s *Summary, err error) {
 		nWrites := r.u64()
 		for j := uint64(0); j < nWrites && r.err == nil; j++ {
 			sg.Writes = append(sg.Writes, StateUpdate{Store: r.str(), Key: r.expr(), Val: r.expr(), Seq: int(r.u64())})
+		}
+		nLookups := r.u64()
+		for j := uint64(0); j < nLookups && r.err == nil; j++ {
+			lk := TableLookup{Table: r.str(), Key: r.expr(), Val: r.u64()}
+			if r.u64() != 0 {
+				lk.Guard = r.expr()
+			}
+			sg.Lookups = append(sg.Lookups, lk)
 		}
 		s.Segments = append(s.Segments, sg)
 	}

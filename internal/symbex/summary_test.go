@@ -12,11 +12,13 @@ import (
 
 // summarizeStateful builds and summarizes an element exercising every
 // segment feature: packet loads/stores, metadata, state reads/writes,
-// crashes (bounds + divide), multiple dispositions, and a loop.
+// crashes (bounds + divide), multiple dispositions, and a loop whose
+// table lookup merging guards.
 func summarizeStateful(t *testing.T) *Summary {
 	t.Helper()
 	b := ir.NewBuilder("Rich", 1, 2)
 	b.DeclareState(ir.StateDecl{Name: "flows", KeyW: 32, ValW: 32, Default: 1})
+	b.DeclareTable(&ir.StaticTable{Name: "t", KeyW: 8, ValW: 8, Entries: []ir.RangeEntry{{Lo: 0, Hi: 127, Val: 1}, {Lo: 128, Hi: 255, Val: 2}}})
 	v := b.LoadPktC(0, 2)
 	m := b.MetaLoad("mark", 16)
 	b.MetaStore("mark", b.Bin(ir.Add, m, v))
@@ -26,6 +28,7 @@ func summarizeStateful(t *testing.T) *Summary {
 	b.StateWrite("flows", key, q)
 	b.Loop(2, func() {
 		b.StorePkt(b.ConstU(32, 2), b.ConstU(8, 0xfe), 1)
+		b.MetaStore("tv", b.StaticLookup("t", b.LoadPktC(3, 1)))
 	})
 	b.If(b.BinC(ir.Ult, v, 1000), func() {
 		b.Emit(0)
@@ -50,6 +53,7 @@ func summarizeStateful(t *testing.T) *Summary {
 // the same hash-consed universe).
 func TestSummaryRoundTrip(t *testing.T) {
 	sum := summarizeStateful(t)
+	guarded := false
 	got, err := DecodeSummary(EncodeSummary(sum))
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +115,20 @@ func TestSummaryRoundTrip(t *testing.T) {
 				t.Errorf("segment %d write %d differs", i, j)
 			}
 		}
+		if len(g.Lookups) != len(want.Lookups) {
+			t.Fatalf("segment %d: %d lookups, want %d", i, len(g.Lookups), len(want.Lookups))
+		}
+		for j := range want.Lookups {
+			if g.Lookups[j] != want.Lookups[j] {
+				t.Errorf("segment %d lookup %d differs", i, j)
+			}
+			if want.Lookups[j].Guard != nil {
+				guarded = true
+			}
+		}
+	}
+	if !guarded {
+		t.Error("no segment carries a guarded lookup: the loop merge is not covered")
 	}
 }
 

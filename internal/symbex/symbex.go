@@ -73,6 +73,21 @@ func AccessSpan(reads []StateAccess, writes []StateUpdate) int {
 	return n
 }
 
+// TableLookup logs one static-table lookup on a symbolic key: the
+// table, the key expression and the value the path took. Step 1 forks
+// one path per table value without constraining the key (see
+// staticLookup), so the record is what ties the value back to the
+// concrete table: a caller that reports the path conjoins Key ∈
+// KeysOf(Val) (DESIGN.md §3.2). Guard is the condition under which the
+// lookup happened on the path, nil when it always did; only loop-state
+// merging sets it, to the merged sibling's condition.
+type TableLookup struct {
+	Table string
+	Key   *expr.Expr
+	Val   uint64
+	Guard *expr.Expr
+}
+
 // CrashRecord tags a crashing segment.
 type CrashRecord struct {
 	Kind ir.CrashKind
@@ -102,6 +117,8 @@ type Segment struct {
 	// Reads and Writes log private-state accesses along the path.
 	Reads  []StateAccess
 	Writes []StateUpdate
+	// Lookups logs the path's static-table lookups on symbolic keys.
+	Lookups []TableLookup
 }
 
 // CondExpr returns the path constraint as a single conjunction.
@@ -286,6 +303,8 @@ type pathState struct {
 	writes []StateUpdate
 	nRead  map[string]int // per-store read counter for fresh names
 	nAcc   int            // state-access counter (assigns StateAccess/StateUpdate.Seq)
+	// lookups logs the static-table lookups on symbolic keys.
+	lookups []TableLookup
 	// model is a concrete witness satisfying conds (and the global Pre),
 	// or nil when none is cached. Forks whose branch condition the
 	// witness satisfies are feasible without a solver call — the
@@ -295,18 +314,19 @@ type pathState struct {
 
 func (s *pathState) fork() *pathState {
 	c := &pathState{
-		prog:   s.prog,
-		regs:   append([]*expr.Expr{}, s.regs...),
-		pkt:    s.pkt,
-		plen:   s.plen,
-		meta:   make(map[string]*expr.Expr, len(s.meta)),
-		conds:  append([]*expr.Expr{}, s.conds...),
-		steps:  s.steps,
-		reads:  append([]StateAccess{}, s.reads...),
-		writes: append([]StateUpdate{}, s.writes...),
-		nRead:  make(map[string]int, len(s.nRead)),
-		nAcc:   s.nAcc,
-		model:  s.model,
+		prog:    s.prog,
+		regs:    append([]*expr.Expr{}, s.regs...),
+		pkt:     s.pkt,
+		plen:    s.plen,
+		meta:    make(map[string]*expr.Expr, len(s.meta)),
+		conds:   append([]*expr.Expr{}, s.conds...),
+		steps:   s.steps,
+		reads:   append([]StateAccess{}, s.reads...),
+		writes:  append([]StateUpdate{}, s.writes...),
+		nRead:   make(map[string]int, len(s.nRead)),
+		nAcc:    s.nAcc,
+		lookups: append([]TableLookup{}, s.lookups...),
+		model:   s.model,
 	}
 	for k, v := range s.meta {
 		c.meta[k] = v
@@ -399,6 +419,7 @@ func (x *exec) emitSegment(st *pathState, disp ir.Disposition, port int, crash *
 		Steps:       st.steps,
 		Reads:       st.reads,
 		Writes:      st.writes,
+		Lookups:     st.lookups,
 	}
 	x.out = append(x.out, seg)
 	x.eng.stats.Segments++
@@ -635,8 +656,14 @@ func (x *exec) boundsCheck(st *pathState, off *expr.Expr, n int) (bool, error) {
 	return true, nil
 }
 
-// staticLookup forks one path per table range plus the default, the
-// range-compressed static state lookup of the paper.
+// staticLookup reads a static table. A constant key looks up exactly.
+// A symbolic key forks one path per value the table can return
+// (ir.StaticTable.Values, in first-appearance order), with no constraint
+// on the key: the paper's key/value interface, which keeps the table's
+// ranges out of the summary. This over-approximates the table, so a
+// universal property proved over the forks holds for it; each fork logs
+// the lookup, and a caller about to report a path conjoins the concrete
+// key ranges of its value (DESIGN.md §3.2).
 func (x *exec) staticLookup(stmt ir.StaticLookupStmt, st *pathState) ([]*pathState, []continuation, error) {
 	t, _ := x.prog.TableByName(stmt.Table)
 	key := st.regs[stmt.Key]
@@ -645,24 +672,16 @@ func (x *exec) staticLookup(stmt ir.StaticLookupStmt, st *pathState) ([]*pathSta
 		st.regs[stmt.Dst] = expr.Const(t.ValW, v)
 		return []*pathState{st}, nil, nil
 	}
-	var out []*pathState
-	notAny := expr.True()
-	for _, ent := range t.Entries {
-		inRange := expr.And(
-			expr.Ule(expr.Const(t.KeyW, ent.Lo), key),
-			expr.Ule(key, expr.Const(t.KeyW, ent.Hi)),
-		)
-		if ok, m := x.feasibleM(st, inRange); ok {
-			cs := forkWith(st, inRange, m)
-			cs.regs[stmt.Dst] = expr.Const(t.ValW, ent.Val)
-			out = append(out, cs)
+	vals := t.Values()
+	out := make([]*pathState, len(vals))
+	for i, v := range vals {
+		cs := st
+		if i < len(vals)-1 {
+			cs = st.fork()
 		}
-		notAny = expr.And(notAny, expr.Not(inRange))
-	}
-	if ok, m := x.feasibleM(st, notAny); ok {
-		cs := forkWith(st, notAny, m)
-		cs.regs[stmt.Dst] = expr.Const(t.ValW, t.Default)
-		out = append(out, cs)
+		cs.regs[stmt.Dst] = expr.Const(t.ValW, v)
+		cs.lookups = append(cs.lookups, TableLookup{Table: t.Name, Key: key, Val: v})
+		out[i] = cs
 	}
 	return out, nil, nil
 }

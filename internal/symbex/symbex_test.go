@@ -318,7 +318,7 @@ func TestLoopSummarizeExploresFewerStepsThanUnroll(t *testing.T) {
 	}
 }
 
-func TestStaticLookupForksPerRange(t *testing.T) {
+func TestStaticLookupForksPerValue(t *testing.T) {
 	table := &ir.StaticTable{
 		Name: "rt", KeyW: 32, ValW: 8,
 		Entries: []ir.RangeEntry{
@@ -341,14 +341,24 @@ func TestStaticLookupForksPerRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 3 lookup outcomes + 1 OOB crash branch is impossible (len >= 4), so
-	// expect exactly 3 emitted segments on ports 1, 2, 0.
+	// 3 lookup values (the default covers the gaps) + 1 OOB crash branch
+	// that is impossible (len >= 4), so expect exactly 3 emitted segments
+	// on ports 1, 2, 0, each logging its lookup and none constraining the
+	// key: it is the caller's to tie a reported path's key to its value.
 	ports := map[int]int{}
 	for _, s := range segs {
 		if s.Disposition != ir.Emitted {
 			t.Fatalf("unexpected %v segment: %s", s.Disposition, s.CondExpr())
 		}
 		ports[s.Port]++
+		if len(s.Lookups) != 1 || s.Lookups[0].Table != "rt" || s.Lookups[0].Key != expr.SelectWide(expr.BaseArray(PktArrayName), expr.Const(32, 0), 4) {
+			t.Errorf("segment %d lookups = %+v, want the one on the packet's first word", s.Index, s.Lookups)
+		}
+		for _, c := range s.Cond {
+			if len(expr.SelectsOf(c, nil)) > 0 {
+				t.Errorf("segment %d constrains the key: %s", s.Index, c)
+			}
+		}
 	}
 	if ports[0] != 1 || ports[1] != 1 || ports[2] != 1 {
 		t.Errorf("port distribution = %v, want one segment per port", ports)

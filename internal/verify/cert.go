@@ -10,6 +10,12 @@ package verify
 // paths. A certificate records those answers (decisions only, never a
 // model) under a key hashed from exactly those inputs, so a later walk
 // or induction over the same inputs replays them instead of solving.
+// The inputs see static tables only through their value sets (DESIGN.md
+// §3.2), so neither do the keys: a route edit that keeps the value set
+// keeps the certificate. The one table-dependent decision, whether the
+// bound's attaining path survives the concrete tables (tables.go), is a
+// leaf entry keyed by the concrete pipeline fingerprint when it needed
+// the solver.
 
 import (
 	"crypto/sha256"
@@ -29,7 +35,7 @@ import (
 // certVersion tags certificate keys. The certificate encoding is
 // versioned by it too: a format change bumps the tag, so old files are
 // never read under new keys.
-const certVersion = "vsd/cert/v2"
+const certVersion = "vsd/cert/v3"
 
 // Certificate is the decision table of one certificate key. Its stitch
 // entries record, for every recorded stitch obligation, identified by
@@ -37,19 +43,21 @@ const certVersion = "vsd/cert/v2"
 // entry, whether the stitched constraint is feasible. Its sequence
 // entries record the same for every sequence extension of the
 // crash-freedom induction (induction.go), identified by the initial
-// state mode and the paths of the sequence's packets (seqKey). It also
+// state mode and the paths of the sequence's packets (seqKey). Its leaf
+// entries record the table check of bound candidates (leafKey). It also
 // records the summary segment count of each element, the range every
 // path must stay inside. Its contents are private: stores persist it
 // with the store's framing and never look inside.
 type Certificate struct {
 	shape   []int
-	entries [2]map[string]bool // by entry kind
+	entries [3]map[string]bool // by entry kind
 }
 
 // Entry kinds: a certificate keeps one decision map of each.
 const (
 	stitchEntry = iota // keyed by certPath
 	seqEntry           // keyed by seqKey
+	leafEntry          // keyed by leafKey
 )
 
 // certStep is the encoded size of one path step in a table key: the
@@ -77,9 +85,23 @@ func seqKey(prefix []byte, c *composed) []byte {
 	return certPath(key, c)
 }
 
+// leafKey is the leaf entry key of a walk end: a tag byte, then for a
+// table-dependent decision (p non-nil) p's concrete fingerprint, then
+// the end's certPath. With tag 0 the entry records whether the end's
+// lookups are free of its conditions (lookupsFree), a fact of the
+// summaries alone; with tag 1, whether the end is feasible under p's
+// tables.
+func leafKey(p *click.Pipeline, c *composed) []byte {
+	if p == nil {
+		return certPath([]byte{0}, c)
+	}
+	fp := p.Fingerprint()
+	return certPath(append([]byte{1}, fp[:]...), c)
+}
+
 // newCertificate returns an empty certificate of the given shape.
 func newCertificate(shape []int) *Certificate {
-	return &Certificate{shape: shape, entries: [2]map[string]bool{{}, {}}}
+	return &Certificate{shape: shape, entries: [3]map[string]bool{{}, {}, {}}}
 }
 
 // appendPath encodes a certPath key: its step count, then each element
@@ -92,11 +114,12 @@ func appendPath(out []byte, p string) []byte {
 	return out
 }
 
-// encode serializes the certificate: the shape, then the stitch entries
-// and the sequence entries, each sorted by key, so the bytes depend only
-// on the content, never on the order in which walkers recorded it. A
-// sequence entry is its mode byte, its packet count, then each packet's
-// path.
+// encode serializes the certificate: the shape, then the stitch, the
+// sequence and the leaf entries, each sorted by key, so the bytes depend
+// only on the content, never on the order in which walkers recorded it.
+// A sequence entry is its mode byte, its packet count, then each
+// packet's path; a leaf entry is its tag byte, the fingerprint a tag of
+// 1 carries, then its path.
 func (c *Certificate) encode() []byte {
 	out := binary.AppendUvarint(nil, uint64(len(c.shape)))
 	for _, n := range c.shape {
@@ -106,9 +129,17 @@ func (c *Certificate) encode() []byte {
 		keys := sortedKeys(m)
 		out = binary.AppendUvarint(out, uint64(len(keys)))
 		for _, k := range keys {
-			if kind == stitchEntry {
+			switch kind {
+			case stitchEntry:
 				out = appendPath(out, k)
-			} else {
+			case leafEntry:
+				n := 1
+				if k[0] == 1 {
+					n += len(ir.Fingerprint{})
+				}
+				out = append(out, k[:n]...)
+				out = appendPath(out, k[n:])
+			default:
 				out = append(out, k[0])
 				var paths []string
 				for rest := k[1:]; len(rest) > 0; {
@@ -223,10 +254,13 @@ func decodeCertificate(data []byte) (*Certificate, error) {
 		prev := ""
 		for i := uint64(0); i < nEntries; i++ {
 			var key []byte
-			if kind == stitchEntry {
+			switch kind {
+			case stitchEntry:
 				key, err = d.path(nil, false)
-			} else {
+			case seqEntry:
 				key, err = d.seqKey()
+			default:
+				key, err = d.leafKey()
 			}
 			if err != nil {
 				return nil, err
@@ -247,6 +281,25 @@ func decodeCertificate(data []byte) (*Certificate, error) {
 		return nil, fmt.Errorf("%w: trailing bytes", errCorruptCert)
 	}
 	return c, nil
+}
+
+// leafKey reads a leaf entry's key: a tag byte, the fingerprint a tag
+// of 1 carries, then one path.
+func (d *certDecoder) leafKey() ([]byte, error) {
+	tag, err := d.byteBelow(2)
+	if err != nil {
+		return nil, err
+	}
+	key := []byte{tag}
+	if tag == 1 {
+		n := len(ir.Fingerprint{})
+		if len(d.data)-d.pos < n {
+			return nil, errCorruptCert
+		}
+		key = append(key, d.data[d.pos:d.pos+n]...)
+		d.pos += n
+	}
+	return d.path(key, false)
 }
 
 // seqKey reads a sequence entry's key: a mode byte (boot or symbolic
@@ -308,10 +361,13 @@ func (t *certTable) record(kind int, key []byte, feasible, sat bool) {
 
 // certTableFor returns the verifier's decision table for a walk of p
 // over the given summaries (from summarizeAll), loading the stored
-// certificate the first time a key is seen.
+// certificate the first time a key is seen. The key hashes p's summary
+// fingerprint, not its concrete one: the decisions depend on the
+// tables only through the summaries, but for the leaf entries of tag 1,
+// whose own keys carry the concrete fingerprint.
 func (v *Verifier) certTableFor(p *click.Pipeline, sums []*summaryEntry) *certTable {
 	h := ir.NewHasher(certVersion)
-	h.Fingerprint(p.Fingerprint())
+	h.Fingerprint(p.SummaryFingerprint())
 	h.U64(v.opts.MinLen)
 	h.U64(v.opts.MaxLen)
 	for _, ent := range sums {

@@ -416,20 +416,22 @@ func testCert(stitches, seqs map[string]bool) *Certificate {
 }
 
 // spliceSeqs encodes c with its sequence entries replaced by the given
-// keys, written in the given order whatever it is: each key's bytes are
-// cut from an encoding of c holding only that entry.
+// keys, written in the given order whatever it is, and no leaf entries:
+// each key's bytes are cut from an encoding of c holding only that
+// entry.
 func spliceSeqs(c *Certificate, keys ...string) []byte {
 	only := func(seqs map[string]bool) []byte {
 		return testCertShape(c, seqs).encode()
 	}
 	base := only(nil)
-	out := append([]byte{}, base[:len(base)-1]...) // drop the count 0
+	prefix := base[:len(base)-2] // drop the sequence and leaf counts 0
+	out := append([]byte{}, prefix...)
 	out = binary.AppendUvarint(out, uint64(len(keys)))
 	for _, k := range keys {
 		one := only(map[string]bool{k: true})
-		out = append(out, one[len(base):]...)
+		out = append(out, one[len(prefix)+1:len(one)-1]...)
 	}
-	return out
+	return append(out, 0)
 }
 
 func testCertShape(c *Certificate, seqs map[string]bool) *Certificate {
@@ -441,10 +443,11 @@ func testCertShape(c *Certificate, seqs map[string]bool) *Certificate {
 
 // TestCertificateCodec pins the artifact's decoding contract: the
 // encoding depends only on the content, and every malformation —
-// truncation, a stitch or sequence path outside the recorded shape, a
-// bad initial-state mode byte, sequence entries out of order or
-// repeated, a bad decision byte, trailing bytes — is an error, never a
-// panic; through the DiskStore it is a counted corrupt miss.
+// truncation, a stitch, sequence or leaf path outside the recorded
+// shape, a bad initial-state mode byte or leaf tag, sequence entries
+// out of order or repeated, a bad decision byte, trailing bytes — is an
+// error, never a panic; through the DiskStore it is a counted corrupt
+// miss.
 func TestCertificateCodec(t *testing.T) {
 	s00, s10, s12 := certState([2]int{0, 0}), certState([2]int{0, 0}, [2]int{1, 0}), certState([2]int{0, 0}, [2]int{1, 2})
 	stitches := map[string]bool{string(certPath(nil, s00)): true, string(certPath(nil, s12)): false, string(certPath(nil, s10)): true}
@@ -455,11 +458,15 @@ func TestCertificateCodec(t *testing.T) {
 		certSeq(symbex.InitSymbolic, s10, s00, s12): true,
 	}
 	a := testCert(stitches, seqs)
+	pipe := twinBranchPipeline(t)
+	leaves := map[string]bool{string(leafKey(nil, s12)): false, string(leafKey(pipe, s12)): true, string(leafKey(nil, s10)): true}
+	maps.Copy(a.entries[leafEntry], leaves)
 	enc := a.encode()
 	// Decoding then re-encoding reproduces the bytes whatever order the
 	// maps iterate in.
 	dec, err := decodeCertificate(enc)
-	if err != nil || !maps.Equal(dec.entries[stitchEntry], stitches) || !maps.Equal(dec.entries[seqEntry], seqs) {
+	if err != nil || !maps.Equal(dec.entries[stitchEntry], stitches) || !maps.Equal(dec.entries[seqEntry], seqs) ||
+		!maps.Equal(dec.entries[leafEntry], leaves) {
 		t.Fatalf("round trip: %v, %+v", err, dec)
 	}
 	if string(dec.encode()) != string(enc) {
@@ -481,7 +488,17 @@ func TestCertificateCodec(t *testing.T) {
 		"element out of range": testCert(map[string]bool{string(certPath(nil, certState([2]int{2, 0}))): true}, nil).encode(),
 		"sequence path outside the shape": testCert(nil, map[string]bool{
 			certSeq(symbex.InitDefault, s10, certState([2]int{0, 0}, [2]int{1, 3})): true}).encode(),
-		"bad mode byte":        testCert(nil, map[string]bool{certSeq(symbex.InitSymbolic+1, s10): true}).encode(),
+		"bad mode byte": testCert(nil, map[string]bool{certSeq(symbex.InitSymbolic+1, s10): true}).encode(),
+		"leaf path outside the shape": func() []byte {
+			c := testCert(nil, nil)
+			c.entries[leafEntry][string(leafKey(pipe, certState([2]int{0, 0}, [2]int{1, 3})))] = true
+			return c.encode()
+		}(),
+		"leaf tag 2": func() []byte {
+			c := testCert(nil, nil)
+			c.entries[leafEntry][string(certPath([]byte{2}, s10))] = true
+			return c.encode()
+		}(),
 		"empty sequence":       testCert(nil, map[string]bool{certSeq(symbex.InitDefault): true}).encode(),
 		"entries out of order": spliceSeqs(a, late, early),
 		"repeated entry":       spliceSeqs(a, early, early),

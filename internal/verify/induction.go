@@ -165,6 +165,9 @@ type seqStepRec struct {
 	end  *pathEnd
 	pkt  *expr.Array // step-scoped output packet
 	mark symbex.Mark // state-log position after this step
+	// lookups are the step's table lookups, step-scoped: a witness
+	// conjoins their concrete relation (tables.go).
+	lookups []pathLookup
 }
 
 // seqPrefix is a sequence of committed steps: their scoped conditions
@@ -225,7 +228,11 @@ func (c *seqCtx) step(pre *seqPrefix, end *pathEnd) (store *symbex.SeqState, sub
 	for _, rd := range f.reads {
 		keep[rd.Var.Name] = true
 	}
-	sub = symbex.ScopeSubst(scope, f.conds, f.pkt, f.reads, f.writes, keep)
+	var lks []symbex.TableLookup
+	for _, lk := range f.lookups {
+		lks = append(lks, lk.TableLookup)
+	}
+	sub = symbex.ScopeSubst(scope, f.conds, f.pkt, f.reads, f.writes, lks, keep)
 	symbex.ThreadState(store, sub, f.reads, f.writes, nil)
 	newConds = make([]*expr.Expr, 0, len(f.conds)+2)
 	for _, pe := range c.v.Pre() {
@@ -245,12 +252,21 @@ func (c *seqCtx) step(pre *seqPrefix, end *pathEnd) (store *symbex.SeqState, sub
 }
 
 // commit sets next, the prefix pre extended by one step, to the step's
-// threaded state, conditions and output packet.
+// threaded state, conditions, output packet and lookups.
 func commit(next, pre *seqPrefix, store *symbex.SeqState, sub *expr.Subst, newConds []*expr.Expr) {
 	next.conds = append(pre.conds[:len(pre.conds):len(pre.conds)], newConds...)
 	next.store = store
 	last := next.steps[len(next.steps)-1]
-	last.pkt, last.mark = sub.ApplyArray(last.end.state.formulas().pkt), store.Mark()
+	f := last.end.state.formulas()
+	last.pkt, last.mark = sub.ApplyArray(f.pkt), store.Mark()
+	last.lookups = nil
+	for _, lk := range f.lookups {
+		lk.Key = sub.Apply(lk.Key)
+		if lk.Guard != nil {
+			lk.Guard = sub.Apply(lk.Guard)
+		}
+		last.lookups = append(last.lookups, lk)
+	}
 }
 
 // build builds an unbuilt prefix, its unbuilt ancestors first. Its
@@ -490,9 +506,13 @@ func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAny
 			if err != nil {
 				return nil, err
 			}
-			if got != nil {
-				return got, nil
+			if got == nil {
+				continue
 			}
+			if spurious, err := c.spurious(got); err != nil || !spurious {
+				return got, err
+			}
+			c.v.countRefinement()
 			continue
 		}
 		if final {
@@ -511,6 +531,21 @@ func (c *seqCtx) findCrashSeq(ends []seqEnd, pre *seqPrefix, depth int, crashAny
 		}
 	}
 	return nil, nil
+}
+
+// spurious reports whether the concrete tables rule out the sequence
+// pre: a sequence with no table lookup never is, and is not solved for.
+func (c *seqCtx) spurious(pre *seqPrefix) (bool, error) {
+	for _, se := range pre.steps {
+		if se.end.state.nLookups > 0 {
+			_, err := c.witness(pre)
+			if errors.Is(err, errSpurious) {
+				return true, nil
+			}
+			return false, err
+		}
+	}
+	return false, nil
 }
 
 // SeqCrashBounded is the unrolling baseline: it explores EVERY feasible
@@ -547,6 +582,10 @@ func (v *Verifier) SeqCrashBounded(p *click.Pipeline, depth int, opts SeqOptions
 				rep.Sequences++
 				if !rep.Refuted {
 					w, err := ctx.witness(got)
+					if errors.Is(err, errSpurious) {
+						v.countRefinement()
+						continue
+					}
 					if err != nil {
 						return err
 					}
@@ -685,7 +724,11 @@ func (c *seqCtx) findInvariantBreak(ends []seqEnd, inv StateInvariant, pre *seqP
 		r, _ := c.sess.Check(cons)
 		c.v.tel.recordSolve(c.sess.LastSolve(), "induction", "invariant-check", started, sp)
 		if r != smt.Unsat {
-			return c.witness(pre, append(assume, bad)...)
+			w, err := c.witness(pre, append(assume, bad)...)
+			if !errors.Is(err, errSpurious) {
+				return w, err
+			}
+			c.v.countRefinement()
 		}
 	}
 	if t == depth {
@@ -878,6 +921,10 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 		si := &SeqInfo{p: p, pre: pre}
 		if crashed && !spec.AllowCrash {
 			w, err := ctx.witness(pre)
+			if errors.Is(err, errSpurious) {
+				v.countRefinement()
+				return nil
+			}
 			if err != nil {
 				return err
 			}
@@ -920,6 +967,11 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 			return nil
 		}
 		w, err := ctx.witness(pre, expr.Not(post))
+		if errors.Is(err, errSpurious) {
+			v.countRefinement()
+			rep.Proved++
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -982,7 +1034,9 @@ func (v *Verifier) verifySeq(p *click.Pipeline, ends []seqEnd, spec SeqSpec) (*S
 // the verdict cache, so the witness is the same whether the prefix was
 // solved, replayed from a certificate or built eagerly, on any core
 // count (DESIGN.md §7.5). It is validated under evaluation semantics; a
-// mismatch is an internal error, never a property verdict.
+// mismatch is an internal error, never a property verdict. The steps'
+// table lookups are held to the concrete tables (tables.go); a sequence
+// they rule out is errSpurious.
 func (c *seqCtx) witness(pre *seqPrefix, extra ...*expr.Expr) (*MultiWitness, error) {
 	v, p := c.v, c.p
 	c.build(pre)
@@ -990,12 +1044,22 @@ func (c *seqCtx) witness(pre *seqPrefix, extra ...*expr.Expr) (*MultiWitness, er
 	all = append(all, pre.conds...)
 	all = append(all, pre.store.Conds()...)
 	all = append(all, extra...)
+	lookedUp := false
+	for _, st := range pre.steps {
+		if len(st.lookups) > 0 {
+			all = append(all, tableConstraint(st.lookups))
+			lookedUp = true
+		}
+	}
 	v.solverQueries.Add(1)
 	sp, started := v.tel.beginSolve(c.sess, "witness", "")
 	r, m, info := v.solver.CheckFresh(all)
 	v.tel.recordSolve(info, "witness", "seq-witness", started, sp)
 	if r == smt.Unknown {
 		return nil, fmt.Errorf("%w: sequence witness query", errUnresolved)
+	}
+	if r == smt.Unsat && lookedUp {
+		return nil, errSpurious
 	}
 	if r == smt.Unsat || m == nil {
 		return nil, fmt.Errorf("verify: cannot produce witness for feasible sequence")

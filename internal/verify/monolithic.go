@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"sort"
 
 	"vsd/internal/click"
 	"vsd/internal/expr"
@@ -57,12 +58,36 @@ func Monolithic(p *click.Pipeline, opts Options, maxSegments int) (*MonolithicRe
 	}
 	rep.Completed = true
 	rep.Paths = len(segs)
+	// The leaf rule, as in the compositional walk: a crash counts and a
+	// path attains the bound only if the concrete tables allow it.
+	concrete := func(s *symbex.Segment) bool {
+		if len(s.Lookups) == 0 {
+			return true
+		}
+		lks := make([]pathLookup, len(s.Lookups))
+		for i, lk := range s.Lookups {
+			tbl, _ := prog.TableByName(lk.Table)
+			lks[i] = pathLookup{TableLookup: lk, tbl: tbl}
+		}
+		cons := append(append(append([]*expr.Expr{}, input.Pre...), s.Cond...), tableConstraint(lks))
+		r, _ := engine.Solver.Check(cons)
+		return r != smt.Unsat
+	}
+	var ends []*symbex.Segment
 	for _, s := range segs {
 		if s.Disposition == ir.Crashed {
-			rep.Crashes++
+			if concrete(s) {
+				rep.Crashes++
+			}
+			continue
 		}
-		if s.Disposition != ir.Crashed && s.Steps > rep.MaxSteps {
+		ends = append(ends, s)
+	}
+	sort.SliceStable(ends, func(i, j int) bool { return ends[i].Steps > ends[j].Steps })
+	for _, s := range ends {
+		if concrete(s) {
 			rep.MaxSteps = s.Steps
+			break
 		}
 	}
 	return rep, nil

@@ -55,12 +55,15 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 }
 
 // TestOptionsRouterClauseBudget is the count-based gate of the lazy
-// array axioms (DESIGN.md §2) and of the loop merge-group rule (§3.1):
-// certifying the IPOptions router on one worker takes exactly 139 SAT
-// calls, and under half the clauses that eager axioms needed (816 286
-// eager, 227 161 lazy when the clause gate was set). Of the 139, 77
-// are IPOptions' Step 1, which checks each merge group once instead of
-// every member (the per-member check made the total 305), and one is
+// array axioms (DESIGN.md §2), of the loop merge-group rule (§3.1) and
+// of the per-value table forks (§3.2): certifying the IPOptions router
+// on one worker takes exactly 126 SAT calls, and under half the clauses
+// that eager axioms needed (816 286 eager, 227 161 lazy when the clause
+// gate was set). Of the 126, 114 are Step 1 — 77 of them IPOptions',
+// which checks each merge group once instead of every member (the
+// per-member check made the total 305), and none the route lookup's,
+// which forks per value unchecked (per range it cost 5) — 11 the crash
+// walk's stitches (19 over the route table's five ranges), and one is
 // the bound witness, solved on a fresh session (DESIGN.md §7.5).
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
@@ -69,8 +72,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if !ok || bound != 922 {
 		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
 	}
-	if work.SatCalls != 139 {
-		t.Errorf("%d SAT calls, want 139", work.SatCalls)
+	if work.SatCalls != 126 {
+		t.Errorf("%d SAT calls, want 126", work.SatCalls)
 	}
 	if work.CNFClauses > 400_000 {
 		t.Errorf("%d CNF clauses, want at most 400 000", work.CNFClauses)

@@ -3,6 +3,7 @@ package verify
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -116,6 +117,10 @@ func (v *Verifier) crashFreedom(p *click.Pipeline, saves *certSaves) (*CrashRepo
 			return nil
 		}
 		w, err := v.witness(p, end.state, nil)
+		if errors.Is(err, errSpurious) {
+			v.countRefinement()
+			return nil
+		}
 		if errors.Is(err, errUnresolved) {
 			rep.Unresolved++
 			rep.Verified = false
@@ -171,14 +176,30 @@ func (v *Verifier) BoundedInstructions(p *click.Pipeline) (*BoundReport, error) 
 }
 
 // boundedInstructions is BoundedInstructions; withWitness false skips
-// the attaining packet (Batch reports only the bound).
+// the attaining packet (Batch reports only the bound). The walk's ends
+// rank by step count, ties broken on the (element, segment) path, a
+// total order, so the reported witness does not depend on the parallel
+// walk's schedule. An end with no table lookup attains its count; one
+// with lookups attains it only if the concrete tables allow its path,
+// so the candidates that rank above the best end without lookups are
+// checked in rank order (leafFeasible, or the witness query itself) and
+// the first that survives attains the bound.
 func (v *Verifier) boundedInstructions(p *click.Pipeline, withWitness bool, saves *certSaves) (*BoundReport, error) {
 	sp := v.tel.main.Begin("property", "bounded-instructions")
 	defer sp.End()
 	rep := &BoundReport{}
-	var maxState *composed
+	above := func(a, b *composed) bool {
+		if a.steps != b.steps {
+			return a.steps > b.steps
+		}
+		return pathLess(a, b)
+	}
+	var exact *composed   // best end with no lookups
+	var cands []*composed // ends with lookups ranking above exact
+	pruned := 0
+	var cert *certTable
 	var err error
-	rep.upper, _, err = v.walk(p, nil, saves, func(end pathEnd) error {
+	rep.upper, cert, err = v.walk(p, nil, saves, func(end pathEnd) error {
 		if end.disp == ir.Crashed {
 			realizable, err := v.statefulRealizable(p, end.state)
 			if err != nil {
@@ -189,37 +210,73 @@ func (v *Verifier) boundedInstructions(p *click.Pipeline, withWitness bool, save
 			}
 			return nil
 		}
-		// Ties break on the (element, segment) path, a total order, so
-		// the reported witness does not depend on the parallel walk's
-		// schedule.
-		if end.state.steps < rep.MaxSteps {
+		st := end.state
+		if exact != nil && !above(st, exact) {
 			return nil
 		}
-		if end.state.steps == rep.MaxSteps && maxState != nil && !pathLess(end.state, maxState) {
+		if st.nLookups == 0 {
+			exact = st
 			return nil
 		}
-		rep.MaxSteps = end.state.steps
-		maxState = end.state
+		cands = append(cands, st)
+		if len(cands) >= 2*pruned+64 {
+			cands = slices.DeleteFunc(cands, func(c *composed) bool { return exact != nil && !above(c, exact) })
+			pruned = len(cands)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if maxState != nil && withWitness {
-		w, err := v.witness(p, maxState, nil)
-		switch {
-		case errors.Is(err, errUnresolved):
-			// The bound itself stays sound (it is a maximum over paths the
-			// solver could not rule out); only the attaining packet is
-			// missing.
-			rep.Witness = Witness{Path: pathName(p, maxState),
-				Detail: fmt.Sprintf("executes %d statements (witness unresolved within solver budget)", rep.MaxSteps)}
-		case err != nil:
-			return nil, err
-		default:
-			w.Detail = fmt.Sprintf("executes %d statements", rep.MaxSteps)
-			rep.Witness = w
+	sort.Slice(cands, func(i, j int) bool { return above(cands[i], cands[j]) })
+	var w Witness
+	var wErr error
+	maxState := exact
+	for _, st := range cands {
+		if exact != nil && !above(st, exact) {
+			break
 		}
+		if withWitness {
+			w, wErr = v.witness(p, st, nil)
+			if errors.Is(wErr, errSpurious) {
+				v.countRefinement()
+				continue
+			}
+			maxState = st
+			break
+		}
+		feasible, err := v.leafFeasible(p, cert, st)
+		if err != nil {
+			return nil, err
+		}
+		if feasible {
+			maxState = st
+			break
+		}
+		v.countRefinement()
+	}
+	if maxState == nil {
+		return rep, nil
+	}
+	rep.MaxSteps = maxState.steps
+	if !withWitness {
+		return rep, nil
+	}
+	if maxState == exact {
+		w, wErr = v.witness(p, maxState, nil)
+	}
+	switch {
+	case errors.Is(wErr, errUnresolved):
+		// The bound itself stays sound (it is a maximum over paths the
+		// solver could not rule out); only the attaining packet is
+		// missing.
+		rep.Witness = Witness{Path: pathName(p, maxState),
+			Detail: fmt.Sprintf("executes %d statements (witness unresolved within solver budget)", rep.MaxSteps)}
+	case wErr != nil:
+		return nil, wErr
+	default:
+		w.Detail = fmt.Sprintf("executes %d statements", rep.MaxSteps)
+		rep.Witness = w
 	}
 	return rep, nil
 }
@@ -278,6 +335,10 @@ func (v *Verifier) Reachability(p *click.Pipeline, spec ReachSpec) (*ReachReport
 			return nil
 		}
 		w, err := v.witness(p, end.state, spec.Assume)
+		if errors.Is(err, errSpurious) {
+			v.countRefinement()
+			return nil
+		}
 		if errors.Is(err, errUnresolved) {
 			rep.Unresolved++
 			rep.Verified = false
@@ -307,18 +368,23 @@ func (v *Verifier) Reachability(p *click.Pipeline, spec ReachSpec) (*ReachReport
 }
 
 // checkedModel returns a model for the path's stitched constraints plus
-// extra (nil = none), cross-checked under evaluation semantics — a
-// failure there indicates a solver or composition bug, not a property
-// violation. The model comes from a fresh solve of exactly that formula
+// extra (nil = none) and, when the path looked up static tables, the
+// tables' concrete relation (tables.go), cross-checked under evaluation
+// semantics — a failure there indicates a solver or composition bug,
+// not a property violation. A path the tables rule out is errSpurious. The model comes from a fresh solve of exactly that formula
 // (smt.Solver.CheckFresh), never from a walk session or the verdict
 // cache, so a reported witness is the same on a cold run, a warm run
 // that replayed its walk from a certificate, and any core count
 // (DESIGN.md §7.5). It must only run under visitMu (visit callbacks) or
 // after the walk has completed, where the root lane is free for its span.
 func (v *Verifier) checkedModel(p *click.Pipeline, st *composed, extraPre []*expr.Expr, extra *expr.Expr) (*expr.Assignment, error) {
-	cons := append([]*expr.Expr{}, st.formulas().conds...)
+	f := st.formulas()
+	cons := append([]*expr.Expr{}, f.conds...)
 	if extra != nil {
 		cons = append(cons, extra)
+	}
+	if len(f.lookups) > 0 {
+		cons = append(cons, tableConstraint(f.lookups))
 	}
 	lbl := ""
 	if v.tel.active() {
@@ -331,6 +397,9 @@ func (v *Verifier) checkedModel(p *click.Pipeline, st *composed, extraPre []*exp
 	v.tel.recordSolve(info, "witness", lbl, started, sp)
 	if r == smt.Unknown {
 		return nil, fmt.Errorf("%w: %s", errUnresolved, pathName(p, st))
+	}
+	if r == smt.Unsat && len(f.lookups) > 0 {
+		return nil, errSpurious
 	}
 	if r == smt.Unsat || m == nil {
 		return nil, fmt.Errorf("verify: cannot produce witness for feasible path %s", pathName(p, st))

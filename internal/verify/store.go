@@ -36,8 +36,9 @@ type SummaryStore interface {
 }
 
 // StoreKey derives the summary-store key for one program under the
-// given options: the program's content fingerprint mixed with the
-// Step-1 context the summary depends on. The packet-length bounds are
+// given options: the program's summary fingerprint (its content hash
+// with static tables reduced to their value sets, which is all Step 1
+// reads of them) mixed with the Step-1 context the summary depends on. The packet-length bounds are
 // part of the key because the engine assumes them during pruning
 // without recording them in segment conditions — a summary computed
 // under [64,128] legitimately omits crash segments that only packets
@@ -47,8 +48,8 @@ type SummaryStore interface {
 // effective configurations share keys.
 func StoreKey(prog *ir.Program, opts Options) ir.Fingerprint {
 	opts, _ = opts.normalize()
-	h := ir.NewHasher("vsd/sumkey/v2")
-	h.Fingerprint(prog.Fingerprint())
+	h := ir.NewHasher("vsd/sumkey/v3")
+	h.Fingerprint(prog.SummaryFingerprint())
 	h.U64(opts.MinLen)
 	h.U64(opts.MaxLen)
 	return h.Sum()

@@ -32,6 +32,7 @@ type vtel struct {
 	storeSaves    *telemetry.Counter
 	replays       *telemetry.Counter
 	builds        *telemetry.Counter
+	refinements   *telemetry.Counter
 
 	// Worker lanes are pooled: a goroutine holds a lane for the
 	// duration of one sequential stretch of work, which preserves the
@@ -63,6 +64,8 @@ func newVtel(opts Options) *vtel {
 			"Step-2 stitch obligations and induction sequence extensions decided from a certificate instead of the solver")
 		t.builds = opts.Metrics.Counter("vsd_stitches_built_total",
 			"Step-2 composed states whose formulas were substituted")
+		t.refinements = opts.Metrics.Counter("vsd_table_refinements_total",
+			"path ends (violations, sequence witnesses, bound candidates) the concrete static tables ruled out")
 	} else {
 		t.solveHist = telemetry.NewHistogram()
 		t.summarizeHist = telemetry.NewHistogram()

@@ -138,6 +138,11 @@ type Stats struct {
 	// them, later when a visitor or a descendant's solve read them. A
 	// walk replayed in full builds none.
 	StitchesBuilt int64
+	// TableRefinements counts path ends the concrete static tables ruled
+	// out (DESIGN.md §3.2): violations and sequence witnesses whose
+	// lookup keys cannot take the values the path forked on, and bound
+	// candidates passed over for the same reason.
+	TableRefinements int64
 	// RefinementTruncated counts crash paths left suspect because they
 	// read more state values than Options.MaxRefinedReads allows the
 	// bad-value search to enumerate.
@@ -192,6 +197,7 @@ type Verifier struct {
 	solverQueries      atomic.Int64
 	stitchesReplayed   atomic.Int64
 	stitchesBuilt      atomic.Int64
+	tableRefinements   atomic.Int64
 	panicsRecovered    atomic.Int64
 	watchdogFired      atomic.Int64
 
@@ -314,6 +320,7 @@ func (v *Verifier) Stats() Stats {
 	s.SolverQueries = v.solverQueries.Load()
 	s.StitchesReplayed = v.stitchesReplayed.Load()
 	s.StitchesBuilt = v.stitchesBuilt.Load()
+	s.TableRefinements = v.tableRefinements.Load()
 	s.PanicsRecovered = int(v.panicsRecovered.Load())
 	s.WatchdogFired = int(v.watchdogFired.Load())
 	s.Solver = v.solver.Stats()
@@ -589,8 +596,12 @@ type composed struct {
 	steps int64
 	// nAcc renumbers each stitched segment's state-access order into the
 	// composed path.
-	nAcc  int
-	model *expr.Assignment // cached witness, nil if unknown
+	nAcc int
+	// nLookups counts the path's table lookups on symbolic keys (the
+	// formulas hold them), so a leaf with none skips the leaf rule
+	// without building anything.
+	nLookups int
+	model    *expr.Assignment // cached witness, nil if unknown
 
 	// parent, seg and w are set while the formulas are unbuilt; they are
 	// read and cleared only under once.
@@ -610,6 +621,9 @@ type formulas struct {
 	// variable names and instance-qualified store names.
 	reads  []symbex.StateAccess
 	writes []symbex.StateUpdate
+	// lookups accumulates the table lookups, bound to their concrete
+	// tables (tables.go).
+	lookups []pathLookup
 }
 
 // formulas returns the state's formulas, substituting its stitch on
@@ -654,12 +668,13 @@ func entryState(p *click.Pipeline) *composed {
 func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.Segment, pos, si int, lbl string) *composed {
 	v := w.v
 	out := &composed{
-		elems: append(append(make([]int, 0, len(st.elems)+1), st.elems...), pos),
-		segs:  append(append(make([]int, 0, len(st.segs)+1), st.segs...), si),
-		ports: append(make([]int, 0, len(st.ports)+1), st.ports...),
-		steps: st.steps + seg.Steps,
-		nAcc:  st.nAcc + symbex.AccessSpan(seg.Reads, seg.Writes),
-		model: st.model,
+		elems:    append(append(make([]int, 0, len(st.elems)+1), st.elems...), pos),
+		segs:     append(append(make([]int, 0, len(st.segs)+1), st.segs...), si),
+		ports:    append(make([]int, 0, len(st.ports)+1), st.ports...),
+		steps:    st.steps + seg.Steps,
+		nAcc:     st.nAcc + symbex.AccessSpan(seg.Reads, seg.Writes),
+		nLookups: st.nLookups + len(seg.Lookups),
+		model:    st.model,
 	}
 	if len(seg.Cond) == 0 {
 		// Feasible whenever the prefix is, with the prefix's witness.
@@ -697,7 +712,7 @@ func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.
 		}
 		out.model = m
 	}
-	out.f = stitchFormulas(pf, sub, seg, newConds, w.p.Elements[pos].Name(), st.nAcc)
+	out.f = stitchFormulas(pf, sub, seg, newConds, w.p.Elements[pos], st.nAcc)
 	v.countBuilt()
 	return out
 }
@@ -723,7 +738,7 @@ func (w *walker) extend(st *composed, seg *symbex.Segment, pos int) formulas {
 	sub := stitchSubst(pf, seg, pos)
 	newConds, _ := substConds(sub, seg)
 	w.v.countBuilt()
-	return stitchFormulas(pf, sub, seg, newConds, w.p.Elements[pos].Name(), st.nAcc)
+	return stitchFormulas(pf, sub, seg, newConds, w.p.Elements[pos], st.nAcc)
 }
 
 // stitchSubst binds segment seg's inputs, as stitched at element pos,
@@ -758,15 +773,18 @@ func substConds(sub *expr.Subst, seg *symbex.Segment) (newConds []*expr.Expr, ok
 
 // stitchFormulas builds the formulas of the prefix pf (nAcc accesses
 // long) extended by seg under sub, whose substituted conditions are
-// newConds. Stores are qualified by the instance name inst so the
-// bad-value analysis can find the owning writes.
-func stitchFormulas(pf *formulas, sub *expr.Subst, seg *symbex.Segment, newConds []*expr.Expr, inst string, nAcc int) formulas {
+// newConds. Stores are qualified by the instance name of e so the
+// bad-value analysis can find the owning writes, and lookups are bound
+// to e's concrete tables.
+func stitchFormulas(pf *formulas, sub *expr.Subst, seg *symbex.Segment, newConds []*expr.Expr, e *click.Instance, nAcc int) formulas {
+	inst := e.Name()
 	f := formulas{
-		conds:  append(pf.conds[:len(pf.conds):len(pf.conds)], newConds...),
-		pkt:    sub.ApplyArray(seg.Pkt),
-		meta:   make(map[string]*expr.Expr, len(pf.meta)),
-		reads:  pf.reads[:len(pf.reads):len(pf.reads)],
-		writes: pf.writes[:len(pf.writes):len(pf.writes)],
+		conds:   append(pf.conds[:len(pf.conds):len(pf.conds)], newConds...),
+		pkt:     sub.ApplyArray(seg.Pkt),
+		meta:    make(map[string]*expr.Expr, len(pf.meta)),
+		reads:   pf.reads[:len(pf.reads):len(pf.reads)],
+		writes:  pf.writes[:len(pf.writes):len(pf.writes)],
+		lookups: pf.lookups[:len(pf.lookups):len(pf.lookups)],
 	}
 	for k, val := range pf.meta {
 		f.meta[k] = val
@@ -789,6 +807,9 @@ func stitchFormulas(pf *formulas, sub *expr.Subst, seg *symbex.Segment, newConds
 			Val:   sub.Apply(wr.Val),
 			Seq:   nAcc + wr.Seq,
 		})
+	}
+	for _, lk := range seg.Lookups {
+		f.lookups = append(f.lookups, bindLookup(e.Program(), sub, lk))
 	}
 	return f
 }
