@@ -58,8 +58,12 @@ serve-smoke:
 
 # store-roundtrip is the summary-store correctness gate (DESIGN.md §7):
 # the example corpus is batch-verified twice against one store
-# directory; the second run must perform ZERO Step-1 symbolic-engine
-# runs (pure store hits), replay its Step-2 walks and the NAT's
+# directory. The cold run must print the committed verdicts
+# (examples/corpus-verdicts.jsonl) byte for byte, so a Step-1 or Step-2
+# change that moves a verdict fails here; regenerate that file only for
+# a verdict change that is meant. The second run must perform ZERO
+# Step-1 symbolic-engine runs (pure store hits), replay its Step-2
+# walks and the NAT's
 # crash-freedom induction from certificates, and print byte-identical
 # verdicts. A walk or induction that sent an obligation to the solver
 # would save a certificate, so the warm run must save none and make no
@@ -74,6 +78,7 @@ store-roundtrip:
 	rm -rf $(STORE_CI_DIR) && mkdir -p $(STORE_CI_DIR)
 	$(GO) run ./cmd/vsdverify -batch examples/corpus -maxlen 48 \
 		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/cold.json > $(STORE_CI_DIR)/cold.jsonl
+	diff examples/corpus-verdicts.jsonl $(STORE_CI_DIR)/cold.jsonl
 	$(GO) run ./cmd/vsdverify -batch examples/corpus -maxlen 48 \
 		-store $(STORE_CI_DIR)/store -batch-stats $(STORE_CI_DIR)/warm.json > $(STORE_CI_DIR)/warm.jsonl
 	diff $(STORE_CI_DIR)/cold.jsonl $(STORE_CI_DIR)/warm.jsonl

@@ -2,6 +2,8 @@ package elements
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -266,6 +268,98 @@ func TestCompileLPMProducesValidTable(t *testing.T) {
 	// With a default route the table must cover the whole address space.
 	if entries[0].Lo != 0 || entries[len(entries)-1].Hi != uint64(^uint32(0)) {
 		t.Errorf("table does not span the address space: %+v", entries)
+	}
+}
+
+// lpmRoute resolves longest-prefix-match over parsed routes for one
+// address, the first of equal prefixes winning: the reference that
+// compileLPM's sweep is checked against.
+func lpmRoute(routes []routeEntry, addr uint32) (routeEntry, bool) {
+	best := -1
+	for i, r := range routes {
+		lo, hi := r.prefix.Range()
+		if addr < lo || addr > hi {
+			continue
+		}
+		if best == -1 || r.prefix.Bits > routes[best].prefix.Bits {
+			best = i
+		}
+	}
+	if best == -1 {
+		return routeEntry{}, false
+	}
+	return routes[best], true
+}
+
+// compileLPMReference is the quadratic compiler the sweep replaced: it
+// resolves every elementary interval with lpmRoute.
+func compileLPMReference(routes []routeEntry) []ir.RangeEntry {
+	bounds := map[uint64]bool{0: true}
+	for _, r := range routes {
+		lo, hi := r.prefix.Range()
+		bounds[uint64(lo)] = true
+		bounds[uint64(hi)+1] = true
+	}
+	pts := make([]uint64, 0, len(bounds))
+	for p := range bounds {
+		if p <= uint64(^uint32(0)) {
+			pts = append(pts, p)
+		}
+	}
+	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
+	var out []ir.RangeEntry
+	for i, lo := range pts {
+		hi := uint64(^uint32(0))
+		if i+1 < len(pts) {
+			hi = pts[i+1] - 1
+		}
+		val := uint64(noRouteSentinel)
+		if r, ok := lpmRoute(routes, uint32(lo)); ok {
+			val = uint64(r.gw)<<8 | uint64(r.port)
+		}
+		if n := len(out); n > 0 && out[n-1].Val == val && out[n-1].Hi+1 == lo {
+			out[n-1].Hi = hi
+			continue
+		}
+		out = append(out, ir.RangeEntry{Lo: lo, Hi: hi, Val: val})
+	}
+	return out
+}
+
+// TestCompileLPMMatchesReference compares the sweep with the quadratic
+// reference on random tables of nested, duplicate, /0 and /32 prefixes.
+func TestCompileLPMMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 300; trial++ {
+		var routes []routeEntry
+		for n := r.Intn(24); len(routes) < n; {
+			var c cidr
+			switch k := r.Intn(6); {
+			case k == 0 && len(routes) > 0:
+				// A duplicate prefix on another port.
+				c = routes[r.Intn(len(routes))].prefix
+			case k == 1 && len(routes) > 0:
+				// A prefix nested in an earlier one.
+				outer := routes[r.Intn(len(routes))].prefix
+				c = cidr{Addr: outer.Addr | r.Uint32()>>outer.Bits, Bits: outer.Bits + r.Intn(33-outer.Bits)}
+			case k == 2:
+				c = cidr{Bits: []int{0, 32}[r.Intn(2)], Addr: r.Uint32()}
+			default:
+				// Few high bits, so prefixes collide often.
+				c = cidr{Addr: r.Uint32() & 0xe0f00000, Bits: r.Intn(33)}
+			}
+			if c.Bits < 32 {
+				c.Addr &= ^uint32(0) << (32 - c.Bits)
+			}
+			if c.Bits == 0 {
+				c.Addr = 0
+			}
+			routes = append(routes, routeEntry{prefix: c, gw: r.Uint32() & 3, port: r.Intn(4)})
+		}
+		got, want := compileLPM(routes), compileLPMReference(routes)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("routes %+v:\n got %+v\nwant %+v", routes, got, want)
+		}
 	}
 }
 

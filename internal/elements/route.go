@@ -2,6 +2,7 @@ package elements
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vsd/internal/ir"
@@ -15,61 +16,67 @@ type routeEntry struct {
 	port   int
 }
 
-// lpmRoute resolves longest-prefix-match over parsed routes for one
-// address; used both by the range compiler and as the reference
-// implementation in tests.
-func lpmRoute(routes []routeEntry, addr uint32) (routeEntry, bool) {
-	best := -1
-	for i, r := range routes {
-		lo, hi := r.prefix.Range()
-		if addr < lo || addr > hi {
-			continue
-		}
-		if best == -1 || r.prefix.Bits > routes[best].prefix.Bits {
-			best = i
-		}
-	}
-	if best == -1 {
-		return routeEntry{}, false
-	}
-	return routes[best], true
-}
-
 // noRouteSentinel marks "no matching route" in the compiled table value
 // (port byte 0xff).
 const noRouteSentinel = 0xff
 
 // compileLPM turns a route list into disjoint [lo, hi] -> value ranges,
-// longest prefix winning, with adjacent equal-valued ranges merged.
-// The value packs gateway<<8 | port. The ranges serve the interpreter
-// and the compiled dataplane; a symbolic lookup forks one path per
-// distinct value (a (gateway, port) pair), however many routes or
-// ranges hold it, so the verifier's work does not grow with the table.
+// longest prefix winning (the first of equal prefixes), with adjacent
+// equal-valued ranges merged. The value packs gateway<<8 | port. The
+// ranges serve the interpreter and the compiled dataplane; a symbolic
+// lookup forks one path per distinct value (a (gateway, port) pair),
+// however many routes or ranges hold it, so the verifier's work does not
+// grow with the table.
+//
+// It sweeps the sorted prefixes once, O(n log n): two prefixes are
+// either nested or disjoint, so the prefixes covering an address form a
+// stack, outermost at the bottom, and its top is the longest match.
 func compileLPM(routes []routeEntry) []ir.RangeEntry {
-	// Collect elementary interval boundaries: each prefix contributes
-	// [lo, hi]; boundaries at lo and hi+1.
-	bounds := map[uint64]bool{0: true}
+	// Outer prefixes first at each start, the first route of equal
+	// prefixes before its duplicates.
+	sorted := append([]routeEntry(nil), routes...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		a, b := sorted[i].prefix, sorted[j].prefix
+		if a.Addr != b.Addr {
+			return a.Addr < b.Addr
+		}
+		return a.Bits < b.Bits
+	})
+	// Elementary interval boundaries: each prefix [lo, hi] contributes
+	// lo and hi+1.
+	pts := []uint64{0}
 	for _, r := range routes {
 		lo, hi := r.prefix.Range()
-		bounds[uint64(lo)] = true
-		bounds[uint64(hi)+1] = true
-	}
-	pts := make([]uint64, 0, len(bounds))
-	for p := range bounds {
-		if p <= uint64(^uint32(0)) {
-			pts = append(pts, p)
+		pts = append(pts, uint64(lo))
+		if hi < ^uint32(0) {
+			pts = append(pts, uint64(hi)+1)
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
+	pts = slices.Compact(pts)
 	var out []ir.RangeEntry
+	var open []routeEntry
+	next := 0
 	for i, lo := range pts {
+		for n := len(open); n > 0; n = len(open) {
+			if _, hi := open[n-1].prefix.Range(); uint64(hi) >= lo {
+				break
+			}
+			open = open[:n-1]
+		}
+		for ; next < len(sorted) && uint64(sorted[next].prefix.Addr) == lo; next++ {
+			r := sorted[next]
+			if n := len(open); n == 0 || open[n-1].prefix != r.prefix {
+				open = append(open, r)
+			}
+		}
 		hi := uint64(^uint32(0))
 		if i+1 < len(pts) {
 			hi = pts[i+1] - 1
 		}
 		val := uint64(noRouteSentinel)
-		if r, ok := lpmRoute(routes, uint32(lo)); ok {
-			val = uint64(r.gw)<<8 | uint64(r.port)
+		if n := len(open); n > 0 {
+			val = uint64(open[n-1].gw)<<8 | uint64(open[n-1].port)
 		}
 		// Merge with the previous range when the value repeats.
 		if n := len(out); n > 0 && out[n-1].Val == val && out[n-1].Hi+1 == lo {

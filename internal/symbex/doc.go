@@ -52,6 +52,14 @@
 // for one Run (DESIGN.md §2), with per-path witness caching so most
 // forks never reach the solver.
 //
+// Packet accesses are bounds-checked, and a check the path already
+// proves never reaches the solver either (bounds.go, DESIGN.md §3.3):
+// each path keeps the byte windows its solver-decided checks assumed,
+// per offset base, and an access inside a window — or, under the run's
+// length bound, between a window start and a window end or length guard
+// close enough that no offset can wrap — adds no condition and no crash
+// path.
+//
 // A Summary (summary.go) packages one element's segment set as an
 // engine-independent artifact with a stable binary codec
 // (EncodeSummary/DecodeSummary, DESIGN.md §7): decoding re-interns

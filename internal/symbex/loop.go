@@ -385,6 +385,9 @@ func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
 		}
 		m := g[0].fork()
 		m.conds = append(append([]*expr.Expr{}, parent.conds...), expr.Or(deltas...))
+		// A sibling's windows rest on its own delta; the merged state
+		// proves only what the common parent proved.
+		m.windows = append([]window(nil), parent.windows...)
 		// Values: fold right-to-left so g[0] ends outermost.
 		for r := range m.regs {
 			v := g[len(g)-1].regs[r]

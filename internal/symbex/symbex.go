@@ -277,6 +277,7 @@ func (e *Engine) Run(p *ir.Program, in Input) ([]*Segment, error) {
 	}
 	x := &exec{eng: e, prog: p, pre: in.Pre,
 		session: e.Solver.NewSession(), loopMemo: map[*ir.Stmt][]*bodySummary{}}
+	x.maxLen, x.lenBounded = lenBound(in.Pre, in.Len)
 	defer x.session.Close()
 	// Loop merging reads Merged as "this run has merged" (prune), so a
 	// run's work does not depend on what the engine ran before.
@@ -310,6 +311,9 @@ type pathState struct {
 	// witness satisfies are feasible without a solver call — the
 	// counterexample-caching trick real symbex engines rely on.
 	model *expr.Assignment
+	// windows are the byte ranges the path's bounds checks proved in
+	// bounds (bounds.go).
+	windows []window
 }
 
 func (s *pathState) fork() *pathState {
@@ -327,6 +331,7 @@ func (s *pathState) fork() *pathState {
 		nAcc:    s.nAcc,
 		lookups: append([]TableLookup{}, s.lookups...),
 		model:   s.model,
+		windows: append([]window(nil), s.windows...),
 	}
 	for k, v := range s.meta {
 		c.meta[k] = v
@@ -353,6 +358,10 @@ type exec struct {
 	prog *ir.Program
 	pre  []*expr.Expr
 	out  []*Segment
+	// maxLen bounds the packet length when lenBounded, as pre states;
+	// a loop body's sub-exec has no pre and no bound.
+	maxLen     uint64
+	lenBounded bool
 
 	session  *smt.IncrementalSession
 	loopMemo map[*ir.Stmt][]*bodySummary
@@ -630,10 +639,17 @@ func symBin(op ir.BinOp, a, b *expr.Expr) *expr.Expr {
 	return expr.Bin(symBinOps[op], a, b)
 }
 
-// boundsCheck forks the out-of-bounds crash path and constrains st to
-// the in-bounds case; it returns false when the in-bounds case is
-// infeasible.
+// boundsCheck constrains st to an in-bounds access of n bytes at off.
+// When the path already proves the access in bounds (bounds.go), it
+// asks the solver nothing, emits no crash path and assumes nothing: the
+// condition is implied. Otherwise it forks the out-of-bounds crash path,
+// constrains st to the in-bounds case and records the access as a
+// window; it returns false when the in-bounds case is infeasible.
 func (x *exec) boundsCheck(st *pathState, off *expr.Expr, n int) (bool, error) {
+	base, k := splitOffset(off)
+	if st.provesInBounds(base, k, uint64(n), x.maxLen, x.lenBounded) {
+		return true, nil
+	}
 	end := expr.Add(expr.ZExt(off, 32), expr.Const(32, uint64(n)))
 	// Overflow-safe: off + n can wrap only when off > 2^32 - n, which is
 	// itself out of bounds for any real packet length; include the
@@ -653,6 +669,7 @@ func (x *exec) boundsCheck(st *pathState, off *expr.Expr, n int) (bool, error) {
 	}
 	st.assume(inBounds)
 	st.model = m
+	st.addWindow(base, k, k+uint64(n))
 	return true, nil
 }
 

@@ -116,8 +116,26 @@ func assignmentFor(pkt []byte, meta map[string]bv.V) *expr.Assignment {
 	return asn
 }
 
+// lookupsHold reports whether every static-table lookup of s that asn
+// reaches returns, on the concrete table, the value the segment took:
+// the tie to the table that a reporting caller conjoins (DESIGN.md
+// §3.2).
+func lookupsHold(p *ir.Program, s *Segment, asn *expr.Assignment) bool {
+	for _, lk := range s.Lookups {
+		if lk.Guard != nil && !expr.Eval(lk.Guard, asn).IsTrue() {
+			continue
+		}
+		t, _ := p.TableByName(lk.Table)
+		if v, _ := t.Lookup(expr.Eval(lk.Key, asn).U); v != lk.Val {
+			return false
+		}
+	}
+	return true
+}
+
 // checkAgreement runs the cross-validation property at the heart of the
-// test suite: for a concrete packet, exactly one segment's constraint is
+// test suite: for a concrete packet, exactly one segment's constraint
+// (with its table lookups tied to the concrete tables) is
 // satisfied, and that segment's symbolic effect predicts the concrete
 // interpreter's behaviour exactly (disposition, port, crash kind, every
 // packet byte, every written metadata slot). The step count is exact
@@ -128,7 +146,7 @@ func checkAgreement(t *testing.T, p *ir.Program, segs []*Segment, merged bool, p
 	asn := assignmentFor(pkt, meta)
 	var match *Segment
 	for _, s := range segs {
-		if evalSegment(s, asn) {
+		if evalSegment(s, asn) && lookupsHold(p, s, asn) {
 			if match != nil {
 				t.Fatalf("packet % x satisfies two segments:\n%s\n%s",
 					pkt, match.CondExpr(), s.CondExpr())

@@ -57,14 +57,17 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 // TestOptionsRouterClauseBudget is the count-based gate of the lazy
 // array axioms (DESIGN.md §2), of the loop merge-group rule (§3.1) and
 // of the per-value table forks (§3.2): certifying the IPOptions router
-// on one worker takes exactly 126 SAT calls, and under half the clauses
+// on one worker takes exactly 117 SAT calls, and under half the clauses
 // that eager axioms needed (816 286 eager, 227 161 lazy when the clause
-// gate was set). Of the 126, 114 are Step 1 — 77 of them IPOptions',
+// gate was set). Of the 117, 105 are Step 1 — 77 of them IPOptions',
 // which checks each merge group once instead of every member (the
-// per-member check made the total 305), and none the route lookup's,
-// which forks per value unchecked (per range it cost 5) — 11 the crash
-// walk's stitches (19 over the route table's five ranges), and one is
-// the bound witness, solved on a fresh session (DESIGN.md §7.5).
+// per-member check made the total 305), none the route lookup's, which
+// forks per value unchecked (per range it cost 5); bounds checks that
+// the path's byte window proves cost none either (DESIGN.md §3.3), which
+// took 9 (Classifier 5 → 4, CheckIPHeader 9 → 8, DecIPTTL 7 → 5,
+// EtherEncap 14 → 9) — 11 the crash walk's stitches (19
+// over the route table's five ranges), and one is the bound witness,
+// solved on a fresh session (DESIGN.md §7.5).
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
 	ok, bound, _, work := certifyCounted(t, v, parsePipeline(t, ipRouterConfig))
@@ -72,8 +75,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if !ok || bound != 922 {
 		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
 	}
-	if work.SatCalls != 126 {
-		t.Errorf("%d SAT calls, want 126", work.SatCalls)
+	if work.SatCalls != 117 {
+		t.Errorf("%d SAT calls, want 117", work.SatCalls)
 	}
 	if work.CNFClauses > 400_000 {
 		t.Errorf("%d CNF clauses, want at most 400 000", work.CNFClauses)
