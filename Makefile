@@ -124,7 +124,8 @@ seq-smoke:
 # chaos-smoke is the robustness gate (DESIGN.md §9): a fixed-seed
 # fault-injection run over the example corpus through the full service
 # stack — clean pass, faulted pass (durable queue, retries, contained
-# panics), and a simulated kill -9 replay — asserting zero daemon
+# panics) with a resubmission round answered from the logged verdicts,
+# and a simulated kill -9 replay — asserting zero daemon
 # crashes and zero verdict flips; plus the crash-safety and watchdog
 # tests under the race detector (CI runs it).
 CHAOS_SEED ?= 0xc0ffee

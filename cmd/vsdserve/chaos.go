@@ -11,7 +11,10 @@ package main
 //                 summary store and the solver. Must crash nothing,
 //                 contain every injected panic, and converge — via the
 //                 queue's retry ladder — to verdicts byte-identical to
-//                 the clean pass. Zero flips.
+//                 the clean pass. Zero flips. Every config is then
+//                 posted once more: the answers, served from the
+//                 logged verdicts, must be the same bytes and must
+//                 enqueue no job.
 //  3. kill -9   — jobs journaled, the worker "killed" after one job,
 //                 the journal reopened and replayed. The verdict log
 //                 must converge to the same verdict set.
@@ -181,31 +184,50 @@ func chaosFaultedPass(subs []jsonSubmission, cleanByName map[string]string, seed
 	base := "http://" + ln.Addr().String()
 
 	var hc http.Client
-	for _, sub := range subs {
+	// post submits sub and requires the clean pass's verdict bytes.
+	post := func(pass string, sub jsonSubmission) error {
 		payload, _ := json.Marshal(sub)
 		res, err := hc.Post(base+"/verify", "application/json", bytes.NewReader(payload))
 		if err != nil {
-			return fmt.Errorf("chaos: faulted %s: %w", sub.Name, err)
+			return fmt.Errorf("chaos: %s %s: %w", pass, sub.Name, err)
 		}
 		body, rerr := io.ReadAll(res.Body)
 		res.Body.Close()
 		if rerr != nil {
-			return fmt.Errorf("chaos: faulted %s: reading response: %w", sub.Name, rerr)
+			return fmt.Errorf("chaos: %s %s: reading response: %w", pass, sub.Name, rerr)
 		}
 		if res.StatusCode != http.StatusOK {
-			return fmt.Errorf("chaos: faulted %s: %s: %s", sub.Name, res.Status, body)
+			return fmt.Errorf("chaos: %s %s: %s: %s", pass, sub.Name, res.Status, body)
 		}
 		var resp response
 		if err := json.Unmarshal(body, &resp); err != nil {
-			return fmt.Errorf("chaos: faulted %s: bad response JSON: %w", sub.Name, err)
+			return fmt.Errorf("chaos: %s %s: bad response JSON: %w", pass, sub.Name, err)
 		}
-		got := marshalVerdict(resp.BatchVerdict)
-		if got != cleanByName[sub.Name] {
-			return fmt.Errorf("chaos: faulted %s: verdict flipped under faults\nclean:  %s\nfaulty: %s",
-				sub.Name, cleanByName[sub.Name], got)
+		if got := marshalVerdict(resp.BatchVerdict); got != cleanByName[sub.Name] {
+			return fmt.Errorf("chaos: %s %s: verdict differs from the clean pass\nclean: %s\ngot:   %s",
+				pass, sub.Name, cleanByName[sub.Name], got)
+		}
+		return nil
+	}
+	for _, sub := range subs {
+		if err := post("faulted", sub); err != nil {
+			return err
 		}
 		fmt.Printf("chaos: faulted  %-16s converged (attempts led to the clean verdict)\n", sub.Name)
 	}
+	// Resubmissions are answered from the logged verdicts: the clean
+	// bytes again, with no new job. A degraded or stale verdict served
+	// from that cache fails here.
+	enqueued := q.Stats().Enqueued
+	for _, sub := range subs {
+		if err := post("resubmit", sub); err != nil {
+			return err
+		}
+	}
+	if n := q.Stats().Enqueued; n != enqueued {
+		return fmt.Errorf("chaos: resubmitting %d config(s) enqueued %d new job(s)", len(subs), n-enqueued)
+	}
+	fmt.Printf("chaos: resubmit pass answered all %d config(s) with the clean verdict and no new job\n", len(subs))
 
 	// The ladder's accounting must balance: something was injected, and
 	// every injected solver panic was contained by the verify layer —

@@ -17,6 +17,11 @@
 // kill -9 mid-batch loses nothing — the journal replays on restart and
 // the verdict log converges to the same set. SIGINT/SIGTERM drain
 // gracefully within -drain-timeout; undrained jobs stay journaled.
+// A resubmission of a pipeline whose clean verdict is already in the
+// verdict log costs a parse and a map lookup: it is answered with that
+// verdict under its own name and wall_ms 0, with no job, no journal
+// write, no verification and no log line. Verdicts with an error or
+// unresolved obligations are never answered this way.
 //
 // Usage:
 //
@@ -73,6 +78,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -89,7 +95,8 @@ import (
 const maxConfigBytes = 1 << 20
 
 // doneKeep bounds the completed-verdict cache that answers handlers who
-// attach to a deduplicated job after its verdict was already delivered.
+// attach to a deduplicated job after its verdict was already delivered,
+// and the settled-verdict map that answers resubmissions.
 const doneKeep = 1024
 
 // server is the shared admission state.
@@ -125,7 +132,12 @@ type server struct {
 	waiters map[uint64][]chan response
 	done    map[uint64]response
 	doneIDs []uint64
-	logMu   sync.Mutex
+	// settled maps a job key (the pipeline fingerprint) to its clean,
+	// logged verdict; a resubmission is answered from it without a job.
+	// Dropped wholesale when it reaches doneKeep entries.
+	settled     map[string]response
+	settledHits atomic.Int64
+	logMu       sync.Mutex
 }
 
 // response is one admission reply: the batch verdict plus service
@@ -158,6 +170,9 @@ func (s *server) initTelemetry() *telemetry.Registry {
 		"wall-clock verification latency per admitted submission", 1e9)
 	s.metrics.GaugeFunc("vsd_uptime_seconds", "seconds since the service started",
 		func() float64 { return time.Since(s.started).Seconds() })
+	s.metrics.CounterFunc("vsd_verdict_cache_hits_total",
+		"resubmissions answered from a logged verdict, with no job and no verification",
+		s.settledHits.Load)
 	return s.metrics
 }
 
@@ -257,20 +272,39 @@ func (s *server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.admit(name, p))
 		return
 	}
-	s.enqueueAndWait(w, r, name, config, p)
+	key := p.Fingerprint().String()
+	if resp, ok := s.settledVerdict(key); ok {
+		resp.Name, resp.WallMS = name, 0
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	s.enqueueAndWait(w, r, name, config, key)
+}
+
+// settledVerdict looks key up among the clean, logged verdicts. The
+// daemon's options are fixed for its lifetime, so a verdict is a
+// function of the pipeline alone and a resubmission needs no job.
+func (s *server) settledVerdict(key string) (response, bool) {
+	s.wmu.Lock()
+	resp, ok := s.settled[key]
+	s.wmu.Unlock()
+	if ok {
+		s.settledHits.Add(1)
+	}
+	return resp, ok
 }
 
 // enqueueAndWait journals the submission and blocks until its verdict
 // is delivered by the worker. The pipeline fingerprint is the
 // idempotency key: resubmitting a pending pipeline attaches to the
 // existing job instead of double-verifying it.
-func (s *server) enqueueAndWait(w http.ResponseWriter, r *http.Request, name, config string, p *click.Pipeline) {
+func (s *server) enqueueAndWait(w http.ResponseWriter, r *http.Request, name, config, key string) {
 	payload, err := json.Marshal(jsonSubmission{Name: name, Config: config})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	job, err := s.queue.Enqueue(p.Fingerprint().String(), payload)
+	job, err := s.queue.Enqueue(key, payload)
 	switch {
 	case errors.Is(err, queue.ErrOverloaded):
 		// The bounded queue turns overload into explicit backpressure,
@@ -331,8 +365,17 @@ func (s *server) dropWaiter(id uint64, ch chan response) {
 	}
 }
 
-func (s *server) deliver(id uint64, resp response) {
+// deliver hands a job's terminal verdict to its waiters. settle marks
+// a clean verdict already in the verdict log, which answers later
+// resubmissions of the same key.
+func (s *server) deliver(id uint64, key string, resp response, settle bool) {
 	s.wmu.Lock()
+	if settle {
+		if s.settled == nil || len(s.settled) >= doneKeep {
+			s.settled = make(map[string]response)
+		}
+		s.settled[key] = resp
+	}
 	chans := s.waiters[id]
 	delete(s.waiters, id)
 	if s.done == nil {
@@ -386,16 +429,21 @@ func (s *server) exhausted(job *queue.Job, err error) {
 }
 
 // complete records a job's terminal verdict — durably in the verdict
-// log, then to every waiting handler.
+// log, then to every waiting handler. Only a clean verdict whose log
+// line was written is settled: degraded, exhausted and corrupt-payload
+// verdicts are never answered without a job.
 func (s *server) complete(job *queue.Job, resp response) {
+	logged := false
 	if s.verdictLog != "" {
 		s.logMu.Lock()
-		if err := appendVerdict(s.verdictLog, job.Key, resp.BatchVerdict); err != nil {
+		err := appendVerdict(s.verdictLog, job.Key, resp.BatchVerdict)
+		s.logMu.Unlock()
+		if err != nil {
 			log.Printf("vsdserve: verdict log: %v", err)
 		}
-		s.logMu.Unlock()
+		logged = err == nil
 	}
-	s.deliver(job.ID, resp)
+	s.deliver(job.ID, job.Key, resp, logged && resp.Error == "" && resp.Unresolved == 0)
 }
 
 // verdictRecord is one verdicts.jsonl line. WallMS and the latency
@@ -470,6 +518,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		robust["queue_completed"] = qs.Completed
 		robust["queue_retries"] = qs.Retries
 		robust["queue_exhausted"] = qs.Exhausted
+		robust["verdict_cache_hits"] = s.settledHits.Load()
 	}
 	out["robustness"] = robust
 	if s.injector != nil {

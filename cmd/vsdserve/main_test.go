@@ -339,7 +339,8 @@ func TestStatsExposesRobustnessCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"panics_recovered", "watchdog_fired", "queue_depth",
-		"queue_enqueued", "queue_replayed", "queue_quarantined", "queue_retries", "queue_exhausted"} {
+		"queue_enqueued", "queue_replayed", "queue_quarantined", "queue_retries", "queue_exhausted",
+		"verdict_cache_hits"} {
 		if _, ok := out.Robustness[key]; !ok {
 			t.Errorf("/stats robustness missing %q", key)
 		}
@@ -383,5 +384,170 @@ func TestRefusesEmptyLengthRange(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
 		t.Errorf("a refused start left %d entries behind", len(entries))
+	}
+}
+
+// robustness reads the /stats robustness counters.
+func robustness(t *testing.T, s *server) map[string]int64 {
+	t.Helper()
+	rec := do(t, s, http.MethodGet, "/stats", "", "")
+	var out struct {
+		Robustness map[string]int64 `json:"robustness"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Robustness
+}
+
+// logLines counts the verdict log's lines.
+func logLines(t *testing.T, s *server) int {
+	t.Helper()
+	data, err := os.ReadFile(s.verdictLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Count(string(data), "\n")
+}
+
+// postVerdict submits config under name and decodes the 200 reply.
+func postVerdict(t *testing.T, s *server, name, config string) response {
+	t.Helper()
+	return decodeVerdict(t, do(t, s, http.MethodPost, "/verify?name="+name, "text/plain", config))
+}
+
+func decodeVerdict(t *testing.T, rec *httptest.ResponseRecorder) response {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/verify = %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp response
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestQueuedResubmissionAnsweredFromLoggedVerdict: once a clean verdict
+// is in the verdict log, a resubmission of the same pipeline under
+// another name gets that verdict back with its own name and wall_ms 0,
+// and creates no job and no log line.
+func TestQueuedResubmissionAnsweredFromLoggedVerdict(t *testing.T) {
+	s := queuedServer(t, 8)
+	s.initTelemetry()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go s.queue.Run(ctx, s.process, s.exhausted)
+
+	first := postVerdict(t, s, "first.click", validConfig)
+	if !first.Certified {
+		t.Fatalf("first verdict: %+v", first.BatchVerdict)
+	}
+	before, lines := robustness(t, s), logLines(t, s)
+	again := postVerdict(t, s, "again.click", validConfig)
+	if again.Name != "again.click" || again.WallMS != 0 {
+		t.Errorf("resubmission answered as name %q, wall_ms %d; want again.click, 0", again.Name, again.WallMS)
+	}
+	again.Name, again.WallMS = first.Name, first.WallMS
+	a, _ := json.Marshal(first)
+	b, _ := json.Marshal(again)
+	if string(a) != string(b) {
+		t.Errorf("resubmission verdict differs:\nfirst: %s\nagain: %s", a, b)
+	}
+	after := robustness(t, s)
+	if after["queue_enqueued"] != before["queue_enqueued"] || after["queue_deduped"] != before["queue_deduped"] {
+		t.Errorf("resubmission reached the queue: enqueued %d -> %d, deduped %d -> %d",
+			before["queue_enqueued"], after["queue_enqueued"], before["queue_deduped"], after["queue_deduped"])
+	}
+	if n := logLines(t, s); n != lines {
+		t.Errorf("verdict log grew %d -> %d lines", lines, n)
+	}
+	if after["verdict_cache_hits"] != before["verdict_cache_hits"]+1 {
+		t.Errorf("verdict_cache_hits %d -> %d, want +1", before["verdict_cache_hits"], after["verdict_cache_hits"])
+	}
+	if rec := do(t, s, http.MethodGet, "/metrics", "", ""); !strings.Contains(rec.Body.String(), "vsd_verdict_cache_hits_total 1\n") {
+		t.Errorf("/metrics lacks vsd_verdict_cache_hits_total 1:\n%s", rec.Body.String())
+	}
+}
+
+// TestDegradedVerdictIsNotCached: a verdict with unresolved obligations
+// is final only for the job that produced it; the same pipeline
+// submitted again is queued and verified again.
+func TestDegradedVerdictIsNotCached(t *testing.T) {
+	s := queuedServer(t, 8)
+	// The watchdog interrupts every attempt before it can decide anything.
+	s.jobBudget = time.Nanosecond
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go s.queue.Run(ctx, s.process, s.exhausted)
+
+	for i := 1; i <= 2; i++ {
+		// The job's key is freed only after its verdict is delivered;
+		// wait for that, or the resubmission dedups onto the old job.
+		for deadline := time.Now().Add(5 * time.Second); s.queue.Depth() > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("queue never drained")
+			}
+		}
+		resp := postVerdict(t, s, "degraded.click", validConfig)
+		if resp.Unresolved == 0 && resp.Error == "" {
+			t.Fatalf("submission %d: clean verdict under a 1 ns watchdog: %+v", i, resp.BatchVerdict)
+		}
+		c := robustness(t, s)
+		if c["queue_enqueued"] != int64(i) || c["verdict_cache_hits"] != 0 {
+			t.Errorf("after submission %d: queue_enqueued %d, verdict_cache_hits %d; want %d, 0",
+				i, c["queue_enqueued"], c["verdict_cache_hits"], i)
+		}
+	}
+	if n := logLines(t, s); n != 2 {
+		t.Errorf("verdict log has %d lines, want one per degraded job (2)", n)
+	}
+}
+
+// TestPendingResubmissionDedupsOntoJob: a resubmission that arrives
+// before the first job has a verdict attaches to that job, and both
+// handlers get its verdict.
+func TestPendingResubmissionDedupsOntoJob(t *testing.T) {
+	s := queuedServer(t, 8)
+	replies := make(chan *httptest.ResponseRecorder, 2)
+	post := func(name string) {
+		go func() { replies <- do(t, s, http.MethodPost, "/verify?name="+name, "text/plain", validConfig) }()
+	}
+	waitFor := func(what string, cond func(map[string]int64) bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond(robustness(t, s)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %v", what, robustness(t, s))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// No worker yet, so the first job stays pending.
+	post("pending.click")
+	waitFor("the first job", func(c map[string]int64) bool { return c["queue_enqueued"] == 1 })
+	post("attached.click")
+	waitFor("the dedup", func(c map[string]int64) bool { return c["queue_deduped"] == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go s.queue.Run(ctx, s.process, s.exhausted)
+	for i := 0; i < 2; i++ {
+		select {
+		case rec := <-replies:
+			resp := decodeVerdict(t, rec)
+			if !resp.Certified || resp.Name != "pending.click" {
+				t.Errorf("reply %d: name %q, %+v", i, resp.Name, resp.BatchVerdict)
+			}
+		case <-time.After(time.Minute):
+			t.Fatal("a handler never got the verdict")
+		}
+	}
+	c := robustness(t, s)
+	if c["queue_enqueued"] != 1 || c["verdict_cache_hits"] != 0 {
+		t.Errorf("queue_enqueued %d, verdict_cache_hits %d; want 1, 0", c["queue_enqueued"], c["verdict_cache_hits"])
+	}
+	if n := logLines(t, s); n != 1 {
+		t.Errorf("verdict log has %d lines, want 1", n)
 	}
 }

@@ -69,6 +69,15 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.register(name, &gaugeFunc{help: help, f: f})
 }
 
+// CounterFunc registers a counter whose value is read from f at scrape
+// time, for a count its owner keeps whether or not a registry exists.
+func (r *Registry) CounterFunc(name, help string, f func() int64) {
+	if r == nil {
+		return
+	}
+	r.register(name, &counterFunc{help: help, f: f})
+}
+
 // Histogram returns the named log-bucketed histogram. unitDiv scales
 // recorded raw values into exposition units: a latency histogram
 // recording nanoseconds passes 1e9 so Prometheus sees seconds, a size
@@ -172,6 +181,16 @@ type gaugeFunc struct {
 func (g *gaugeFunc) helpText() string { return g.help }
 func (g *gaugeFunc) write(w io.Writer, name string) {
 	fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, formatFloat(g.f()))
+}
+
+type counterFunc struct {
+	help string
+	f    func() int64
+}
+
+func (c *counterFunc) helpText() string { return c.help }
+func (c *counterFunc) write(w io.Writer, name string) {
+	fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, c.f())
 }
 
 // Histogram bucket geometry: HDR-style log-linear buckets. Values

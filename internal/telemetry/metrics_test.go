@@ -172,6 +172,7 @@ func TestNilMetricsAreInertAndAllocationFree(t *testing.T) {
 	g := r.Gauge("y", "")
 	h := r.Histogram("z", "", 1e9)
 	r.GaugeFunc("f", "", func() float64 { return 1 })
+	r.CounterFunc("cf", "", func() int64 { return 1 })
 	allocs := testing.AllocsPerRun(200, func() {
 		c.Inc()
 		c.Add(3)
@@ -199,6 +200,7 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 	g := r.Gauge("vsd_queue_depth", "jobs pending")
 	g.Set(7)
 	r.GaugeFunc("vsd_cache_entries", "summary cache size", func() float64 { return 13 })
+	r.CounterFunc("vsd_hits_total", "answers served from a cache", func() int64 { return 5 })
 	h := r.Histogram("vsd_admission_latency_seconds", "admission latency", 1e9)
 	h.Record(1_500_000) // 1.5ms
 	h.Record(2_000_000)
@@ -216,6 +218,7 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 		"# TYPE vsd_requests_total counter\nvsd_requests_total 42\n",
 		"# TYPE vsd_queue_depth gauge\nvsd_queue_depth 7\n",
 		"vsd_cache_entries 13\n",
+		"# TYPE vsd_hits_total counter\nvsd_hits_total 5\n",
 		"# TYPE vsd_admission_latency_seconds histogram\n",
 		`vsd_admission_latency_seconds_bucket{le="+Inf"} 3`,
 		"vsd_admission_latency_seconds_count 3\n",

@@ -1,6 +1,9 @@
 package verify
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Golden tests pin the CLI witness rendering: vsdverify output is an
 // interface (scripts and the examples grep it), so format drift must be
@@ -61,5 +64,26 @@ func TestFormatSpecWitnessGolden(t *testing.T) {
 `
 	if got := FormatWitness(w); got != want {
 		t.Errorf("spec witness format drifted:\n got:\n%q\nwant:\n%q", got, want)
+	}
+}
+
+// TestFormatObligationProfileKeepsWholeNames: stitch names share long
+// prefixes (every options-router stitch starts with the same 60
+// characters), so the profile must print each name whole to tell them
+// apart.
+func TestFormatObligationProfileKeepsWholeNames(t *testing.T) {
+	prefix := "src[0] -> cls[0] -> strip[0] -> chk[0] -> opt[0] -> rt[0] ->"
+	if len(prefix) != 60 {
+		t.Fatalf("prefix is %d characters, want 60", len(prefix))
+	}
+	stats := []ObligationStat{
+		{Kind: "stitch", Name: prefix + " ttl", Queries: 1, WallNS: 2000},
+		{Kind: "stitch", Name: prefix + " encap", Queries: 1, WallNS: 1000},
+	}
+	out := FormatObligationProfile(stats, 10)
+	for _, st := range stats {
+		if got := strings.Count(out, "  "+st.Name+"\n"); got != 3 {
+			t.Errorf("%q ends %d row(s), want one per section (3):\n%s", st.Name, got, out)
+		}
 	}
 }

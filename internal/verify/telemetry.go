@@ -243,7 +243,7 @@ func FormatObligationProfile(stats []ObligationStat, k int) string {
 		k = 10
 	}
 	var b strings.Builder
-	section := func(title string, key func(ObligationStat) int64, val func(ObligationStat) string) {
+	section := func(title string, key func(ObligationStat) int64) {
 		s := make([]ObligationStat, len(stats))
 		copy(s, stats)
 		sort.Slice(s, func(i, j int) bool {
@@ -257,28 +257,20 @@ func FormatObligationProfile(stats []ObligationStat, k int) string {
 			n = len(s)
 		}
 		fmt.Fprintf(&b, "top %d obligations by %s\n", n, title)
-		fmt.Fprintf(&b, "  %-10s %-52s %8s %8s %10s %10s %9s %s\n",
-			"KIND", "OBLIGATION", "QUERIES", "SATCORE", "WALL", "CONFLICTS", "CNFVARS", title)
+		fmt.Fprintf(&b, "  %-10s %8s %8s %10s %10s %9s  %s\n",
+			"KIND", "QUERIES", "SATCORE", "WALL", "CONFLICTS", "CNFVARS", "OBLIGATION")
+		// The name goes last and whole: stitch names share long
+		// prefixes, so a cut one cannot tell them apart.
 		for _, st := range s[:n] {
-			name := st.Name
-			if len(name) > 52 {
-				name = name[:49] + "..."
-			}
-			fmt.Fprintf(&b, "  %-10s %-52s %8d %8d %10s %10d %9d %s\n",
-				st.Kind, name, st.Queries, st.SATCore,
+			fmt.Fprintf(&b, "  %-10s %8d %8d %10s %10d %9d  %s\n",
+				st.Kind, st.Queries, st.SATCore,
 				time.Duration(st.WallNS).Round(time.Microsecond),
-				st.Conflicts, st.CNFVars, val(st))
+				st.Conflicts, st.CNFVars, st.Name)
 		}
 		b.WriteByte('\n')
 	}
-	section("wall time",
-		func(s ObligationStat) int64 { return s.WallNS },
-		func(s ObligationStat) string { return time.Duration(s.WallNS).Round(time.Microsecond).String() })
-	section("conflicts",
-		func(s ObligationStat) int64 { return s.Conflicts },
-		func(s ObligationStat) string { return fmt.Sprintf("%d", s.Conflicts) })
-	section("CNF size (vars added)",
-		func(s ObligationStat) int64 { return s.CNFVars },
-		func(s ObligationStat) string { return fmt.Sprintf("%d", s.CNFVars) })
+	section("wall time", func(s ObligationStat) int64 { return s.WallNS })
+	section("conflicts", func(s ObligationStat) int64 { return s.Conflicts })
+	section("CNF size (vars added)", func(s ObligationStat) int64 { return s.CNFVars })
 	return b.String()
 }
