@@ -431,8 +431,15 @@ func (s *server) exhausted(job *queue.Job, err error) {
 // complete records a job's terminal verdict — durably in the verdict
 // log, then to every waiting handler. Only a clean verdict whose log
 // line was written is settled: degraded, exhausted and corrupt-payload
-// verdicts are never answered without a job.
+// verdicts are never answered without a job. The job's key is freed
+// before the verdict is delivered, so a resubmission that arrives after
+// it gets a new job (or the settled verdict), never this job's answer
+// from the done cache. (The chaos replay pass runs its own queues and
+// leaves s.queue nil.)
 func (s *server) complete(job *queue.Job, resp response) {
+	if s.queue != nil {
+		s.queue.Release(job)
+	}
 	logged := false
 	if s.verdictLog != "" {
 		s.logMu.Lock()

@@ -1,6 +1,7 @@
 package vsd
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sort"
@@ -9,6 +10,9 @@ import (
 	"vsd/internal/click"
 	"vsd/internal/elements"
 	"vsd/internal/experiments"
+	"vsd/internal/packet"
+	"vsd/internal/symbex"
+	"vsd/internal/verify"
 )
 
 // TestCorpusMatchesFiles keeps the two copies of the example admission
@@ -53,5 +57,42 @@ func TestCorpusMatchesFiles(t *testing.T) {
 		if got := p.Fingerprint().String(); got != want {
 			t.Errorf("%s diverges from experiments.Corpus (%s vs %s)", name, got, want)
 		}
+	}
+}
+
+// TestCorpusSummariesReencodeExactly pins that decoding a summary and
+// encoding it again gives back the same bytes, for every element summary
+// of the corpus at the bounds the store-roundtrip job uses. A store takes
+// a loaded summary's digest (which keys Step-2 certificates) from the
+// bytes it read and a saved one's from the bytes it wrote, so this is
+// what makes a warm digest equal the cold one.
+func TestCorpusSummariesReencodeExactly(t *testing.T) {
+	v := verify.New(verify.Options{MinLen: packet.MinFrame, MaxLen: 48})
+	seen := 0
+	for _, c := range experiments.Corpus() {
+		p, err := click.Parse(elements.Default(), c.Src)
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		for _, e := range p.Elements {
+			segs, err := v.Summarize(e)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.Name, e.Name(), err)
+			}
+			for _, merged := range []bool{false, true} {
+				b := symbex.EncodeSummary(&symbex.Summary{Segments: segs, Merged: merged})
+				d, err := symbex.DecodeSummary(b)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", c.Name, e.Name(), err)
+				}
+				if again := symbex.EncodeSummary(d); !bytes.Equal(again, b) {
+					t.Errorf("%s/%s: re-encoding a decoded summary changes its bytes (%d -> %d bytes)", c.Name, e.Name(), len(b), len(again))
+				}
+			}
+			seen++
+		}
+	}
+	if seen == 0 {
+		t.Fatal("the corpus has no elements")
 	}
 }

@@ -624,7 +624,49 @@ func Ite(cond, a, b *Expr) *Expr {
 	if cond.Kind == KNot {
 		return Ite(cond.A, b, a)
 	}
+	if r, ok := hoistAddIte(cond, a, b); ok {
+		return r
+	}
 	return intern(&Expr{Kind: KIte, W: a.W, Cond: cond, A: a, B: b})
+}
+
+// hoistAddIte pulls an addend both arms share out of an ite:
+// ite(c, x+p, x+q) -> x + ite(c, p, q), and ite(c, x+p, x) ->
+// x + ite(c, p, 0) with its mirror image. Exact in modular arithmetic
+// (each arm adds the same x), so merged loop cursors stay one adder over
+// an ite of offsets instead of a chain of nested adders. Reports
+// ok=false when no addend is shared.
+func hoistAddIte(cond, a, b *Expr) (*Expr, bool) {
+	aAdd := a.Kind == KBin && a.Op == OpAdd
+	bAdd := b.Kind == KBin && b.Op == OpAdd
+	switch {
+	case aAdd && bAdd:
+		switch {
+		case a.A == b.A:
+			return Add(a.A, Ite(cond, a.B, b.B)), true
+		case a.A == b.B:
+			return Add(a.A, Ite(cond, a.B, b.A)), true
+		case a.B == b.A:
+			return Add(a.B, Ite(cond, a.A, b.B)), true
+		case a.B == b.B:
+			return Add(a.B, Ite(cond, a.A, b.A)), true
+		}
+	case aAdd:
+		if a.A == b {
+			return Add(b, Ite(cond, a.B, Const(b.W, 0))), true
+		}
+		if a.B == b {
+			return Add(b, Ite(cond, a.A, Const(b.W, 0))), true
+		}
+	case bAdd:
+		if b.A == a {
+			return Add(a, Ite(cond, Const(a.W, 0), b.B)), true
+		}
+		if b.B == a {
+			return Add(a, Ite(cond, Const(a.W, 0), b.A)), true
+		}
+	}
+	return nil, false
 }
 
 // ZExt zero-extends a to width w (identity when w == a.W).

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,6 +176,63 @@ func TestSimplificationsPreserveSemantics(t *testing.T) {
 			if fv != direct {
 				t.Fatalf("semantics changed by simplification: eval=%v folded=%v expr=%s x=%v y=%v",
 					direct, fv, e, xv, yv)
+			}
+		}
+	}
+	// The shared-addend ite rule, which random trees rarely reach: with
+	// addends hashed below and above the shared one, so that every operand
+	// order the canonical sums can take occurs, ite(c, x+p, x+q),
+	// ite(c, x+p, x) and ite(c, x, x+q) are hoisted and evaluate as the
+	// unsimplified ite does, including sums that wrap around.
+	x, c := Var("x", 8), Var("c", 1)
+	var below, above []*Expr
+	for i := 0; len(below) < 2 || len(above) < 2; i++ {
+		if v := Var(fmt.Sprintf("v%d", i), 8); v.Hash() < x.Hash() {
+			below = append(below, v)
+		} else {
+			above = append(above, v)
+		}
+	}
+	pick := func(cv bv.V, then, els bv.V) bv.V {
+		if cv.IsTrue() {
+			return then
+		}
+		return els
+	}
+	for _, p := range []*Expr{below[0], above[0]} {
+		for _, q := range []*Expr{below[1], above[1]} {
+			for _, cond := range []*Expr{c, Not(c)} {
+				shapes := []struct {
+					e    *Expr
+					then func(x, p, q bv.V) bv.V
+					els  func(x, p, q bv.V) bv.V
+				}{
+					{Ite(cond, Add(x, p), Add(x, q)),
+						func(x, p, q bv.V) bv.V { return bv.Add(x, p) }, func(x, p, q bv.V) bv.V { return bv.Add(x, q) }},
+					{Ite(cond, Add(x, p), x),
+						func(x, p, q bv.V) bv.V { return bv.Add(x, p) }, func(x, p, q bv.V) bv.V { return x }},
+					{Ite(cond, x, Add(x, q)),
+						func(x, p, q bv.V) bv.V { return x }, func(x, p, q bv.V) bv.V { return bv.Add(x, q) }},
+				}
+				for i, s := range shapes {
+					if s.e.Kind != KBin || s.e.Op != OpAdd {
+						t.Fatalf("shape %d: shared addend not hoisted: %s", i, s.e)
+					}
+					for k := 0; k < 64; k++ {
+						xu, pu, qu := uint64(r.Intn(256)), uint64(r.Intn(256)), uint64(r.Intn(256))
+						if k < 8 { // sums that wrap around
+							xu, pu, qu = 0xff-uint64(k), 0x80+uint64(k), 0xff
+						}
+						xv, pv, qv := bv.New(8, xu), bv.New(8, pu), bv.New(8, qu)
+						a := NewAssignment()
+						a.Vars["c"] = bv.New(1, uint64(k&1))
+						a.Vars["x"], a.Vars[p.Name], a.Vars[q.Name] = xv, pv, qv
+						want := pick(Eval(cond, a), s.then(xv, pv, qv), s.els(xv, pv, qv))
+						if got := Eval(s.e, a); got != want {
+							t.Fatalf("%s at x=%v %s=%v %s=%v c=%v: %v, want %v", s.e, xv, p.Name, pv, q.Name, qv, a.Vars["c"], got, want)
+						}
+					}
+				}
 			}
 		}
 	}

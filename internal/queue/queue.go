@@ -472,13 +472,32 @@ func (q *Queue) take(ctx context.Context) *Job {
 	}
 }
 
+// Release frees an in-flight job's key: a later Enqueue of the key
+// makes a new job instead of attaching to this one. A process callback
+// calls it once the job's outcome is final and before publishing it, so
+// no submission that arrives after the outcome dedups onto the finished
+// job. The job stays journaled and in flight until Run retires it.
+func (q *Queue) Release(job *Job) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.release(job)
+}
+
+// release is Release under mu: it frees the key only while it is still
+// this job's, never a newer job's with the same key.
+func (q *Queue) release(job *Job) {
+	if q.byKey[job.Key] == job {
+		delete(q.byKey, job.Key)
+	}
+}
+
 // finish retires an in-flight job: its journal entry is removed and
 // its key freed.
 func (q *Queue) finish(job *Job, ok bool) {
 	os.Remove(q.jobPath(job.ID))
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	delete(q.byKey, job.Key)
+	q.release(job)
 	q.inFlight--
 	if ok {
 		q.stats.Completed++

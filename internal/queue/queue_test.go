@@ -252,6 +252,58 @@ func TestIdempotentResubmission(t *testing.T) {
 	}
 }
 
+// TestReleaseFreesKeyBeforeRetirement: once the process callback
+// releases its job, a resubmission of the key is a new job even while
+// the first is still in flight, and retiring the first job leaves the
+// new job's key held.
+func TestReleaseFreesKeyBeforeRetirement(t *testing.T) {
+	q, err := Open(fastOpts(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := q.Enqueue("same", []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var second *Job
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		q.Run(ctx, func(_ context.Context, j *Job) error {
+			if j != first {
+				// The first job has retired by now; its retirement must
+				// not have freed this job's key.
+				if again, _ := q.Enqueue("same", []byte("w")); again != j {
+					t.Error("retiring the first job freed the second job's key")
+				}
+				return nil
+			}
+			if again, _ := q.Enqueue("same", []byte("y")); again != first {
+				t.Error("an unreleased in-flight key did not dedup")
+			}
+			q.Release(j)
+			second, err = q.Enqueue("same", []byte("z"))
+			if err != nil || second == first {
+				t.Errorf("after Release the key still dedups onto the first job (err %v)", err)
+			}
+			return nil
+		}, nil)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Stats().Completed < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the jobs never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-ran
+	if st := q.Stats(); st.Enqueued != 2 || st.Deduped != 2 {
+		t.Errorf("stats %+v, want 2 enqueued and 2 dedups", st)
+	}
+}
+
 func TestRetryBackoffThenExhaustion(t *testing.T) {
 	opts := fastOpts(t.TempDir())
 	opts.MaxAttempts = 3

@@ -119,15 +119,18 @@ func (sess *IncrementalSession) rewriteSelects(e *expr.Expr) *expr.Expr {
 		case expr.KConst, expr.KVar:
 			r = e
 		case expr.KSelect:
-			// New select: allocate its variable and rewrite its index.
+			// New select: rewrite its index, then allocate its variable.
+			// The order matters: rewriting the index registers the selects
+			// inside it, and a name taken before them would be taken again
+			// by the first of them, making two different reads one
+			// variable.
+			idx := sess.rewriteSelects(e.B)
 			name := fmt.Sprintf("§s%d", len(sess.selVars))
 			v := expr.Var(name, 8)
 			sess.selRepl[e] = v
-			idx := sess.rewriteSelects(e.B)
 			// The consistency check reads the select's value together with
 			// its index, so a cone holding one must hold the other (selects
-			// inside idx were registered by the line above and carry lower
-			// indices).
+			// inside idx were registered above and carry lower indices).
 			bits := sess.bl.varLits(name, 8)
 			sess.bl.tieInputs(bits, append(append([]Lit{}, bits...), sess.bl.blast(idx)...), int32(len(sess.selInfo)))
 			sess.selInfo = append(sess.selInfo, selectInfo{sel: e, idx: idx})

@@ -107,6 +107,38 @@ func TestSessionArrayConsistency(t *testing.T) {
 	}
 }
 
+// TestSessionNestedSelectsAreDistinct: a read whose index is itself a
+// packet read (pkt[pkt[0]], an option cursor) is a different byte from
+// the read inside it. When the outer read was met first, both once got
+// the same session variable, so pkt[0] = 3 ∧ pkt[pkt[0]] = 7 was
+// refuted and a model could place bytes where evaluation does not read
+// them. Both a shared session and a fresh solve must answer Sat with a
+// model that evaluation confirms.
+func TestSessionNestedSelectsAreDistinct(t *testing.T) {
+	pkt := expr.BaseArray("nspkt")
+	inner := expr.Select(pkt, expr.Const(32, 0))
+	outer := expr.Select(pkt, expr.ZExt(inner, 32))
+	query := []*expr.Expr{expr.Eq(outer, expr.Const(8, 7)), expr.Eq(inner, expr.Const(8, 3))}
+	s := New(Options{})
+	sess := s.NewSession()
+	defer sess.Close()
+	r1, m1 := sess.Check(query)
+	r2, m2, _ := s.CheckFresh(query)
+	for i, got := range []struct {
+		r Result
+		m *expr.Assignment
+	}{{r1, m1}, {r2, m2}} {
+		if got.r != Sat {
+			t.Fatalf("solve %d: %v, want sat", i, got.r)
+		}
+		for _, c := range query {
+			if !expr.Eval(c, got.m).IsTrue() {
+				t.Fatalf("solve %d: model %v violates %s", i, got.m.Arrays[pkt.BaseName()], c)
+			}
+		}
+	}
+}
+
 // TestSessionAgainstStatelessSolver cross-checks the incremental path
 // against the stateless Check on random query sequences sharing
 // variables and packet-array selects.

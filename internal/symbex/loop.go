@@ -2,6 +2,7 @@ package symbex
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vsd/internal/expr"
@@ -347,13 +348,18 @@ func (x *exec) loopSummarize(stmt ir.LoopStmt, st *pathState) ([]*pathState, []c
 }
 
 // mergeStates merges sibling instances derived from the same parent
-// into one state per packet-array value: conditions become a
-// disjunction of the siblings' condition deltas, register and metadata
-// values become ite-chains guarded by those deltas, and the step count
-// becomes the maximum (an upper bound — Stats.Merged records the loss of
-// exactness). Sibling deltas are mutually exclusive by construction
-// (they partition the body's input space), so the ite guards are
-// unambiguous.
+// into one state per packet-array value, keeping the body's branch
+// structure instead of repeating whole condition deltas (DESIGN.md
+// §3.1). The conditions the siblings share at the front of their deltas
+// stay separate conjuncts, followed by the disjunction of what remains
+// of each delta. Register and metadata values become ite-chains whose
+// arm for member i is guarded by where i leaves each later member: the
+// condition c at which the two first differ, c against its negation
+// (see guards). The step count becomes the maximum (an upper bound —
+// Stats.Merged records the loss of exactness). Sibling deltas are
+// mutually exclusive by construction (they partition the body's input
+// space), so exactly one holds under the merged condition and the chain
+// picks its value.
 //
 // Feasibility is decided per group, not per member (prune): the merge
 // needs only whether some member is feasible and the largest step count
@@ -379,21 +385,33 @@ func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
 			continue
 		}
 		x.eng.stats.Merged = true
-		deltas := make([]*expr.Expr, len(g))
+		deltas := make([][]*expr.Expr, len(g))
 		for i, s := range g {
-			deltas[i] = expr.And(s.conds[base:]...)
+			deltas[i] = s.conds[base:]
+		}
+		shared := sharedPrefix(deltas)
+		tails := make([]*expr.Expr, len(g))
+		for i, d := range deltas {
+			tails[i] = expr.And(d[shared:]...)
 		}
 		m := g[0].fork()
-		m.conds = append(append([]*expr.Expr{}, parent.conds...), expr.Or(deltas...))
+		m.conds = append(append([]*expr.Expr{}, parent.conds...), deltas[0][:shared]...)
+		if or := expr.Or(tails...); !or.IsTrue() {
+			m.conds = append(m.conds, or)
+		}
 		// A sibling's windows rest on its own delta; the merged state
 		// proves only what the common parent proved.
 		m.windows = append([]window(nil), parent.windows...)
 		// Values: fold right-to-left so g[0] ends outermost.
+		guard := guards(deltas)
+		if onMerge != nil {
+			onMerge(x.pre, m.conds, deltas, guard)
+		}
 		for r := range m.regs {
 			v := g[len(g)-1].regs[r]
 			for i := len(g) - 2; i >= 0; i-- {
 				if g[i].regs[r] != v {
-					v = expr.Ite(deltas[i], g[i].regs[r], v)
+					v = expr.Ite(guard[i], g[i].regs[r], v)
 				}
 			}
 			m.regs[r] = v
@@ -417,7 +435,7 @@ func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
 			v := valOf(g[len(g)-1])
 			for i := len(g) - 2; i >= 0; i-- {
 				if vi := valOf(g[i]); vi != v {
-					v = expr.Ite(deltas[i], vi, v)
+					v = expr.Ite(guard[i], vi, v)
 				}
 			}
 			m.meta[slot] = v
@@ -455,15 +473,16 @@ func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
 				}
 			}
 		}
-		// Table lookups: each sibling's own, guarded by its delta, so a
+		// Table lookups: each sibling's own, guarded by its whole delta
+		// (a lookup guard is read on its own, outside any ite-chain), so a
 		// reported path constrains the key of the lookup it took only.
 		m.lookups = parent.lookups[:len(parent.lookups):len(parent.lookups)]
 		for i, s := range g {
 			for _, lk := range s.lookups[len(parent.lookups):] {
-				if lk.Guard == nil {
-					lk.Guard = deltas[i]
+				if delta := expr.And(deltas[i]...); lk.Guard == nil {
+					lk.Guard = delta
 				} else {
-					lk.Guard = expr.And(deltas[i], lk.Guard)
+					lk.Guard = expr.And(delta, lk.Guard)
 				}
 				m.lookups = append(m.lookups, lk)
 			}
@@ -479,6 +498,67 @@ func (x *exec) mergeStates(parent *pathState, insts []*instance) []*pathState {
 		out = append(out, m)
 	}
 	return out
+}
+
+// onMerge, when set (by tests), sees every merge: the run's
+// precondition, the merged state's conditions, the members' condition
+// deltas and their arms' guards.
+var onMerge func(pre, merged []*expr.Expr, deltas [][]*expr.Expr, guards []*expr.Expr)
+
+// sharedPrefix returns the number of leading conditions every delta
+// shares.
+func sharedPrefix(deltas [][]*expr.Expr) int {
+	n := len(deltas[0])
+	for _, d := range deltas[1:] {
+		k := 0
+		for k < n && k < len(d) && d[k] == deltas[0][k] {
+			k++
+		}
+		n = k
+	}
+	return n
+}
+
+// guards returns the ite guard of each member's arm: for member i the
+// conjunction, over every later member j, of the condition c at which
+// i's delta first differs from j's, when j's holds ¬c there. Under the
+// merged condition exactly one delta holds, say k's: every guard of an
+// earlier arm i < k has a conjunct that k's delta negates, and k's guard
+// is a conjunction of k's own conditions, so the chain yields k's value
+// (DESIGN.md §3.1). A pair that does not part at a condition and its
+// negation falls back to i's whole delta. The last member's arm needs no
+// guard.
+func guards(deltas [][]*expr.Expr) []*expr.Expr {
+	out := make([]*expr.Expr, len(deltas))
+	for i := range len(deltas) - 1 {
+		var cs []*expr.Expr
+		for _, d := range deltas[i+1:] {
+			c := divergence(deltas[i], d)
+			if c == nil {
+				cs = deltas[i]
+				break
+			}
+			if !slices.Contains(cs, c) {
+				cs = append(cs, c)
+			}
+		}
+		out[i] = expr.And(cs...)
+	}
+	return out
+}
+
+// divergence returns the condition of a at the first position where a
+// and b differ, when b holds its negation there, and nil otherwise.
+func divergence(a, b []*expr.Expr) *expr.Expr {
+	for k := 0; k < len(a) && k < len(b); k++ {
+		if c, d := a[k], b[k]; c != d {
+			if d.Kind == expr.KNot && d.A == c || c.Kind == expr.KNot && c.A == d {
+				return c
+			}
+			return nil
+		}
+	}
+	return nil
 }
 
 // prune settles one merge group and returns the members to merge, in

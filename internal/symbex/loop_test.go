@@ -62,7 +62,10 @@ func checkPartition(t *testing.T, pre []*expr.Expr, segs []*Segment) {
 // 243 for IPOptions, and as many as the rule for CheckIPHeader, whose
 // groups have one member each). CheckIPHeader took 63 until its
 // total-length read was decided from the byte window its version read
-// and its 20-byte length guard prove (DESIGN.md §3.3).
+// and its 20-byte length guard prove (DESIGN.md §3.3). IPOptions took
+// 77 until merged states kept the body's branch structure (§3.1): the
+// solver's witnesses of the smaller formulas differ, and two more group
+// checks find their parent's cached witness does not cover them.
 func TestLoopElementsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -70,7 +73,7 @@ func TestLoopElementsGolden(t *testing.T) {
 		want   string
 		checks int64
 	}{
-		{"IPOptions", elements.IPOptions, "OOB 2, OOB 732, emit1 730, emit0 733", 77},
+		{"IPOptions", elements.IPOptions, "OOB 2, OOB 732, emit1 730, emit0 733", 79},
 		{"CheckIPHeader", elements.CheckIPHeader,
 			"emit1 8, OOB 8, emit1 15, emit1 21, emit1 27, emit1 33, emit1 37, emit1 427, emit0 427", 62},
 	} {
@@ -246,4 +249,58 @@ func TestLoopMergeGroupRule(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMergeGuardsSelectTheirMember checks the ite guards of every merged
+// state of the two loop elements at the verifier's usual bounds with the
+// solver (DESIGN.md §3.1): under the merged condition, member i's delta
+// implies its own guard and refutes the guard of every earlier member,
+// so the ite-chain yields the value of the one member whose delta holds.
+func TestMergeGuardsSelectTheirMember(t *testing.T) {
+	type merge struct {
+		cond   []*expr.Expr
+		deltas [][]*expr.Expr
+		guards []*expr.Expr
+	}
+	for _, prog := range []func(string) (*ir.Program, error){elements.IPOptions, elements.CheckIPHeader} {
+		p, err := prog("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var merges []merge
+		onMerge = func(pre, merged []*expr.Expr, deltas [][]*expr.Expr, guards []*expr.Expr) {
+			cond := append(append([]*expr.Expr{}, pre...), merged...)
+			merges = append(merges, merge{cond, deltas, guards})
+		}
+		_, err = newEngine(Options{}).Run(p, DefaultInput(packet.MinFrame, 48))
+		onMerge = nil
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(merges) == 0 {
+			t.Fatalf("%s: no merge to check", p.Name)
+		}
+		sess := smt.New(smt.Options{}).NewSession()
+		checks := 0
+		unsat := func(what string, m merge, extra ...*expr.Expr) {
+			t.Helper()
+			checks++
+			if r, _ := sess.Check(append(append([]*expr.Expr{}, m.cond...), extra...)); r != smt.Unsat {
+				t.Errorf("%s: %s (%v)", p.Name, what, r)
+			}
+		}
+		for _, m := range merges {
+			for i, d := range m.deltas {
+				delta := expr.And(d...)
+				if i < len(m.deltas)-1 {
+					unsat(fmt.Sprintf("member %d of %d holds but its guard does not", i, len(m.deltas)), m, delta, expr.Not(m.guards[i]))
+				}
+				if i > 0 {
+					unsat(fmt.Sprintf("member %d of %d holds and so does an earlier member's guard", i, len(m.deltas)), m, delta, expr.Or(m.guards[:i]...))
+				}
+			}
+		}
+		sess.Close()
+		t.Logf("%s: %d merges, %d solver checks", p.Name, len(merges), checks)
+	}
 }

@@ -25,6 +25,11 @@ import (
 type Summary struct {
 	Segments []*Segment
 	Merged   bool
+	// Digest is the SHA-256 of the summary's encoding when a store has
+	// just read or written that encoding, zero otherwise. Decoding and
+	// re-encoding give back the same bytes, so it always equals the
+	// digest of EncodeSummary(s).
+	Digest ir.Fingerprint
 }
 
 // summaryMagic versions the segment-table layout; the expr record

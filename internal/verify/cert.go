@@ -463,10 +463,13 @@ func (s *certSaves) flush(v *Verifier) {
 }
 
 // digest returns the digest of the entry's summary in its encoded
-// form, computed once per cache entry.
+// form: the store's when it read or wrote the encoding, otherwise
+// computed once per cache entry.
 func (ent *summaryEntry) digest() ir.Fingerprint {
 	ent.digestOnce.Do(func() {
-		ent.sum = ir.Fingerprint(sha256.Sum256(symbex.EncodeSummary(&symbex.Summary{Segments: ent.segs, Merged: ent.merged})))
+		if ent.sum == (ir.Fingerprint{}) {
+			ent.sum = ir.Fingerprint(sha256.Sum256(symbex.EncodeSummary(&symbex.Summary{Segments: ent.segs, Merged: ent.merged})))
+		}
 	})
 	return ent.sum
 }

@@ -29,7 +29,9 @@ import (
 // re-summarizing; Load must never return a summary that was not stored
 // under the same key. Save failures are not fatal to verification and
 // are reported via Stats. Implementations must be safe for concurrent
-// use.
+// use. A store that reads or writes a summary's encoding sets its
+// Digest (symbex.Summary), so the verifier need not encode it again to
+// key certificates.
 type SummaryStore interface {
 	Load(fp ir.Fingerprint) (*symbex.Summary, bool)
 	Save(fp ir.Fingerprint, s *symbex.Summary)
@@ -48,7 +50,7 @@ type SummaryStore interface {
 // effective configurations share keys.
 func StoreKey(prog *ir.Program, opts Options) ir.Fingerprint {
 	opts, _ = opts.normalize()
-	h := ir.NewHasher("vsd/sumkey/v3")
+	h := ir.NewHasher("vsd/sumkey/v4")
 	h.Fingerprint(prog.SummaryFingerprint())
 	h.U64(opts.MinLen)
 	h.U64(opts.MaxLen)
@@ -230,12 +232,18 @@ func (s *DiskStore) Load(fp ir.Fingerprint) (*symbex.Summary, bool) {
 }
 
 // decodeStoreFile validates the framing and decodes the summary payload.
+// The summary's digest is the payload checksum unframe just verified.
 func decodeStoreFile(fp ir.Fingerprint, data []byte) (*symbex.Summary, error) {
 	payload, err := unframe(fp, data)
 	if err != nil {
 		return nil, err
 	}
-	return symbex.DecodeSummary(payload)
+	sum, err := symbex.DecodeSummary(payload)
+	if err != nil {
+		return nil, err
+	}
+	sum.Digest = ir.Fingerprint(data[len(data)-sha256.Size:])
+	return sum, nil
 }
 
 // unframe checks a store file's framing — magic, the embedded key, the
@@ -261,9 +269,12 @@ func unframe(fp ir.Fingerprint, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Save implements SummaryStore.
+// Save implements SummaryStore. It sets sum.Digest from the one
+// encoding it writes.
 func (s *DiskStore) Save(fp ir.Fingerprint, sum *symbex.Summary) {
-	if s.write(s.path(fp), fp, symbex.EncodeSummary(sum)) {
+	payload := symbex.EncodeSummary(sum)
+	sum.Digest = sha256.Sum256(payload)
+	if s.write(s.path(fp), fp, payload) {
 		s.saves.Add(1)
 	} else {
 		s.saveFails.Add(1)

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -451,5 +452,37 @@ func TestDiskStoreTornWriteDegradesToMiss(t *testing.T) {
 	}
 	if _, ok := store.Load(key); !ok {
 		t.Fatal("restored entry no longer loads")
+	}
+}
+
+// TestStoreDigestFromBytes: a disk store hands the verifier each
+// summary's digest, from the encoding it wrote on a cold run and from the
+// bytes it read on a warm one, and both equal the digest of the
+// summary's encoding, which is what the verifier computes without a
+// store.
+func TestStoreDigestFromBytes(t *testing.T) {
+	store, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := parsePipeline(t, storeTestPipeline)
+	for _, run := range []string{"cold", "warm"} {
+		v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Store: store})
+		for _, e := range p.Elements {
+			ent, err := v.summary(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ent.sum == (ir.Fingerprint{}) {
+				t.Fatalf("%s run, %s: the store set no digest", run, e.Name())
+			}
+			want := ir.Fingerprint(sha256.Sum256(symbex.EncodeSummary(&symbex.Summary{Segments: ent.segs, Merged: ent.merged})))
+			if got := ent.digest(); got != want {
+				t.Errorf("%s run, %s: digest %s, want %s", run, e.Name(), got, want)
+			}
+		}
+		if st := v.Stats(); run == "warm" && st.ElementsSummarized != 0 {
+			t.Errorf("warm run summarized %d elements", st.ElementsSummarized)
+		}
 	}
 }

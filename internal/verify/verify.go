@@ -233,6 +233,8 @@ type summaryEntry struct {
 	merged bool
 	err    error
 
+	// sum is the summary's digest: set on fill when the store read or
+	// wrote its encoding, computed on first use otherwise (digest).
 	digestOnce sync.Once
 	sum        ir.Fingerprint
 }
@@ -414,7 +416,7 @@ func (v *Verifier) summary(e *click.Instance) (*summaryEntry, error) {
 		v.cache[key] = ent
 	}
 	v.mu.Unlock()
-	ent.once.Do(func() { ent.segs, ent.merged, ent.err = v.loadOrSummarize(e) })
+	ent.once.Do(func() { ent.segs, ent.merged, ent.sum, ent.err = v.loadOrSummarize(e) })
 	if ent.err != nil && errors.Is(ent.err, errUnresolved) {
 		// A transient failure — contained engine panic, watchdog
 		// interrupt — must not poison the cache: drop the entry so a
@@ -434,34 +436,38 @@ func (v *Verifier) summary(e *click.Instance) (*summaryEntry, error) {
 // Store traffic is keyed by StoreKey — the program fingerprint bound to
 // the verifier's Step-1 context — never by the bare program key, so a
 // store shared between differently-configured verifiers stays sound.
-func (v *Verifier) loadOrSummarize(e *click.Instance) ([]*symbex.Segment, bool, error) {
-	if v.opts.Store != nil {
-		key := StoreKey(e.Program(), v.opts)
-		lane := v.tel.getLane()
-		sp := lane.Begin("store", "store-load:"+e.Name())
-		sum, ok := v.opts.Store.Load(key)
-		sp.End()
-		v.tel.putLane(lane)
-		if ok {
-			v.tel.storeLoads.Inc()
-			v.countSummary(sum.Segments, sum.Merged, true)
-			return sum.Segments, sum.Merged, nil
-		}
-		v.mu.Lock()
-		v.stats.StoreMisses++
-		v.mu.Unlock()
+// The digest is the store's (symbex.Summary.Digest), zero without one.
+func (v *Verifier) loadOrSummarize(e *click.Instance) ([]*symbex.Segment, bool, ir.Fingerprint, error) {
+	if v.opts.Store == nil {
 		segs, merged, err := v.summarize(e)
-		if err == nil {
-			lane := v.tel.getLane()
-			sp := lane.Begin("store", "store-save:"+e.Name())
-			v.opts.Store.Save(key, &symbex.Summary{Segments: segs, Merged: merged})
-			sp.End()
-			v.tel.putLane(lane)
-			v.tel.storeSaves.Inc()
-		}
-		return segs, merged, err
+		return segs, merged, ir.Fingerprint{}, err
 	}
-	return v.summarize(e)
+	key := StoreKey(e.Program(), v.opts)
+	lane := v.tel.getLane()
+	sp := lane.Begin("store", "store-load:"+e.Name())
+	sum, ok := v.opts.Store.Load(key)
+	sp.End()
+	v.tel.putLane(lane)
+	if ok {
+		v.tel.storeLoads.Inc()
+		v.countSummary(sum.Segments, sum.Merged, true)
+		return sum.Segments, sum.Merged, sum.Digest, nil
+	}
+	v.mu.Lock()
+	v.stats.StoreMisses++
+	v.mu.Unlock()
+	segs, merged, err := v.summarize(e)
+	if err != nil {
+		return nil, false, ir.Fingerprint{}, err
+	}
+	lane = v.tel.getLane()
+	sp = lane.Begin("store", "store-save:"+e.Name())
+	sum = &symbex.Summary{Segments: segs, Merged: merged}
+	v.opts.Store.Save(key, sum)
+	sp.End()
+	v.tel.putLane(lane)
+	v.tel.storeSaves.Inc()
+	return segs, merged, sum.Digest, nil
 }
 
 // summariesMerged reports whether any of a walk's summaries carries the

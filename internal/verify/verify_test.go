@@ -397,6 +397,37 @@ func TestUnsafeReaderWitnessReplay(t *testing.T) {
 	}
 }
 
+// TestIPOptionsWitnessReplays: IPOptions behind no header check reads
+// past the packet on a short header, and the verifier must say so with a
+// witness the runtime crashes on, at every length bound and worker
+// count. At 48 and 64 bytes the witness solve once failed its own
+// evaluation check ("witness model violates path constraint"): the
+// solver gave a read nested in another read's index the outer read's
+// variable (TestSessionNestedSelectsAreDistinct).
+func TestIPOptionsWitnessReplays(t *testing.T) {
+	p := parsePipeline(t, "src :: InfiniteSource; opt :: IPOptions; src -> opt; opt[0] -> Discard; opt[1] -> Discard;")
+	for _, tc := range []struct {
+		maxLen   uint64
+		parallel int
+	}{{40, 1}, {48, 1}, {48, 2}, {64, 1}} {
+		v := New(Options{MinLen: packet.MinFrame, MaxLen: tc.maxLen, Parallelism: tc.parallel})
+		rep, err := v.CrashFreedom(p)
+		if err != nil {
+			t.Fatalf("maxlen %d, parallel %d: %v", tc.maxLen, tc.parallel, err)
+		}
+		if rep.Verified || len(rep.Witnesses) == 0 {
+			t.Fatalf("maxlen %d, parallel %d: IPOptions without a header check verified", tc.maxLen, tc.parallel)
+		}
+		for _, w := range rep.Witnesses {
+			res := dataplane.NewRunner(p).Process(packet.NewBuffer(append([]byte{}, w.Packet...)))
+			if res.Disposition != ir.Crashed {
+				t.Errorf("maxlen %d, parallel %d: witness % x (%s) does not crash the runtime: %+v",
+					tc.maxLen, tc.parallel, w.Packet, w.Path, res)
+			}
+		}
+	}
+}
+
 func TestVerifierStatsAndPre(t *testing.T) {
 	v := newVerifier(64)
 	pre := v.Pre()
