@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race smt-loc bench bench-json benchmark benchmark-aa examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke
+.PHONY: tier1 build test race smt-loc bench bench-json benchmark benchmark-aa examples serve-smoke store-roundtrip seq-smoke chaos-smoke tput-smoke trace-smoke mtu-smoke
 
 # tier1 is the repo's gate: everything must build, vet clean, and every
 # test pass.
@@ -166,6 +166,22 @@ trace-smoke:
 	$(GO) run ./cmd/vsdserve -smoke examples/corpus -maxlen 48 > $(TRACE_CI_DIR)/serve.out
 	grep -q '/metrics, /stats, and /debug/pprof answered' $(TRACE_CI_DIR)/serve.out
 	@echo "trace-smoke: trace validated, obligation profile rendered, metrics endpoints answered"
+
+# mtu-smoke is the MTU gate (DESIGN.md §4.4): router crash freedom at
+# the Ethernet MTU (maxlen 1514) on one worker must be VERIFIED, and the
+# chk -> opt stitch — the paper's central argument, that IPOptions reads
+# safely because CheckIPHeader checked the header length against the
+# packet length — must be refuted by the order pass, with no refutation
+# left to the SAT core (the profile row's CORE-UNSAT is 0 and its ORDER
+# at least 1). It gates counts, not the clock (CI runs it).
+MTU_CI_DIR ?= .mtu-ci
+mtu-smoke:
+	rm -rf $(MTU_CI_DIR) && mkdir -p $(MTU_CI_DIR)
+	$(GO) run ./cmd/vsdverify -property crash -maxlen 1514 -parallel 1 -profile -profile-top 1000 \
+		examples/corpus/router.click > $(MTU_CI_DIR)/verify.out
+	grep -q 'crash freedom: VERIFIED' $(MTU_CI_DIR)/verify.out
+	awk '/ -> chk\[0\] -> opt$$/ { n++; if ($$4 != 0 || $$5 < 1) bad++ } END { exit !(n > 0 && bad == 0) }' $(MTU_CI_DIR)/verify.out
+	@echo "mtu-smoke: router crash-free at maxlen 1514; the order pass refuted the chk -> opt stitch, the SAT core refuted none of it"
 
 # bench-json records the benchmark trajectory: one BENCH_<n>.json per
 # PR, so regressions are visible across the history. Name the next

@@ -241,8 +241,9 @@ func BenchmarkA3StatefulElements(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIntervals measures the interval pre-pass: the same
-// query batch with and without it.
+// BenchmarkAblationIntervals measures the word-level pre-passes (the
+// interval analysis and the order pass): the same query batch with and
+// without them.
 func BenchmarkAblationIntervals(b *testing.B) {
 	prog, err := elements.CheckIPHeader("NOCHECKSUM")
 	if err != nil {
@@ -263,6 +264,7 @@ func BenchmarkAblationIntervals(b *testing.B) {
 				if i == 0 {
 					st := solver.Stats()
 					b.ReportMetric(float64(st.IntervalDecided), "interval-decided")
+					b.ReportMetric(float64(st.OrderDecided), "order-decided")
 					b.ReportMetric(float64(st.SatCalls), "sat-calls")
 				}
 			}
@@ -272,17 +274,18 @@ func BenchmarkAblationIntervals(b *testing.B) {
 
 // BenchmarkAblationIncrementalSAT replays a stitching-shaped query log —
 // monotonically growing constraint prefixes with a fresh branch atom per
-// step, exactly the pattern segment composition produces — through the
-// one-shot Solver.Check and through an IncrementalSession. The custom
-// metrics expose what the session reuses: assumption solves instead of
-// CNF rebuilds, and learnt clauses carried across queries.
+// step, exactly the pattern segment composition produces — one shot per
+// query (Solver.CheckFresh: a new instance, no verdict cache) and
+// through one IncrementalSession. The custom metrics expose what the
+// session reuses: assumption solves instead of CNF rebuilds, and learnt
+// clauses carried across queries.
 func BenchmarkAblationIncrementalSAT(b *testing.B) {
 	queries := stitchingQueryLog(40)
 	b.Run("oneshot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			solver := smt.New(smt.Options{DisableIntervals: true})
 			for _, q := range queries {
-				solver.Check(q)
+				solver.CheckFresh(q)
 			}
 			if i == 0 {
 				st := solver.Stats()

@@ -112,6 +112,7 @@ func solverMetrics(m map[string]float64, st smt.Stats) {
 	m["sat-conflicts"] = float64(st.SatConflicts)
 	m["cache-hits"] = float64(st.CacheHits)
 	m["interval-decided"] = float64(st.IntervalDecided)
+	m["order-decided"] = float64(st.OrderDecided)
 	m["sessions-opened"] = float64(st.SessionsOpened)
 	m["assumption-solves"] = float64(st.AssumptionSolves)
 	m["reused-clauses"] = float64(st.ClausesReused)

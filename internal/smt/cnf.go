@@ -84,9 +84,10 @@ type tie struct {
 }
 
 // blasterPool recycles blasters (and their SAT instances) across
-// queries: one-shot Solver.Check used to rebuild variable 0, the
-// constant clauses, and every per-variable slice per query; a pooled
-// blaster resets in place and keeps its allocations warm.
+// sessions: a session opened per query (CheckFresh, a Step-1 engine run)
+// would otherwise rebuild variable 0, the constant clauses, and every
+// per-variable slice each time; a pooled blaster resets in place and
+// keeps its allocations warm.
 var blasterPool sync.Pool
 
 func newBlaster() *blaster {

@@ -3,8 +3,7 @@
 // bitvector constraints over internal/expr terms, built as a layered
 // pipeline of cheap passes in front of a CDCL SAT core.
 //
-// A query runs through (Solver.preSolve, shared by the one-shot and
-// incremental paths):
+// A query runs through (Solver.preSolve, then the query's session):
 //
 //  1. conjunction flattening and constant folding — most symbolic-
 //     execution queries die here;
@@ -12,14 +11,17 @@
 //     keyed by the terms' memoized structural hashes;
 //  3. an interval pre-analysis that decides many comparisons without
 //     blasting (intervals.go);
-//  4. Ackermann-style elimination of packet-array reads — each read
+//  4. an order pass that refutes by unsigned order: terms are opaque
+//     nodes, comparisons and the wrap rules of sums are difference
+//     constraints, disjunctions are probed, and a negative cycle is
+//     Unsat; it never answers Sat (order.go, DESIGN.md §4.4);
+//  5. Ackermann-style elimination of packet-array reads — each read
 //     becomes a fresh byte variable; a session asserts the consistency
 //     axiom of two reads only when a model puts them at one index with
-//     different bytes, and solves again (DESIGN.md §2), while the
-//     one-shot Check, the reference, asserts every pair's up front —
-//     then structurally-hashed bit-blasting to CNF with AIG-style gate
+//     different bytes, and solves again (DESIGN.md §2) — then
+//     structurally-hashed bit-blasting to CNF with AIG-style gate
 //     sharing (cnf.go, DESIGN.md §4.1);
-//  5. a MiniSat/glucose-flavored CDCL core: arena clause storage,
+//  6. a MiniSat/glucose-flavored CDCL core: arena clause storage,
 //     binary watch lists, recursive learnt-clause minimization,
 //     LBD-based clause-DB reduction, Luby restarts, decisions
 //     restricted to the query's cone (sat.go, DESIGN.md §4.2), under a
@@ -27,7 +29,10 @@
 //     never a verdict (DESIGN.md §4.3).
 //
 // That is the one configuration; there are no technique switches
-// besides Options.DisableIntervals, which tests use to reach the core.
+// besides Options.DisableIntervals, which turns off both word-level
+// passes (3 and 4) so that tests reach the core. The tests keep a
+// one-shot solver that Ackermannizes eagerly as their reference
+// (oneshot_test.go).
 //
 // IncrementalSession (DESIGN.md §2) keeps one persistent SAT instance
 // per caller: each distinct atom is blasted once behind an activation

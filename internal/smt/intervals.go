@@ -368,13 +368,11 @@ const (
 	intervalSat // only reported for select-free formulas
 )
 
-// preAnalyze runs the interval pre-pass over the conjunction of atoms.
-// It may decide Unsat (some atom definitely false under refinements) or,
-// for select-free formulas, Sat (every atom definitely true), producing
-// a model from the refined ranges.
-func preAnalyze(atoms []*expr.Expr) (intervalVerdict, *expr.Assignment) {
-	ia := newIntervalAnalysis()
-	defer iaPool.Put(ia)
+// preAnalyze runs the interval pre-pass over the conjunction of atoms,
+// refining ia. It may decide Unsat (some atom definitely false under
+// refinements) or, for select-free formulas, Sat (every atom definitely
+// true), producing a model from the refined ranges.
+func preAnalyze(ia *intervalAnalysis, atoms []*expr.Expr) (intervalVerdict, *expr.Assignment) {
 	// Refine to fixpoint (ranges only shrink; cap rounds defensively).
 	for round := 0; round < 8; round++ {
 		ia.changed = false
@@ -388,11 +386,7 @@ func preAnalyze(atoms []*expr.Expr) (intervalVerdict, *expr.Assignment) {
 		}
 	}
 	allTrue := true
-	hasSelect := false
 	for _, a := range atoms {
-		if len(expr.SelectsOf(a, nil)) > 0 {
-			hasSelect = true
-		}
 		switch ia.rangeOf(a) {
 		case single(0):
 			return intervalUnsat, nil
@@ -401,7 +395,7 @@ func preAnalyze(atoms []*expr.Expr) (intervalVerdict, *expr.Assignment) {
 			allTrue = false
 		}
 	}
-	if allTrue && !hasSelect {
+	if allTrue && !hasSelect(atoms) {
 		// Every atom holds for all values in the refined ranges, so any
 		// point works: take each variable's low endpoint.
 		asn := expr.NewAssignment()
@@ -419,6 +413,17 @@ func preAnalyze(atoms []*expr.Expr) (intervalVerdict, *expr.Assignment) {
 		return intervalSat, asn
 	}
 	return intervalMaybe, nil
+}
+
+// hasSelect reports whether some atom reads a packet byte. Only the Sat
+// fast path needs to know, so it is asked only when every atom holds.
+func hasSelect(atoms []*expr.Expr) bool {
+	for _, a := range atoms {
+		if len(expr.SelectsOf(a, nil)) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Ranges returns, for each expression, a sound over-approximation

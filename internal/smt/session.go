@@ -186,8 +186,10 @@ func (sess *IncrementalSession) varsOf(a *expr.Expr) []*expr.Expr {
 	return vs
 }
 
-// Check decides satisfiability of the conjunction incrementally. The
-// result contract matches Solver.Check.
+// Check decides whether the conjunction of the given 1-bit expressions
+// is satisfiable, incrementally. On Sat it returns a model assigning
+// every free variable of the constraints and the packet bytes their
+// reads see.
 func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
 	return sess.check(constraints, true)
 }
@@ -210,9 +212,9 @@ func (s *Solver) CheckFresh(constraints []*expr.Expr) (Result, *expr.Assignment,
 func (sess *IncrementalSession) check(constraints []*expr.Expr, cached bool) (Result, *expr.Assignment) {
 	s := sess.owner
 	start := time.Now()
-	atoms, key, res, m, done, hit := s.preSolve(constraints, cached)
-	if done {
-		sess.lastSolve = SolveInfo{Result: res, Duration: time.Since(start), Cached: hit}
+	atoms, key, res, m, by := s.preSolve(constraints, cached)
+	if by != layerNone {
+		sess.lastSolve = SolveInfo{Result: res, Duration: time.Since(start), Cached: by == layerCache, OrderDecided: by == layerOrder}
 		return res, m
 	}
 	if len(sess.guards)+len(atoms) > sessionMaxGuards {

@@ -1,7 +1,6 @@
 package smt
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,11 +30,12 @@ func (r Result) String() string {
 }
 
 // Options configures a Solver. There is one solver configuration; what
-// is left to set is the ablation switch of the interval pre-analysis and
+// is left to set is the ablation switch of the word-level pre-passes and
 // the budgets of the degradation ladder (DESIGN.md §4.3, §9).
 type Options struct {
-	// DisableIntervals turns off the interval/constant pre-analysis, so
-	// every query goes through bit-blasting.
+	// DisableIntervals turns off the word-level pre-passes (the interval
+	// analysis and the order pass), so every query the verdict cache
+	// does not answer goes through bit-blasting.
 	DisableIntervals bool
 	// MaxConflicts bounds each SAT search; 0 means the default budget.
 	MaxConflicts int64
@@ -79,8 +79,8 @@ const (
 const DefaultMaxConflicts = 2_000_000
 
 // maxConflicts resolves the per-search conflict budget: 0 selects the
-// default, negative values mean unbounded. Shared by the one-shot Check
-// and IncrementalSession so the two paths cannot drift.
+// default, negative values mean unbounded. satSolve applies it to every
+// SAT search.
 func (o Options) maxConflicts() int64 {
 	if o.MaxConflicts != 0 {
 		return o.MaxConflicts
@@ -93,6 +93,7 @@ type Stats struct {
 	Queries         int64 // total Check calls
 	FoldedDecided   int64 // decided by constant folding alone
 	IntervalDecided int64 // decided by the interval pre-pass
+	OrderDecided    int64 // refuted by the order pass
 	SatCalls        int64 // queries that reached the SAT core
 	SatConflicts    int64 // conflicts accumulated across SAT calls
 	CacheHits       int64 // queries answered from the verdict cache
@@ -136,6 +137,7 @@ type Solver struct {
 	Opts  Options
 	stats struct {
 		queries, folded, interval, satCalls, satConflicts, cacheHits atomic.Int64
+		order                                                        atomic.Int64
 		sessions, assumptionSolves, clausesReused, arrayLemmas       atomic.Int64
 		gateHits, cnfVars, cnfClauses                                atomic.Int64
 		minimizedLits, learntLits, learnts, glueSum, lowGlue         atomic.Int64
@@ -232,6 +234,7 @@ func (s *Solver) Stats() Stats {
 		Queries:          s.stats.queries.Load(),
 		FoldedDecided:    s.stats.folded.Load(),
 		IntervalDecided:  s.stats.interval.Load(),
+		OrderDecided:     s.stats.order.Load(),
 		SatCalls:         s.stats.satCalls.Load(),
 		SatConflicts:     s.stats.satConflicts.Load(),
 		CacheHits:        s.stats.cacheHits.Load(),
@@ -356,27 +359,41 @@ func (s *Solver) satSolve(sat *SatSolver, cone []int32, refine func() bool, assu
 	return verdict
 }
 
-// preSolve runs the cheap per-query passes shared by the one-shot Check
-// and the incremental session: flattening and constant folding,
-// canonical ordering and deduplication, the verdict cache, and the
-// interval pre-analysis. When done is true the query is decided and res/m
-// hold the verdict; otherwise atoms is the canonical atom set to solve
-// and key its cache key (the caller cachePuts its verdict under them).
-// atoms may alias the caller's scratch space — it is only valid until
-// the next preSolve call on the same goroutine.
+// layer names the pre-solve pass that decided a query.
+type layer int8
+
+const (
+	layerNone     layer = iota // undecided: the SAT core decides
+	layerFold                  // flattening and constant folding
+	layerCache                 // the verdict cache
+	layerInterval              // the interval pre-analysis
+	layerOrder                 // the order pass (order.go)
+)
+
+// orderAudit, when non-nil, sees the atoms of every query the order pass
+// refutes. Tests set it to cross-check the pass against the SAT core.
+var orderAudit func(atoms []*expr.Expr)
+
+// preSolve runs the cheap per-query passes in front of every solve:
+// flattening and constant folding, canonical ordering and
+// deduplication, the verdict cache, the interval pre-analysis and the
+// order pass. by names the pass that decided the query, with res/m
+// its verdict; when by is layerNone, atoms is the canonical atom set to
+// solve and key its cache key (the caller cachePuts its verdict under
+// them). atoms may alias the caller's scratch space — it is only valid
+// until the next preSolve call on the same goroutine.
 //
 // With cached false (CheckFresh) the atoms are ordered by content and
-// the verdict cache is neither read nor filled. hit reports a verdict
-// the cache answered.
-func (s *Solver) preSolve(constraints []*expr.Expr, cached bool) (atoms []*expr.Expr, key uint64, res Result, m *expr.Assignment, done, hit bool) {
+// the verdict cache is neither read nor filled.
+func (s *Solver) preSolve(constraints []*expr.Expr, cached bool) (atoms []*expr.Expr, key uint64, res Result, m *expr.Assignment, by layer) {
 	s.stats.queries.Add(1)
 	atoms, early := flattenAtoms(constraints)
 	if early != Unknown {
 		s.stats.folded.Add(1)
 		if early == Sat {
-			return nil, 0, Sat, expr.NewAssignment(), true, false
+			return nil, 0, Sat, expr.NewAssignment(), layerFold
 		}
-		return nil, 0, Unsat, nil, true, false
+		return nil, 0, Unsat, nil, layerFold
 	}
 	if !cached {
 		sortAtomsByContent(atoms)
@@ -388,200 +405,48 @@ func (s *Solver) preSolve(constraints []*expr.Expr, cached bool) (atoms []*expr.
 		key = cacheKey(atoms)
 		if r, cm, ok := s.cacheGet(key, atoms); ok {
 			s.stats.cacheHits.Add(1)
-			return nil, 0, r, cm, true, true
+			return nil, 0, r, cm, layerCache
 		}
 	}
-	if !s.Opts.DisableIntervals {
-		switch verdict, model := preAnalyze(atoms); verdict {
-		case intervalUnsat:
-			s.stats.interval.Add(1)
-			if cached {
-				s.cachePut(key, atoms, Unsat, nil)
-			}
-			return nil, 0, Unsat, nil, true, false
-		case intervalSat:
-			s.stats.interval.Add(1)
-			if cached {
-				s.cachePut(key, atoms, Sat, model)
-			}
-			return nil, 0, Sat, model, true, false
-		}
+	if s.Opts.DisableIntervals {
+		return atoms, key, Unknown, nil, layerNone
 	}
-	return atoms, key, Unknown, nil, false, false
+	res, m, by = s.prePasses(atoms)
+	if by == layerNone {
+		return atoms, key, Unknown, nil, layerNone
+	}
+	if cached {
+		s.cachePut(key, atoms, res, m)
+	}
+	return nil, 0, res, m, by
 }
 
-// Check decides whether the conjunction of the given 1-bit expressions is
-// satisfiable. On Sat it returns a model assigning every free variable
-// and the bytes of every base array mentioned by the constraints.
-func (s *Solver) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
-	// 1.-2. Flattening, folding, dedup, verdict cache, intervals.
-	query, key, res, m, done, _ := s.preSolve(constraints, true)
-	if done {
-		return res, m
+// prePasses runs the word-level passes over a canonical atom set: the
+// interval pre-analysis, then the order pass on what it leaves open. The
+// order pass reads its node bounds from the intervals' refinements.
+func (s *Solver) prePasses(atoms []*expr.Expr) (Result, *expr.Assignment, layer) {
+	ia := newIntervalAnalysis()
+	defer iaPool.Put(ia)
+	switch verdict, model := preAnalyze(ia, atoms); verdict {
+	case intervalUnsat:
+		s.stats.interval.Add(1)
+		return Unsat, nil, layerInterval
+	case intervalSat:
+		s.stats.interval.Add(1)
+		return Sat, model, layerInterval
 	}
-
-	// 3. Ackermannize packet-array reads.
-	atoms, selects, selVars := ackermannize(query)
-
-	// 4. Bit-blast and solve on a pooled blaster.
-	s.stats.satCalls.Add(1)
-	b := newBlaster()
-	defer b.release()
-	for _, a := range atoms {
-		b.assertTrue(a)
-	}
-	// A one-shot instance holds this query alone, so its cone is the
-	// whole instance.
-	verdict := s.satSolve(b.sat, b.sat.everyVar(), nil)
-	s.foldBlasterCounters(b, blasterCounters{})
-	switch verdict {
-	case SatUnsat:
-		s.cachePut(key, query, Unsat, nil)
-		return Unsat, nil
-	case SatUnknown:
-		return Unknown, nil
-	}
-
-	// 5. Reconstruct the model over the query's own variables (a variable
-	// that only indexes a lone select never reaches the blaster and reads
-	// zero), plus the Ackermann variables the select indices mention.
-	asn := expr.NewAssignment()
-	var vars []*expr.Expr
-	for _, a := range query {
-		vars = expr.Vars(a, vars)
-	}
-	for _, v := range vars {
-		if _, ok := asn.Vars[v.Name]; !ok {
-			asn.Vars[v.Name] = b.modelVar(v.Name, v.Width())
+	if orderRefutes(ia, atoms) {
+		s.stats.order.Add(1)
+		if orderAudit != nil {
+			orderAudit(atoms)
 		}
+		return Unsat, nil, layerOrder
 	}
-	for _, n := range selVars {
-		asn.Vars[n] = b.modelVar(n, 8)
-	}
-	// Array contents: evaluate each select's (rewritten) index under the
-	// model, then place the select variable's value at that index. The
-	// Ackermann constraints guarantee consistency.
-	// Indices are capped defensively: the IR guards every packet access
-	// with a bounds assertion, so genuine models never index past the
-	// maximum packet size, but a caller-supplied unguarded query must not
-	// make us allocate gigabytes.
-	const maxModelIndex = 1 << 20
-	for i, sel := range selects {
-		name := sel.sel.Arr.BaseName()
-		idx := expr.Eval(sel.idx, asn).Int()
-		if idx >= maxModelIndex {
-			continue
-		}
-		val := byte(asn.Vars[selVars[i]].Int())
-		content := asn.Arrays[name]
-		for uint64(len(content)) <= idx {
-			content = append(content, 0)
-		}
-		content[idx] = val
-		asn.Arrays[name] = content
-	}
-	// Drop the internal Ackermann variables from the reported model.
-	for _, n := range selVars {
-		delete(asn.Vars, n)
-	}
-	s.cachePut(key, query, Sat, asn)
-	return Sat, asn
+	return Unknown, nil, layerNone
 }
 
 // selectInfo pairs a KSelect node with its select-free rewritten index.
 type selectInfo struct {
 	sel *expr.Expr
 	idx *expr.Expr
-}
-
-// ackermannize replaces every KSelect node in the atoms with a fresh
-// 8-bit variable and appends functional-consistency constraints: for any
-// two reads of the same base array, equal indices force equal values.
-// It returns the rewritten atoms, the select descriptors, and the fresh
-// variable names (parallel slices).
-func ackermannize(atoms []*expr.Expr) ([]*expr.Expr, []selectInfo, []string) {
-	var sels []*expr.Expr
-	for _, a := range atoms {
-		sels = expr.SelectsOf(a, sels)
-	}
-	if len(sels) == 0 {
-		return atoms, nil, nil
-	}
-	// Deterministic order for reproducible encodings.
-	sort.Slice(sels, func(i, j int) bool {
-		si, sj := sels[i], sels[j]
-		if si.Arr.BaseName() != sj.Arr.BaseName() {
-			return si.Arr.BaseName() < sj.Arr.BaseName()
-		}
-		return si.B.String() < sj.B.String()
-	})
-	repl := map[*expr.Expr]*expr.Expr{}
-	names := make([]string, len(sels))
-	for i, sel := range sels {
-		names[i] = fmt.Sprintf("§sel%d", i)
-		repl[sel] = expr.Var(names[i], 8)
-	}
-	// Rewrite: replace selects bottom-up (an index expression may itself
-	// contain selects).
-	memo := map[*expr.Expr]*expr.Expr{}
-	var rw func(e *expr.Expr) *expr.Expr
-	rw = func(e *expr.Expr) *expr.Expr {
-		if e == nil {
-			return nil
-		}
-		if r, ok := memo[e]; ok {
-			return r
-		}
-		var r *expr.Expr
-		if v, ok := repl[e]; ok {
-			r = v
-		} else {
-			switch e.Kind {
-			case expr.KConst, expr.KVar:
-				r = e
-			case expr.KBin:
-				r = expr.Bin(e.Op, rw(e.A), rw(e.B))
-			case expr.KNot:
-				r = expr.Not(rw(e.A))
-			case expr.KNeg:
-				r = expr.Neg(rw(e.A))
-			case expr.KIte:
-				r = expr.Ite(rw(e.Cond), rw(e.A), rw(e.B))
-			case expr.KZExt:
-				r = expr.ZExt(rw(e.A), e.Width())
-			case expr.KSExt:
-				r = expr.SExt(rw(e.A), e.Width())
-			case expr.KTrunc:
-				r = expr.Trunc(rw(e.A), e.Width())
-			case expr.KExtract:
-				r = expr.Extract(rw(e.A), e.Lo, e.Width())
-			default:
-				panic("smt: unexpected node during Ackermannization")
-			}
-		}
-		memo[e] = r
-		return r
-	}
-	infos := make([]selectInfo, len(sels))
-	outAtoms := make([]*expr.Expr, 0, len(atoms)+len(sels)*(len(sels)-1)/2)
-	for _, a := range atoms {
-		outAtoms = append(outAtoms, rw(a))
-	}
-	for i, sel := range sels {
-		infos[i] = selectInfo{sel: sel, idx: rw(sel.B)}
-	}
-	// Functional consistency.
-	for i := 0; i < len(sels); i++ {
-		for j := i + 1; j < len(sels); j++ {
-			if sels[i].Arr.BaseName() != sels[j].Arr.BaseName() {
-				continue
-			}
-			vi, vj := expr.Var(names[i], 8), expr.Var(names[j], 8)
-			c := expr.Implies(expr.Eq(infos[i].idx, infos[j].idx), expr.Eq(vi, vj))
-			if !c.IsTrue() {
-				outAtoms = append(outAtoms, c)
-			}
-		}
-	}
-	return outAtoms, infos, names
 }

@@ -8,16 +8,20 @@ import (
 
 // TestSolverBudgetReportsUnresolved pins the budget contract end to
 // end: with an absurdly small per-obligation conflict budget on a
-// pipeline whose obligations need real search (the IP-options loop),
-// the verifier must degrade to "unresolved" — Verified=false with
-// Unresolved>0 — and must never fabricate a verdict or an error. A
+// pipeline whose obligations need real search (the IP-options loop
+// behind a checksumming CheckIPHeader), the verifier must degrade to
+// "unresolved" — Verified=false with Unresolved>0 — and must never
+// fabricate a verdict or an error. (Behind CheckIPHeader(NOCHECKSUM)
+// the order pass refutes the options loop's crash stitch without a SAT
+// search, so no budget starves it; the checksum loop's stitch still
+// needs one.) A
 // trivially crashing pipeline under the same budget must still produce
 // a genuine witness (small obligations fit any budget, and witnesses
 // are cross-checked under evaluation semantics before being reported).
 func TestSolverBudgetReportsUnresolved(t *testing.T) {
 	p := parsePipeline(t, `
 		src :: InfiniteSource;
-		src -> Strip(14) -> chk :: CheckIPHeader(NOCHECKSUM);
+		src -> Strip(14) -> chk :: CheckIPHeader;
 		chk[0] -> opt :: IPOptions; chk[1] -> Discard;
 		opt[1] -> Discard;`)
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 40, SolverMaxConflicts: 1})

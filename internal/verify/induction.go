@@ -324,7 +324,7 @@ func (c *seqCtx) extend(pre *seqPrefix, se *seqEnd) (*seqPrefix, error) {
 		info := c.sess.LastSolve()
 		c.v.tel.recordSolve(info, "seq-extend", "seq-extend", started, sp)
 		feasible, unknown = r != smt.Unsat, r == smt.Unknown
-		sat = info.SATCore || info.Cached
+		sat = info.SATCore || info.OrderDecided || info.Cached
 	}
 	if c.cert != nil && !unknown {
 		c.cert.record(seqEntry, next.key, feasible, sat)

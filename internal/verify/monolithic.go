@@ -70,7 +70,7 @@ func Monolithic(p *click.Pipeline, opts Options, maxSegments int) (*MonolithicRe
 			lks[i] = pathLookup{TableLookup: lk, tbl: tbl}
 		}
 		cons := append(append(append([]*expr.Expr{}, input.Pre...), s.Cond...), tableConstraint(lks))
-		r, _ := engine.Solver.Check(cons)
+		r, _, _ := engine.Solver.CheckFresh(cons)
 		return r != smt.Unsat
 	}
 	var ends []*symbex.Segment

@@ -56,10 +56,11 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 
 // TestOptionsRouterClauseBudget is the count-based gate of the lazy
 // array axioms (DESIGN.md §2), of the loop merge-group rule (§3.1) and
-// of the per-value table forks (§3.2): certifying the IPOptions router
-// on one worker takes exactly 119 SAT calls, and under half the clauses
-// that eager axioms needed (816 286 eager, 227 161 lazy when the clause
-// gate was set). Of the 119, 107 are Step 1 — 79 of them IPOptions',
+// of the per-value table forks (§3.2) and of the order pass (§4.4):
+// certifying the IPOptions router on one worker takes exactly 118 SAT
+// calls, and under half the clauses that eager axioms needed (816 286
+// eager, 227 161 lazy when the clause gate was set). Of the 118, 107
+// are Step 1 — 79 of them IPOptions
 // which checks each merge group once instead of every member (the
 // per-member check made the total 305; 77 until merged loop states kept
 // the body's branch structure, §3.1, whose smaller formulas give the
@@ -68,9 +69,12 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 // forks per value unchecked (per range it cost 5); bounds checks that
 // the path's byte window proves cost none either (DESIGN.md §3.3), which
 // took 9 (Classifier 5 → 4, CheckIPHeader 9 → 8, DecIPTTL 7 → 5,
-// EtherEncap 14 → 9) — 11 the crash walk's stitches (19
-// over the route table's five ranges), and one is the bound witness,
-// solved on a fresh session (DESIGN.md §7.5).
+// EtherEncap 14 → 9) — 10 the crash walk's stitches (19
+// over the route table's five ranges; 11 until the order pass refuted
+// the chk → opt crash stitch, the paper's central argument, without
+// the SAT core), and one is the bound witness, solved on a fresh
+// session (DESIGN.md §7.5). The instruction bound 922 is the 48-byte
+// bound; from maxlen 64 up to 1514 the router's bound is 1230.
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
 	ok, bound, _, work := certifyCounted(t, v, parsePipeline(t, ipRouterConfig))
@@ -78,8 +82,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if !ok || bound != 922 {
 		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
 	}
-	if work.SatCalls != 119 {
-		t.Errorf("%d SAT calls, want 119", work.SatCalls)
+	if work.SatCalls != 118 {
+		t.Errorf("%d SAT calls, want 118", work.SatCalls)
 	}
 	if work.CNFClauses > 400_000 {
 		t.Errorf("%d CNF clauses, want at most 400 000", work.CNFClauses)

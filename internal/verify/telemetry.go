@@ -139,6 +139,9 @@ func (t *vtel) recordSolve(info smt.SolveInfo, kind, name string, started bool, 
 	}
 	if started {
 		sp.SetStr("verdict", info.Result.String())
+		if info.OrderDecided {
+			sp.SetStr("decided_by", "order")
+		}
 		if info.SATCore {
 			sp.SetInt("conflicts", info.Conflicts)
 			sp.SetInt("decisions", info.Decisions)
@@ -172,6 +175,8 @@ type ObligationStat struct {
 	Name       string
 	Queries    int64
 	SATCore    int64 // queries that actually engaged the SAT core
+	CoreUnsat  int64 // of those, the ones the SAT core refuted
+	Order      int64 // queries the order pass refuted before the SAT core
 	WallNS     int64
 	Conflicts  int64
 	Decisions  int64
@@ -199,8 +204,14 @@ func (p *obligationProfiler) record(kind, name string, info smt.SolveInfo) {
 	}
 	st.Queries++
 	st.WallNS += int64(info.Duration)
+	if info.OrderDecided {
+		st.Order++
+	}
 	if info.SATCore {
 		st.SATCore++
+		if info.Result == smt.Unsat {
+			st.CoreUnsat++
+		}
 		st.Conflicts += info.Conflicts
 		st.Decisions += info.Decisions
 		st.CNFVars += info.CNFVars
@@ -234,7 +245,9 @@ func (v *Verifier) ObligationProfile() []ObligationStat {
 
 // FormatObligationProfile renders the top-k obligations three ways —
 // by wall time, by conflicts, and by CNF size — as the printable
-// table behind `vsdverify -profile`.
+// table behind `vsdverify -profile`. Per obligation, SATCORE counts the
+// queries the SAT core solved and CORE-UNSAT the ones among them it
+// refuted; ORDER counts the ones the order pass refuted without it.
 func FormatObligationProfile(stats []ObligationStat, k int) string {
 	if len(stats) == 0 {
 		return "obligation profile: no solver queries recorded\n"
@@ -257,13 +270,13 @@ func FormatObligationProfile(stats []ObligationStat, k int) string {
 			n = len(s)
 		}
 		fmt.Fprintf(&b, "top %d obligations by %s\n", n, title)
-		fmt.Fprintf(&b, "  %-10s %8s %8s %10s %10s %9s  %s\n",
-			"KIND", "QUERIES", "SATCORE", "WALL", "CONFLICTS", "CNFVARS", "OBLIGATION")
+		fmt.Fprintf(&b, "  %-10s %8s %8s %10s %6s %10s %10s %9s  %s\n",
+			"KIND", "QUERIES", "SATCORE", "CORE-UNSAT", "ORDER", "WALL", "CONFLICTS", "CNFVARS", "OBLIGATION")
 		// The name goes last and whole: stitch names share long
 		// prefixes, so a cut one cannot tell them apart.
 		for _, st := range s[:n] {
-			fmt.Fprintf(&b, "  %-10s %8d %8d %10s %10d %9d  %s\n",
-				st.Kind, st.Queries, st.SATCore,
+			fmt.Fprintf(&b, "  %-10s %8d %8d %10d %6d %10s %10d %9d  %s\n",
+				st.Kind, st.Queries, st.SATCore, st.CoreUnsat, st.Order,
 				time.Duration(st.WallNS).Round(time.Microsecond),
 				st.Conflicts, st.CNFVars, st.Name)
 		}

@@ -842,9 +842,9 @@ func (v *Verifier) countBuilt() {
 // surface the obligation as unresolved instead of fabricating a verdict.
 // kind and lbl attribute the query for tracing and the obligation
 // profiler; lbl is empty when neither consumer is active. solved
-// reports a decision that took the SAT core, on this query or on the
-// earlier one whose verdict the solver's cache returned: on a run
-// without that history it would take the SAT core again.
+// reports a decision that took the SAT core or the order pass, on this
+// query or on the earlier one whose verdict the solver's cache
+// returned: on a run without that history it would take them again.
 func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown, solved bool) {
 	if st.model != nil {
 		ok := true
@@ -870,7 +870,7 @@ func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds
 	r, m := sess.Check(cons)
 	info := sess.LastSolve()
 	v.tel.recordSolve(info, kind, lbl, started, sp)
-	solved = info.SATCore || info.Cached
+	solved = info.SATCore || info.OrderDecided || info.Cached
 	switch r {
 	case smt.Unsat:
 		return false, nil, false, solved
