@@ -9,14 +9,24 @@ import (
 )
 
 // gateKey identifies a Tseitin gate structurally: operator plus the
-// canonicalized operand pair. AND and XOR cover every gate the blaster
-// emits (OR is AND over flipped literals, IFF is flipped XOR, MUX lowers
-// to AND/OR), so two gates with equal keys always denote the same
-// function and may share one output literal.
+// canonicalized operands (z is litNone for the two-input gates). AND,
+// XOR, MAJ and XOR3 cover every gate the blaster emits (OR is AND over
+// flipped literals, IFF is flipped XOR, MUX lowers to AND/OR, adders and
+// comparators are MAJ/XOR3 chains), so two gates with equal keys always
+// denote the same function and may share one output literal.
 type gateKey struct {
-	xor  bool
-	x, y Lit
+	op      gateOp
+	x, y, z Lit
 }
+
+type gateOp uint8
+
+const (
+	opAnd gateOp = iota
+	opXor
+	opMaj  // majority of three: the carry of a full adder
+	opXor3 // parity of three: the sum of a full adder
+)
 
 // blaster translates bitvector expressions into CNF over a SatSolver.
 // Each expression node maps to a little-endian vector of literals (bit 0
@@ -24,16 +34,16 @@ type gateKey struct {
 // are ordinary literals.
 //
 // Gates are hash-consed (AIG style): before allocating a fresh Tseitin
-// variable, mkAnd/mkXor canonicalize their operand pair and look it up
-// in the gate cache, so syntactically repeated structure — parallel
-// adders over shared inputs, the equality ladders that segment stitching
-// emits — reaches the SAT core as one gate instead of many.
+// variable, the gate constructors canonicalize their operands and look
+// them up in the gate cache, so syntactically repeated structure —
+// parallel adders over shared inputs, the equality ladders that segment
+// stitching emits — reaches the SAT core as one gate instead of many.
 //
-// The emitted circuit is a pure and-inverter/xor graph, and the blaster
-// keeps its shape: fanin records, per variable, the operand literals of
-// the gate that defines it. cone walks that record backwards from a set
-// of root literals, which is what lets a solve on a shared instance
-// branch only on the variables its own query depends on.
+// The emitted circuit is a pure and-inverter/xor/majority graph, and the
+// blaster keeps its shape: fanin records, per variable, the operand
+// literals of the gate that defines it. cone walks that record backwards
+// from a set of root literals, which is what lets a solve on a shared
+// instance branch only on the variables its own query depends on.
 type blaster struct {
 	sat      *SatSolver
 	tru      Lit // literal that is always true
@@ -44,9 +54,9 @@ type blaster struct {
 	gateHits int64
 
 	// fanin[v] is what variable v is a function of: two operand literals
-	// for an AND/XOR gate, one for a session guard (its atom's root),
-	// none for a free input, and a tie index for an input that a side
-	// constraint binds to other literals (see tie).
+	// for an AND/XOR gate, three for a MAJ/XOR3 gate, one for a session
+	// guard (its atom's root), none for a free input, and a tie index for
+	// an input that a side constraint binds to other literals (see tie).
 	fanin []gateIn
 	ties  []tie
 
@@ -59,9 +69,10 @@ type blaster struct {
 	coneStack []int32
 }
 
-// gateIn is one variable's defining operands. x == litNone marks a free
-// input; x == litTie an input whose tie index is y.
-type gateIn struct{ x, y Lit }
+// gateIn is one variable's defining operands, unused ones litNone.
+// x == litNone marks a free input; x == litTie an input whose tie index
+// is y.
+type gateIn struct{ x, y, z Lit }
 
 const (
 	litNone Lit = -1
@@ -150,7 +161,7 @@ func (b *blaster) isConst(l Lit) (bool, bool) {
 // constructor, tieInputs or the session's guard says otherwise. Every
 // variable of the instance comes from here, so fanin covers them all.
 func (b *blaster) fresh() Lit {
-	b.fanin = append(b.fanin, gateIn{litNone, litNone})
+	b.fanin = append(b.fanin, gateIn{litNone, litNone, litNone})
 	return MkLit(b.sat.NewVar(), false)
 }
 
@@ -158,7 +169,7 @@ func (b *blaster) fresh() Lit {
 func (b *blaster) tieInputs(bits, lits []Lit, sel int32) {
 	b.ties = append(b.ties, tie{lits: lits, sel: sel})
 	for _, l := range bits {
-		b.fanin[l.Var()] = gateIn{litTie, Lit(len(b.ties) - 1)}
+		b.fanin[l.Var()] = gateIn{litTie, Lit(len(b.ties) - 1), litNone}
 	}
 }
 
@@ -211,6 +222,9 @@ func (b *blaster) cone(roots []Lit) (vars, sels []int32) {
 			if f.y != litNone {
 				visit(f.y)
 			}
+			if f.z != litNone {
+				visit(f.z)
+			}
 		}
 	}
 	b.coneVars, b.coneSels, b.coneStack = vars, sels, stack
@@ -242,13 +256,13 @@ func (b *blaster) mkAnd(x, y Lit) Lit {
 	if y < x {
 		x, y = y, x
 	}
-	key := gateKey{false, x, y}
+	key := gateKey{opAnd, x, y, litNone}
 	if z, ok := b.gates[key]; ok {
 		b.gateHits++
 		return z
 	}
 	z := b.fresh()
-	b.fanin[z.Var()] = gateIn{x, y}
+	b.fanin[z.Var()] = gateIn{x, y, litNone}
 	b.sat.AddClause(z.Flip(), x)
 	b.sat.AddClause(z.Flip(), y)
 	b.sat.AddClause(z, x.Flip(), y.Flip())
@@ -292,7 +306,7 @@ func (b *blaster) mkXor(x, y Lit) Lit {
 	if y < x {
 		x, y = y, x
 	}
-	key := gateKey{true, x, y}
+	key := gateKey{opXor, x, y, litNone}
 	if z, ok := b.gates[key]; ok {
 		b.gateHits++
 		if flip {
@@ -301,7 +315,7 @@ func (b *blaster) mkXor(x, y Lit) Lit {
 		return z
 	}
 	z := b.fresh()
-	b.fanin[z.Var()] = gateIn{x, y}
+	b.fanin[z.Var()] = gateIn{x, y, litNone}
 	b.sat.AddClause(z.Flip(), x, y)
 	b.sat.AddClause(z.Flip(), x.Flip(), y.Flip())
 	b.sat.AddClause(z, x.Flip(), y)
@@ -314,6 +328,132 @@ func (b *blaster) mkXor(x, y Lit) Lit {
 }
 
 func (b *blaster) mkIff(x, y Lit) Lit { return b.mkXor(x, y).Flip() }
+
+// mkMaj returns the majority of x, y, z: the carry out of a full adder
+// over them. It is one variable with the gate's six prime clauses, where
+// the AND/OR decomposition takes three variables and nine; a constant or
+// repeated operand reduces it to the two-input gate it then is.
+func (b *blaster) mkMaj(x, y, z Lit) Lit {
+	if v, ok := b.isConst(x); ok {
+		if v {
+			return b.mkOr(y, z)
+		}
+		return b.mkAnd(y, z)
+	}
+	if _, ok := b.isConst(y); ok {
+		return b.mkMaj(y, x, z)
+	}
+	if _, ok := b.isConst(z); ok {
+		return b.mkMaj(z, x, y)
+	}
+	switch {
+	case x == y || x == z:
+		return x
+	case y == z:
+		return y
+	case x == y.Flip():
+		return z
+	case x == z.Flip():
+		return y
+	case y == z.Flip():
+		return x
+	}
+	x, y, z = sort3(x, y, z)
+	key := gateKey{opMaj, x, y, z}
+	if o, ok := b.gates[key]; ok {
+		b.gateHits++
+		return o
+	}
+	o := b.fresh()
+	b.fanin[o.Var()] = gateIn{x, y, z}
+	b.sat.AddClause(o.Flip(), x, y)
+	b.sat.AddClause(o.Flip(), x, z)
+	b.sat.AddClause(o.Flip(), y, z)
+	b.sat.AddClause(o, x.Flip(), y.Flip())
+	b.sat.AddClause(o, x.Flip(), z.Flip())
+	b.sat.AddClause(o, y.Flip(), z.Flip())
+	b.gates[key] = o
+	return o
+}
+
+// mkXor3 returns x ⊕ y ⊕ z: the sum bit of a full adder. It is one
+// variable with the parity's eight clauses, where two chained XORs take
+// two variables and eight. Like mkXor it absorbs operand complements
+// into an output flip, and a constant or repeated operand reduces it to
+// a two-input XOR.
+func (b *blaster) mkXor3(x, y, z Lit) Lit {
+	if v, ok := b.isConst(x); ok {
+		if v {
+			return b.mkXor(y, z).Flip()
+		}
+		return b.mkXor(y, z)
+	}
+	if _, ok := b.isConst(y); ok {
+		return b.mkXor3(y, x, z)
+	}
+	if _, ok := b.isConst(z); ok {
+		return b.mkXor3(z, x, y)
+	}
+	switch {
+	case x == y:
+		return z
+	case x == z:
+		return y
+	case y == z:
+		return x
+	case x == y.Flip():
+		return z.Flip()
+	case x == z.Flip():
+		return y.Flip()
+	case y == z.Flip():
+		return x.Flip()
+	}
+	flip := x.Neg() != y.Neg() != z.Neg()
+	x, y, z = sort3(x&^1, y&^1, z&^1)
+	key := gateKey{opXor3, x, y, z}
+	o, ok := b.gates[key]
+	if ok {
+		b.gateHits++
+	} else {
+		o = b.fresh()
+		b.fanin[o.Var()] = gateIn{x, y, z}
+		// One clause per operand assignment, forcing the output to its
+		// parity: the literals of the clause say "not this assignment".
+		for m := 0; m < 8; m++ {
+			lx, ly, lz, lo := x, y, z, o
+			if m&1 != 0 {
+				lx, lo = lx.Flip(), lo.Flip()
+			}
+			if m&2 != 0 {
+				ly, lo = ly.Flip(), lo.Flip()
+			}
+			if m&4 != 0 {
+				lz, lo = lz.Flip(), lo.Flip()
+			}
+			b.sat.AddClause(lx, ly, lz, lo.Flip())
+		}
+		b.gates[key] = o
+	}
+	if flip {
+		return o.Flip()
+	}
+	return o
+}
+
+// sort3 returns its operands in ascending order, the canonical operand
+// order of the three-input gates.
+func sort3(x, y, z Lit) (Lit, Lit, Lit) {
+	if y < x {
+		x, y = y, x
+	}
+	if z < y {
+		y, z = z, y
+	}
+	if y < x {
+		x, y = y, x
+	}
+	return x, y, z
+}
 
 // mkMux returns c ? x : y.
 func (b *blaster) mkMux(c, x, y Lit) Lit {
@@ -351,6 +491,8 @@ func (b *blaster) zeros(n int) []Lit {
 	return out
 }
 
+// addBits is a ripple-carry adder: each bit is one XOR3 (the sum) and
+// one MAJ (the carry) over the operand bits and the incoming carry.
 func (b *blaster) addBits(x, y []Lit, cin Lit) (sum []Lit, cout Lit) {
 	if len(x) != len(y) {
 		panic("smt: addBits width mismatch")
@@ -358,31 +500,26 @@ func (b *blaster) addBits(x, y []Lit, cin Lit) (sum []Lit, cout Lit) {
 	sum = make([]Lit, len(x))
 	c := cin
 	for i := range x {
-		axb := b.mkXor(x[i], y[i])
-		sum[i] = b.mkXor(axb, c)
-		c = b.mkOr(b.mkAnd(x[i], y[i]), b.mkAnd(axb, c))
+		sum[i] = b.mkXor3(x[i], y[i], c)
+		c = b.mkMaj(x[i], y[i], c)
 	}
 	return sum, c
 }
 
-func (b *blaster) negBits(x []Lit) []Lit {
-	inv := make([]Lit, len(x))
-	for i := range x {
-		inv[i] = x[i].Flip()
-	}
-	one := b.zeros(len(x))
-	one[0] = b.tru
-	s, _ := b.addBits(inv, one, b.fls())
+func (b *blaster) negBits(x []Lit) []Lit { return b.subBits(b.zeros(len(x)), x) }
+
+// subBits computes x - y as x + ¬y + 1.
+func (b *blaster) subBits(x, y []Lit) []Lit {
+	s, _ := b.addBits(x, flipBits(y), b.tru)
 	return s
 }
 
-func (b *blaster) subBits(x, y []Lit) []Lit {
-	inv := make([]Lit, len(y))
-	for i := range y {
-		inv[i] = y[i].Flip()
+func flipBits(x []Lit) []Lit {
+	out := make([]Lit, len(x))
+	for i := range x {
+		out[i] = x[i].Flip()
 	}
-	s, _ := b.addBits(x, inv, b.tru)
-	return s
+	return out
 }
 
 func (b *blaster) mulBits(x, y []Lit) []Lit {
@@ -423,15 +560,16 @@ func (b *blaster) eqBits(x, y []Lit) Lit {
 	return r
 }
 
-// ultBits computes unsigned x < y via a borrow chain.
+// ultBits computes unsigned x < y as the borrow out of x - y: the carry
+// chain of x + ¬y + 1, one MAJ per bit, ends in 1 exactly when x >= y.
+// The chain is the one subBits(x, y) builds, so a comparison and a
+// difference over the same operands share it through the gate cache.
 func (b *blaster) ultBits(x, y []Lit) Lit {
-	lt := b.fls()
-	for i := 0; i < len(x); i++ {
-		bitLt := b.mkAnd(x[i].Flip(), y[i])
-		eq := b.mkIff(x[i], y[i])
-		lt = b.mkOr(bitLt, b.mkAnd(eq, lt))
+	c := b.tru
+	for i := range x {
+		c = b.mkMaj(x[i], y[i].Flip(), c)
 	}
-	return lt
+	return c.Flip()
 }
 
 func (b *blaster) muxBits(c Lit, x, y []Lit) []Lit {
@@ -515,12 +653,7 @@ func (b *blaster) blastNode(e *expr.Expr) []Lit {
 	case expr.KVar:
 		return b.varLits(e.Name, e.Width())
 	case expr.KNot:
-		x := b.blast(e.A)
-		out := make([]Lit, len(x))
-		for i := range x {
-			out[i] = x[i].Flip()
-		}
-		return out
+		return flipBits(b.blast(e.A))
 	case expr.KNeg:
 		return b.negBits(b.blast(e.A))
 	case expr.KZExt:

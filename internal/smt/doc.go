@@ -7,8 +7,9 @@
 //
 //  1. conjunction flattening and constant folding — most symbolic-
 //     execution queries die here;
-//  2. canonical ordering + dedup and an order-insensitive verdict cache
-//     keyed by the terms' memoized structural hashes;
+//  2. canonical ordering by content + dedup and an order-insensitive
+//     verdict cache keyed by the terms' memoized structural hashes, so a
+//     query blasts alike whatever the process interned before it;
 //  3. an interval pre-analysis that decides many comparisons without
 //     blasting (intervals.go);
 //  4. an order pass that refutes by unsigned order: terms are opaque
@@ -20,7 +21,8 @@
 //     axiom of two reads only when a model puts them at one index with
 //     different bytes, and solves again (DESIGN.md §2) — then
 //     structurally-hashed bit-blasting to CNF with AIG-style gate
-//     sharing (cnf.go, DESIGN.md §4.1);
+//     sharing over AND, XOR, and the majority and parity gates that
+//     adders and comparators are made of (cnf.go, DESIGN.md §4.1);
 //  6. a MiniSat/glucose-flavored CDCL core: arena clause storage,
 //     binary watch lists, recursive learnt-clause minimization,
 //     LBD-based clause-DB reduction, Luby restarts, decisions

@@ -169,7 +169,7 @@ func (sess *IncrementalSession) guardFor(atom *expr.Expr) Lit {
 	rw := sess.rewriteSelects(atom)
 	g := sess.bl.fresh()
 	lit := sess.bl.blast(rw)[0]
-	sess.bl.fanin[g.Var()] = gateIn{lit, litNone}
+	sess.bl.fanin[g.Var()] = gateIn{lit, litNone, litNone}
 	sess.bl.sat.AddClause(g.Flip(), lit)
 	sess.guards[atom] = g
 	return g

@@ -149,7 +149,7 @@ type Solver struct {
 }
 
 type cacheEntry struct {
-	atoms []*expr.Expr // sorted by pointer for exact matching
+	atoms []*expr.Expr // in content order, for exact matching
 	res   Result
 	model *expr.Assignment
 }
@@ -160,25 +160,23 @@ func New(opts Options) *Solver {
 }
 
 // cacheKey hashes the atom set from the per-node structural hashes
-// memoized at construction (no DAG re-walking); atoms must be sorted by
-// ID so the key is order-insensitive.
+// memoized at construction (no DAG re-walking); atoms must be in content
+// order (sortAtomsByContent) so the key is order-insensitive. It reads no
+// intern ID, so a formula keys alike in every process.
 func cacheKey(atoms []*expr.Expr) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, a := range atoms {
-		h ^= (a.Hash() ^ a.ID()) * 0x100000001b3
+		h ^= a.Hash() * 0x100000001b3
 		h *= 0xff51afd7ed558ccd
 	}
 	return h
 }
 
-func sortAtoms(atoms []*expr.Expr) {
-	sort.Slice(atoms, func(i, j int) bool { return atoms[i].ID() < atoms[j].ID() })
-}
-
 // sortAtomsByContent orders atoms by structural hash, then rendering:
-// unlike the intern-ID order, it is the same in every process whatever
+// unlike an intern-ID order, it is the same in every process whatever
 // was interned first, so a solve that blasts atoms in this order is a
-// function of the formula alone.
+// function of the formula (and, on a reused session, of the queries
+// before it) — not of which other work ran earlier in the process.
 func sortAtomsByContent(atoms []*expr.Expr) {
 	sort.SliceStable(atoms, func(i, j int) bool {
 		a, b := atoms[i], atoms[j]
@@ -383,8 +381,9 @@ var orderAudit func(atoms []*expr.Expr)
 // them). atoms may alias the caller's scratch space — it is only valid
 // until the next preSolve call on the same goroutine.
 //
-// With cached false (CheckFresh) the atoms are ordered by content and
-// the verdict cache is neither read nor filled.
+// The atoms are ordered by content, so the search does not depend on
+// interning order. With cached false (CheckFresh) the verdict cache is
+// neither read nor filled.
 func (s *Solver) preSolve(constraints []*expr.Expr, cached bool) (atoms []*expr.Expr, key uint64, res Result, m *expr.Assignment, by layer) {
 	s.stats.queries.Add(1)
 	atoms, early := flattenAtoms(constraints)
@@ -395,11 +394,7 @@ func (s *Solver) preSolve(constraints []*expr.Expr, cached bool) (atoms []*expr.
 		}
 		return nil, 0, Unsat, nil, layerFold
 	}
-	if !cached {
-		sortAtomsByContent(atoms)
-	} else {
-		sortAtoms(atoms)
-	}
+	sortAtomsByContent(atoms)
 	atoms = dedupAtoms(atoms)
 	if cached {
 		key = cacheKey(atoms)
