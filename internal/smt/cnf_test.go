@@ -84,12 +84,10 @@ func TestBlastMemoIdentity(t *testing.T) {
 }
 
 // cnfCeiling is one benchmark expression with recorded size ceilings.
-// The ceilings are the sizes the majority/parity adder encoding emits
-// (blasting is deterministic); a regression that re-expands shared
-// structure (lost canonicalization, memo misses, encoding blow-ups)
-// trips them. With the AND/XOR full adders they read add-eq 253/629,
-// parser-bound 93/166, mux-tree 381/989 and shared-checksum-words
-// 126/312 (variables/clauses), under ceilings about 25 % above that.
+// The ceilings are the exact sizes the encoding emits (blasting is
+// deterministic) and may only go down; a regression that re-expands
+// shared structure (lost canonicalization, memo misses, encoding
+// blow-ups) trips them.
 type cnfCeiling struct {
 	name       string
 	build      func() *expr.Expr

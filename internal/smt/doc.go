@@ -42,9 +42,13 @@
 // clauses carry over between queries. A solve branches only on the cone
 // of its query — the fan-in of the assumed atoms in the gate graph the
 // blaster records — so its cost follows the query, not what the session
-// has accumulated. The verifier's Step-2 workers each own a session for
-// the verifier's lifetime, a symbolic-execution run owns one for that
-// run; the Solver itself is safe for concurrent use by many sessions.
+// has accumulated. A symbolic-execution run owns one for that run, the
+// verifier's crash-freedom induction pools them for the verifier's
+// lifetime, and the verifier's Step-2 walk solves each query on one of
+// its own, steered to the model of the prefix it extends
+// (Solver.CheckFrom), so the model does not depend on what else some
+// session solved before; the Solver itself is safe for concurrent use
+// by many sessions.
 //
 // Sat verdicts come with a model (expr.Assignment) that the verifier
 // turns into concrete witness packets; Stats counters flow up into

@@ -1037,6 +1037,14 @@ func (s *SatSolver) setModel(v int32, val lbool) {
 	s.modelSet = append(s.modelSet, v)
 }
 
+// Prefer makes the next solve decide v early, to val: its saved phase
+// becomes val and its activity that of a variable bumped once, ahead of
+// every variable no conflict has bumped. Call it between solves.
+func (s *SatSolver) Prefer(v int32, val bool) {
+	s.polarity[v] = val
+	s.activity[v] = max(s.activity[v], s.varInc)
+}
+
 // ModelValue returns the assignment of variable v after a Sat answer.
 // Unassigned variables read as false.
 func (s *SatSolver) ModelValue(v int32) bool {

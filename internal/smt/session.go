@@ -191,7 +191,13 @@ func (sess *IncrementalSession) varsOf(a *expr.Expr) []*expr.Expr {
 // every free variable of the constraints and the packet bytes their
 // reads see.
 func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.Assignment) {
-	return sess.check(constraints, true)
+	start := time.Now()
+	atoms, key, res, m, by := sess.owner.preSolve(constraints, true)
+	if by != layerNone {
+		sess.lastSolve = passInfo(res, by, start)
+		return res, m
+	}
+	return sess.solve(atoms, key, true, nil, start)
 }
 
 // CheckFresh decides the conjunction on a new session that has answered
@@ -202,21 +208,47 @@ func (sess *IncrementalSession) Check(constraints []*expr.Expr) (Result, *expr.A
 // witness must be (DESIGN.md §7.5). The result contract matches Check;
 // the SolveInfo attributes the solve.
 func (s *Solver) CheckFresh(constraints []*expr.Expr) (Result, *expr.Assignment, SolveInfo) {
-	sess := s.NewSession()
-	defer sess.Close()
-	r, m := sess.check(constraints, false)
-	return r, m, sess.lastSolve
+	return s.checkAlone(constraints, false, nil)
 }
 
-// check is Check, with cached false for CheckFresh (see preSolve).
-func (sess *IncrementalSession) check(constraints []*expr.Expr, cached bool) (Result, *expr.Assignment) {
-	s := sess.owner
+// CheckFrom decides the conjunction like CheckFresh, on a session of its
+// own, but through the verdict cache and with the search steered to a
+// hint: the variables and packet bytes hint assigns are decided first,
+// to hint's values. When hint is a model of most of the formula — the
+// model of the prefix a Step-2 stitch extends — the search is a local
+// repair, not a solve from scratch. The model is a function of the
+// formula, the hint and the verdict cache, never of the queries some
+// pooled session answered before, so a walk that decides by reusing
+// these models decides alike on every goroutine schedule (DESIGN.md
+// §7.5). A nil hint steers nothing.
+func (s *Solver) CheckFrom(constraints []*expr.Expr, hint *expr.Assignment) (Result, *expr.Assignment, SolveInfo) {
+	return s.checkAlone(constraints, true, hint)
+}
+
+// checkAlone runs the cheap passes, then opens a session only for a
+// query they leave to the SAT core.
+func (s *Solver) checkAlone(constraints []*expr.Expr, cached bool, hint *expr.Assignment) (Result, *expr.Assignment, SolveInfo) {
 	start := time.Now()
 	atoms, key, res, m, by := s.preSolve(constraints, cached)
 	if by != layerNone {
-		sess.lastSolve = SolveInfo{Result: res, Duration: time.Since(start), Cached: by == layerCache, OrderDecided: by == layerOrder}
-		return res, m
+		return res, m, passInfo(res, by, start)
 	}
+	sess := s.NewSession()
+	defer sess.Close()
+	res, m = sess.solve(atoms, key, cached, hint, start)
+	return res, m, sess.lastSolve
+}
+
+// passInfo attributes a verdict the cheap passes reached.
+func passInfo(res Result, by layer, start time.Time) SolveInfo {
+	return SolveInfo{Result: res, Duration: time.Since(start), Cached: by == layerCache, OrderDecided: by == layerOrder}
+}
+
+// solve decides atoms, a content-ordered set the cheap passes left
+// open, on the session's SAT instance; with cached set it files the
+// verdict under key.
+func (sess *IncrementalSession) solve(atoms []*expr.Expr, key uint64, cached bool, hint *expr.Assignment, start time.Time) (Result, *expr.Assignment) {
+	s := sess.owner
 	if len(sess.guards)+len(atoms) > sessionMaxGuards {
 		sess.recycle()
 	}
@@ -232,6 +264,9 @@ func (sess *IncrementalSession) check(constraints []*expr.Expr, cached bool) (Re
 	// disagree is refuted by the axioms it breaks, and the same cone is
 	// solved again.
 	cone, sels := sess.bl.cone(assumptions)
+	if hint != nil {
+		sess.steer(hint, sels)
+	}
 	var asn *expr.Assignment
 	verdict := s.satSolve(sess.bl.sat, cone, func() bool {
 		asn = sess.extractModel(atoms, sels)
@@ -266,6 +301,27 @@ func (sess *IncrementalSession) check(constraints []*expr.Expr, cached bool) (Re
 		s.cachePut(key, atoms, Sat, asn)
 	}
 	return Sat, asn
+}
+
+// steer makes the next solve decide, before any other variable, the
+// bits of every variable hint assigns, to hint's value, and of every
+// cone select, to the byte it reads in hint's arrays (0 where they hold
+// none). Gate outputs then follow by propagation, so where hint
+// satisfies the formula the solve needs no conflict at all.
+func (sess *IncrementalSession) steer(hint *expr.Assignment, sels []int32) {
+	prefer := func(bits []Lit, u uint64) {
+		for i, l := range bits {
+			sess.bl.sat.Prefer(l.Var(), (u>>uint(i))&1 == 1 != l.Neg())
+		}
+	}
+	for _, i := range sels {
+		prefer(sess.bl.varBits[sess.selVars[i]], expr.Eval(sess.selInfo[i].sel, hint).Int())
+	}
+	for name, v := range hint.Vars {
+		if bits, ok := sess.bl.varBits[name]; ok {
+			prefer(bits, v.Int())
+		}
+	}
 }
 
 // arrayKey names one byte of one base array in a model.

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vsd/internal/bv"
 	"vsd/internal/expr"
 )
 
@@ -135,6 +136,68 @@ func TestSessionNestedSelectsAreDistinct(t *testing.T) {
 			if !expr.Eval(c, got.m).IsTrue() {
 				t.Fatalf("solve %d: model %v violates %s", i, got.m.Arrays[pkt.BaseName()], c)
 			}
+		}
+	}
+}
+
+// TestCheckFromFollowsHint: CheckFrom decides the hint's variables and
+// packet bytes first, to the hint's values. A hint that is a model comes
+// back as the model with no conflict; one that breaks a constraint still
+// yields a model of the formula. Either way the model is a function of
+// the formula and the hint: a solver whose sessions answered other
+// queries over the same variables first returns the same one.
+func TestCheckFromFollowsHint(t *testing.T) {
+	x, y := expr.Var("hx", 32), expr.Var("hy", 32)
+	pkt := expr.BaseArray("hpkt")
+	b2 := expr.Select(pkt, expr.Const(32, 2))
+	b5 := expr.Select(pkt, expr.Const(32, 5))
+	query := []*expr.Expr{
+		expr.Eq(expr.Add(x, y), expr.Const(32, 1000)),
+		expr.Ult(x, expr.Const(32, 600)),
+		expr.Eq(b2, expr.Const(8, 9)),
+		expr.Ult(b5, expr.Const(8, 100)),
+	}
+	hint := func(xv, yv uint64, bytes ...byte) *expr.Assignment {
+		a := expr.NewAssignment()
+		a.Vars["hx"] = bv.New(32, xv)
+		a.Vars["hy"] = bv.New(32, yv)
+		a.Arrays[pkt.BaseName()] = bytes
+		return a
+	}
+	solve := func(s *Solver, h *expr.Assignment) (*expr.Assignment, SolveInfo) {
+		t.Helper()
+		r, m, info := s.CheckFrom(query, h)
+		if r != Sat {
+			t.Fatalf("CheckFrom: %v, want sat", r)
+		}
+		for _, c := range query {
+			if !expr.Eval(c, m).IsTrue() {
+				t.Fatalf("model %v %v violates %s", m.Vars, m.Arrays, c)
+			}
+		}
+		return m, info
+	}
+	m, info := solve(New(Options{}), hint(123, 877, 0, 0, 9, 0, 0, 42))
+	if m.Vars["hx"].U != 123 || m.Vars["hy"].U != 877 || expr.Eval(b5, m).U != 42 || info.Conflicts != 0 {
+		t.Errorf("model of a satisfying hint: x=%d y=%d pkt[5]=%d after %d conflicts, want the hint with none",
+			m.Vars["hx"].U, m.Vars["hy"].U, expr.Eval(b5, m).U, info.Conflicts)
+	}
+	broken := hint(700, 300, 0, 0, 1, 0, 0, 200)
+	want, _ := solve(New(Options{}), broken)
+	busy := New(Options{})
+	sess := busy.NewSession()
+	for _, q := range [][]*expr.Expr{
+		{expr.Eq(x, expr.Const(32, 5))},
+		{expr.Ult(y, x), expr.Eq(b2, expr.Const(8, 3))},
+		{expr.Eq(expr.Add(x, y), expr.Const(32, 999)), expr.Ult(b5, expr.Const(8, 7))},
+	} {
+		sess.Check(q)
+	}
+	sess.Close()
+	got, _ := solve(busy, broken)
+	for _, e := range []*expr.Expr{x, y, b2, b5} {
+		if g, w := expr.Eval(e, got), expr.Eval(e, want); g != w {
+			t.Errorf("%s = %d after other queries, %d on a new solver", e, g.U, w.U)
 		}
 	}
 }

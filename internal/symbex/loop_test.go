@@ -65,11 +65,9 @@ func checkPartition(t *testing.T, pre []*expr.Expr, segs []*Segment) {
 // and its 20-byte length guard prove (DESIGN.md §3.3). IPOptions took
 // 77 until merged states kept the body's branch structure (§3.1): the
 // solver's witnesses of the smaller formulas differ, and two more group
-// checks find their parent's cached witness does not cover them. It
-// took 79 until adders and comparators were blasted as majority and
-// parity gates (DESIGN.md §4.1): the smaller CNF leads the search to
-// other models, whose witnesses cover nine group checks that needed
-// the solver before; the segments are unchanged. Both counts are the
+// checks find their parent's cached witness does not cover them. The
+// counts follow the models the solver finds, so the CNF encoding
+// (DESIGN.md §4.1) moves them while the segments stay. Both are the
 // same alone and in the whole package, since the solver orders a
 // query's atoms by content, not by intern ID.
 func TestLoopElementsGolden(t *testing.T) {

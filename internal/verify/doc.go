@@ -37,7 +37,7 @@
 //   - VerifyFunc — declarative functional specs (FuncSpec, funcspec.go):
 //     postconditions relating the symbolic input packet to the symbolic
 //     output packet, egress, and final metadata of every composed path,
-//     discharged per path on the incremental solver sessions. The
+//     discharged per path by the solver. The
 //     reusable spec library lives in internal/specs. See DESIGN.md §6.
 //
 // # Concurrency
@@ -45,14 +45,15 @@
 // Both steps exploit the problem's embarrassing parallelism (DESIGN.md
 // §3): distinct element classes are summarized concurrently, and the
 // composed-path walk fans subtrees out to a bounded worker pool, each
-// worker discharging suspect paths on its own incremental solver
-// session (DESIGN.md §2). Options.Parallelism bounds the pool. Every
-// verdict and instruction bound is independent of the schedule, and so
-// are the Stats fields ComposedPaths, ComposedInfeasible and
-// SegmentsTotal. The solver's search counters in Stats.Solver
-// (decisions, conflicts, propagations, learnt clauses) are not: a
-// pooled walk session carries learnt clauses across whichever subtrees
-// the schedule hands it.
+// query a path's witness does not decide solved on a session of its
+// own, steered to that witness (smt.Solver.CheckFrom, DESIGN.md §7.5).
+// Options.Parallelism bounds the pool. Every verdict and instruction
+// bound is independent of the schedule, and so are the walk's stitch
+// decisions and the Stats fields ComposedPaths, ComposedInfeasible,
+// SegmentsTotal and SolverQueries. The solver's search counters in
+// Stats.Solver are not guaranteed to be: the crash-freedom induction's
+// pooled sessions carry learnt clauses across whichever pipelines the
+// schedule hands them.
 //
 // # Persistence and batch admission
 //

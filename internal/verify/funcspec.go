@@ -240,7 +240,7 @@ func (v *Verifier) verifyFunc(p *click.Pipeline, spec FuncSpec, saves *certSaves
 		if v.tel.active() {
 			lbl = spec.Name + " @ " + pathName(p, end.state)
 		}
-		violated, _, unknown := v.feasibleRoot(end.state, []*expr.Expr{expr.Not(post)}, spec.Pre, "funcspec", lbl)
+		violated, unknown := v.feasibleRoot(end.state, []*expr.Expr{expr.Not(post)}, spec.Pre, "funcspec", lbl)
 		if !violated {
 			rep.Proved++
 			return nil

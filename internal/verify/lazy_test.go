@@ -95,75 +95,67 @@ func thinCertificates(v *Verifier, store *DiskStore) {
 // warm, and warm from a thinned certificate, the verdict JSON is
 // byte-identical, witness packets and outputs included, both walks
 // decide the same stitches the same way, the induction explores the
-// same sequences, and a warm lazy walk builds fewer states. It runs each
-// item on one walker and on GOMAXPROCS walkers; `make race` runs it at
-// -cpu 1,2,4, where walkers share the states they build. The two walks
-// must send the solver the same number of queries only on one walker:
-// on several, a walker's session answers with a model that depends on
-// what that session solved before, which is the schedule (ROADMAP item
-// 10), and a stitch the walk decides by its parent's model on one run
-// may need a query on the other.
+// same sequences, and a warm lazy walk builds fewer states. `make race` runs it at -cpu 1,2,4, where walkers share
+// the states they build.
 func TestLazyEagerDifferential(t *testing.T) {
 	runs := []string{"cold", "warm", "thinned"}
 	for _, it := range lazyCorpus(t) {
 		t.Run(it.Name, func(t *testing.T) {
 			var want string
-			for _, par := range []int{1, 0} {
-				var stats [2][3]Stats // [eager][run]
-				for eager := 0; eager < 2; eager++ {
-					store, err := NewDiskStore(t.TempDir())
+			var stats [2][3]Stats // [eager][run]
+			for eager := 0; eager < 2; eager++ {
+				store, err := NewDiskStore(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for run := range runs {
+					v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Store: store})
+					v.eagerBuild = eager == 1
+					blob, err := json.Marshal(v.Batch([]BatchItem{it}))
 					if err != nil {
 						t.Fatal(err)
 					}
-					for run := range runs {
-						v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: par, Store: store})
-						v.eagerBuild = eager == 1
-						blob, err := json.Marshal(v.Batch([]BatchItem{it}))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want == "" {
-							want = string(blob)
-						} else if string(blob) != want {
-							t.Errorf("parallel=%d eager=%d %s verdict differs:\nwant: %s\ngot:  %s", par, eager, runs[run], want, blob)
-						}
-						stats[eager][run] = v.Stats()
-						if runs[run] == "warm" {
-							thinCertificates(v, store)
-						}
+					if want == "" {
+						want = string(blob)
+					} else if string(blob) != want {
+						t.Errorf("eager=%d %s verdict differs:\nwant: %s\ngot:  %s", eager, runs[run], want, blob)
+					}
+					stats[eager][run] = v.Stats()
+					if runs[run] == "warm" {
+						thinCertificates(v, store)
 					}
 				}
-				for run := range runs {
-					l, e := stats[0][run], stats[1][run]
-					if l.ComposedPaths != e.ComposedPaths || l.ComposedInfeasible != e.ComposedInfeasible ||
-						l.StitchesReplayed != e.StitchesReplayed || (par == 1 && l.SolverQueries != e.SolverQueries) {
-						t.Errorf("parallel=%d %s: lazy walk paths/infeasible/replayed/queries %d/%d/%d/%d, eager %d/%d/%d/%d", par, runs[run],
-							l.ComposedPaths, l.ComposedInfeasible, l.StitchesReplayed, l.SolverQueries,
-							e.ComposedPaths, e.ComposedInfeasible, e.StitchesReplayed, e.SolverQueries)
+			}
+			for run := range runs {
+				l, e := stats[0][run], stats[1][run]
+				if l.ComposedPaths != e.ComposedPaths || l.ComposedInfeasible != e.ComposedInfeasible ||
+					l.StitchesReplayed != e.StitchesReplayed || l.SolverQueries != e.SolverQueries {
+					t.Errorf("%s: lazy walk paths/infeasible/replayed/queries %d/%d/%d/%d, eager %d/%d/%d/%d", runs[run],
+						l.ComposedPaths, l.ComposedInfeasible, l.StitchesReplayed, l.SolverQueries,
+						e.ComposedPaths, e.ComposedInfeasible, e.StitchesReplayed, e.SolverQueries)
+				}
+			}
+			// The induction explores the same sequences whatever it replayed,
+			// and from the thinned certificate it replays part and solves part.
+			for eager := range stats {
+				for run, st := range stats[eager] {
+					if c := stats[0][0]; st.SeqSequences != c.SeqSequences || st.SeqInfeasible != c.SeqInfeasible {
+						t.Errorf("eager=%d %s: %d sequences (%d infeasible), cold %d (%d)", eager, runs[run],
+							st.SeqSequences, st.SeqInfeasible, c.SeqSequences, c.SeqInfeasible)
 					}
 				}
-				// The induction explores the same sequences whatever it replayed,
-				// and from the thinned certificate it replays part and solves part.
-				for eager := range stats {
-					for run, st := range stats[eager] {
-						if c := stats[0][0]; st.SeqSequences != c.SeqSequences || st.SeqInfeasible != c.SeqInfeasible {
-							t.Errorf("parallel=%d eager=%d %s: %d sequences (%d infeasible), cold %d (%d)", par, eager, runs[run],
-								st.SeqSequences, st.SeqInfeasible, c.SeqSequences, c.SeqInfeasible)
-						}
-					}
-				}
-				if cold, warm, thin := stats[0][0], stats[0][1], stats[0][2]; pipelineHasState(it.Pipeline) &&
-					!(warm.SolverQueries < thin.SolverQueries && thin.SolverQueries < cold.SolverQueries) {
-					t.Errorf("parallel=%d: thinned run solved %d queries, want a partial re-solve between warm %d and cold %d",
-						par, thin.SolverQueries, warm.SolverQueries, cold.SolverQueries)
-				}
-				lazy, eager := stats[0][1], stats[1][1]
-				if lazy.StitchesReplayed == 0 {
-					t.Errorf("parallel=%d: warm run replayed no stitch", par)
-				}
-				if lazy.StitchesBuilt >= eager.StitchesBuilt {
-					t.Errorf("parallel=%d: warm lazy walk built %d states, eager %d: laziness saved nothing", par, lazy.StitchesBuilt, eager.StitchesBuilt)
-				}
+			}
+			if cold, warm, thin := stats[0][0], stats[0][1], stats[0][2]; pipelineHasState(it.Pipeline) &&
+				!(warm.SolverQueries < thin.SolverQueries && thin.SolverQueries < cold.SolverQueries) {
+				t.Errorf("thinned run solved %d queries, want a partial re-solve between warm %d and cold %d",
+					thin.SolverQueries, warm.SolverQueries, cold.SolverQueries)
+			}
+			lazy, eager := stats[0][1], stats[1][1]
+			if lazy.StitchesReplayed == 0 {
+				t.Error("warm run replayed no stitch")
+			}
+			if lazy.StitchesBuilt >= eager.StitchesBuilt {
+				t.Errorf("warm lazy walk built %d states, eager %d: laziness saved nothing", lazy.StitchesBuilt, eager.StitchesBuilt)
 			}
 		})
 	}

@@ -65,10 +65,8 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 // per-member check made the total 305; 77 until merged loop states kept
 // the body's branch structure, §3.1, whose smaller formulas give the
 // solver other witnesses, so two more group checks miss the cached
-// one; 79 until adders and comparators were blasted as majority and
-// parity gates, §4.1, whose smaller CNF gives the solver other models
-// again, and their witnesses cover nine more group checks), none the
-// route lookup's, which
+// one: the count follows the solver's models, which the CNF encoding,
+// §4.1, shapes too), none the route lookup's, which
 // forks per value unchecked (per range it cost 5); bounds checks that
 // the path's byte window proves cost none either (DESIGN.md §3.3), which
 // took 9 (Classifier 5 → 4, CheckIPHeader 9 → 8, DecIPTTL 7 → 5,
@@ -78,10 +76,9 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 // the SAT core), and one is the bound witness, solved on a fresh
 // session (DESIGN.md §7.5). The count is the same whichever tests ran
 // before: the solver orders a query's atoms by content, not by intern
-// ID (it read 118 alone and 116 after TestSolverBudget* until then).
-// The clause ceiling is 200 000; the majority/parity encoding emits
-// about 181 000 (283 000 with the AND/XOR full adders it replaced).
-// The instruction bound 922 is the 48-byte
+// ID. The clause ceiling sits just above the 234 617 clauses the run
+// blasts (majority/parity adders, §4.1, and one session per stitch
+// query, §7.5) and may only go down. The instruction bound 922 is the 48-byte
 // bound; from maxlen 64 up to 1514 the router's bound is 1230.
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
@@ -93,8 +90,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if work.SatCalls != 109 {
 		t.Errorf("%d SAT calls, want 109", work.SatCalls)
 	}
-	if work.CNFClauses > 200_000 {
-		t.Errorf("%d CNF clauses, want at most 200 000", work.CNFClauses)
+	if work.CNFClauses > 250_000 {
+		t.Errorf("%d CNF clauses, want at most 250 000", work.CNFClauses)
 	}
 }
 

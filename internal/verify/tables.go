@@ -251,9 +251,8 @@ func (v *Verifier) countRefinement() {
 // sets, recorded under the summary key alone; any other is decided by
 // the solver and recorded under the concrete pipeline fingerprint
 // (leafKey). An undecided query counts as feasible, which keeps the
-// bound sound. It solves on a pooled walk session, which has already
-// blasted the path's conditions; a panic there is contained into an
-// unresolved error.
+// bound sound. A panic in the solve is contained into an unresolved
+// error.
 func (v *Verifier) leafFeasible(p *click.Pipeline, cert *certTable, st *composed) (feasible bool, err error) {
 	freeKey := leafKey(nil, st)
 	var concrete []byte
@@ -281,10 +280,10 @@ func (v *Verifier) leafFeasible(p *click.Pipeline, cert *certTable, st *composed
 	if v.tel.active() {
 		lbl = pathName(p, st)
 	}
-	sess := v.getSession()
-	defer v.putSession(sess)
-	defer v.capturePanic("bound leaf check", sess, &err)
-	feasible, _, unknown, sat := v.feasible(sess, st, []*expr.Expr{tableConstraint(f.lookups)}, nil, "leaf", lbl)
+	lane := v.tel.getLane()
+	defer v.tel.putLane(lane)
+	defer v.capturePanic("bound leaf check", nil, &err)
+	feasible, _, unknown, sat := v.feasible(lane, st, []*expr.Expr{tableConstraint(f.lookups)}, nil, "leaf", lbl)
 	if cert != nil && !unknown {
 		cert.record(leafEntry, concrete, feasible, sat)
 	}

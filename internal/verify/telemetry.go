@@ -157,7 +157,12 @@ func (t *vtel) recordSolve(info smt.SolveInfo, kind, name string, started bool, 
 // session; the span name is built only then, so the disabled path
 // stays allocation-free.
 func (t *vtel) beginSolve(sess *smt.IncrementalSession, kind, name string) (telemetry.Span, bool) {
-	lane := t.laneFor(sess)
+	return t.beginSolveOn(t.laneFor(sess), kind, name)
+}
+
+// beginSolveOn is beginSolve for a query solved on no pooled session,
+// traced on lane (nil when not tracing).
+func (t *vtel) beginSolveOn(lane *telemetry.Lane, kind, name string) (telemetry.Span, bool) {
 	if lane == nil {
 		return telemetry.Span{}, false
 	}

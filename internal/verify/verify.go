@@ -30,10 +30,13 @@ type Options struct {
 	// concurrency. Verdicts, the instruction bound and the Stats fields
 	// ComposedPaths, ComposedInfeasible and SegmentsTotal are
 	// schedule-independent; witness ordering is canonicalized by path
-	// (name, then (element, segment) steps). The solver's search
-	// counters (Stats.Solver: decisions, conflicts, propagations, learnt
-	// clauses) are not: pooled walk sessions carry learnt clauses across
-	// whichever subtrees the schedule hands them.
+	// (name, then (element, segment) steps). The walk also decides its
+	// stitches alike on every schedule, so it sends as many queries: a
+	// stitch solves on a session of its own, from its prefix's model
+	// (smt.Solver.CheckFrom). The solver's search counters
+	// (Stats.Solver) are not guaranteed to be: the induction's pooled
+	// sessions carry learnt clauses across whichever pipelines the
+	// schedule hands them.
 	Parallelism int
 	// Store persists Step-1 summaries across Verifier instances (and,
 	// with a DiskStore, across processes), keyed by program fingerprint.
@@ -332,11 +335,13 @@ func (v *Verifier) Stats() Stats {
 }
 
 // getSession checks an idle incremental solver session out of the
-// pool. Step-2 sessions stay pooled for the verifier's lifetime, unlike
-// Step-1 engines: every walk of every pipeline stitches the same cached
-// segments, so a session that has seen them carries their blasted form
-// and learnt clauses into the next walk, and a query's cost follows its
-// own cone however much else the session holds. The checkout also
+// pool, for the crash-freedom induction's sequence checks, which read
+// verdicts only (the walk solves each stitch on a session of its own,
+// feasible). Sessions stay pooled for the verifier's lifetime, unlike
+// Step-1 engines: a session that has seen a pipeline's paths carries
+// their blasted form and learnt clauses into the next induction, and a
+// query's cost follows its own cone however much else the session
+// holds. The checkout also
 // binds the session to a trace lane (when tracing): the caller's
 // goroutine drives the session sequentially until putSession, which is
 // exactly the nesting discipline a lane needs.
@@ -669,9 +674,9 @@ func entryState(p *click.Pipeline) *composed {
 // stitched constraint is infeasible. This is the paper's Step-2
 // substitution: Cp(in) = C_prefix(in) ∧ C_seg(S_prefix(in)). It is
 // performed here only when the decision needs it; a replayed decision
-// and a segment with no condition defer it to formulas. sess is the
-// calling walker's incremental solver session.
-func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.Segment, pos, si int, lbl string) *composed {
+// and a segment with no condition defer it to formulas. lane is the
+// calling walker's trace lane (nil when not tracing).
+func (w *walker) stitch(lane *telemetry.Lane, st *composed, seg *symbex.Segment, pos, si int, lbl string) *composed {
 	v := w.v
 	out := &composed{
 		elems:    append(append(make([]int, 0, len(st.elems)+1), st.elems...), pos),
@@ -708,7 +713,7 @@ func (w *walker) stitch(sess *smt.IncrementalSession, st *composed, seg *symbex.
 		return nil
 	}
 	if len(newConds) > 0 {
-		feasible, m, unknown, sat := v.feasible(sess, st, newConds, w.extraPre, "stitch", lbl)
+		feasible, m, unknown, sat := v.feasible(lane, st, newConds, w.extraPre, "stitch", lbl)
 		if w.cert != nil && !unknown {
 			w.cert.record(stitchEntry, path, feasible, sat)
 		}
@@ -835,7 +840,14 @@ func (v *Verifier) countBuilt() {
 }
 
 // feasible decides whether the prefix extended by newConds is
-// satisfiable on the given session, using the cached witness first. An
+// satisfiable, using the prefix's witness first. A query the witness
+// does not answer is solved on a session of its own, steered to that
+// witness (smt.Solver.CheckFrom), so the model it returns for the
+// extended state is a function of the formula, the prefix's model and
+// the verdict cache, never of what some pooled session happened to
+// solve before it. Which later stitches the model covers, and so how
+// many queries a walk sends, is then the same on every goroutine
+// schedule (DESIGN.md §7.5). lane is the caller's trace lane. An
 // Unknown verdict (conflict budget, deadline, or cancellation) reports
 // feasible=true — the sound direction for every property, since paths
 // are only ever discharged on Unsat — with unknown=true so callers can
@@ -845,7 +857,7 @@ func (v *Verifier) countBuilt() {
 // reports a decision that took the SAT core or the order pass, on this
 // query or on the earlier one whose verdict the solver's cache
 // returned: on a run without that history it would take them again.
-func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown, solved bool) {
+func (v *Verifier) feasible(lane *telemetry.Lane, st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown, solved bool) {
 	if st.model != nil {
 		ok := true
 		for _, c := range newConds {
@@ -866,9 +878,8 @@ func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds
 	cons = append(cons, conds...)
 	cons = append(cons, newConds...)
 	v.solverQueries.Add(1)
-	sp, started := v.tel.beginSolve(sess, kind, lbl)
-	r, m := sess.Check(cons)
-	info := sess.LastSolve()
+	sp, started := v.tel.beginSolveOn(lane, kind, lbl)
+	r, m, info := v.solver.CheckFrom(cons, st.model)
 	v.tel.recordSolve(info, kind, lbl, started, sp)
 	solved = info.SATCore || info.OrderDecided || info.Cached
 	switch r {
@@ -880,12 +891,12 @@ func (v *Verifier) feasible(sess *smt.IncrementalSession, st *composed, newConds
 	return true, m, false, solved
 }
 
-// feasibleRoot is feasible on the root session: only for use under
-// visitMu (visit callbacks, the stateful refinement) or after walk
-// returns (report construction).
-func (v *Verifier) feasibleRoot(st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown bool) {
-	feasible, m, unknown, _ = v.feasible(v.rootSession, st, newConds, extraPre, kind, lbl)
-	return feasible, m, unknown
+// feasibleRoot is feasible on the root session's trace lane: only for
+// use under visitMu (visit callbacks, the stateful refinement) or after
+// walk returns (report construction).
+func (v *Verifier) feasibleRoot(st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible, unknown bool) {
+	feasible, _, unknown, _ = v.feasible(v.tel.laneFor(v.rootSession), st, newConds, extraPre, kind, lbl)
+	return feasible, unknown
 }
 
 // pathEnd describes how a composed path terminated.
@@ -897,10 +908,12 @@ type pathEnd struct {
 }
 
 // walker drives one composed-path exploration: a bounded pool of
-// workers, each with its own incremental solver session, cooperating
-// through a task queue. Subtrees are offloaded to the queue when a
-// worker slot may be idle and explored inline otherwise, so the walk
-// degrades to a plain DFS at Parallelism=1.
+// workers, each with its own trace lane, cooperating through a task
+// queue. Workers hold no solver session: each stitch query the prefix's
+// witness does not answer is solved on one of its own (feasible).
+// Subtrees are offloaded to the queue when a worker slot may be idle
+// and explored inline otherwise, so the walk degrades to a plain DFS at
+// Parallelism=1.
 type walker struct {
 	v         *Verifier
 	p         *click.Pipeline
@@ -958,9 +971,10 @@ func (w *walker) doVisit(end pathEnd) error {
 
 // safeDFS runs one walk task under panic containment: a panic anywhere
 // in the subtree — stitching, feasibility solving, a visit callback —
-// is converted into an unresolved-obligation error, and the worker's
-// session is reset so poisoned SAT state cannot serve later queries.
-func (w *walker) safeDFS(sess *smt.IncrementalSession, elem int, st *composed) (err error) {
+// is converted into an unresolved-obligation error. A stitch query's
+// session dies with it; the root session is reset, so poisoned SAT state
+// cannot serve later queries.
+func (w *walker) safeDFS(lane *telemetry.Lane, elem int, st *composed) (err error) {
 	defer func() {
 		var pe *panicError
 		if err == nil || !errors.As(err, &pe) {
@@ -972,12 +986,12 @@ func (w *walker) safeDFS(sess *smt.IncrementalSession, elem int, st *composed) (
 		w.v.rootSession.Reset()
 		w.v.visitMu.Unlock()
 	}()
-	defer w.v.capturePanic("step-2 composed-path walk", sess, &err)
-	return w.dfs(sess, elem, st)
+	defer w.v.capturePanic("step-2 composed-path walk", nil, &err)
+	return w.dfs(lane, elem, st)
 }
 
-// dfs explores the subtree rooted at (elem, st) on the worker's session.
-func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error {
+// dfs explores the subtree rooted at (elem, st) on the worker's lane.
+func (w *walker) dfs(lane *telemetry.Lane, elem int, st *composed) error {
 	if w.stopped.Load() {
 		return nil
 	}
@@ -1001,7 +1015,7 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 		}
 	}
 	for si, seg := range w.summaries[elem].segs {
-		next := w.stitch(sess, st, seg, elem, si, lbl)
+		next := w.stitch(lane, st, seg, elem, si, lbl)
 		if next == nil {
 			continue
 		}
@@ -1020,7 +1034,7 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 				end.disp = ir.Emitted
 				end.egress = w.p.EgressID(elem, seg.Port)
 			} else if !w.trySpawn(edge.To, next) {
-				if err := w.dfs(sess, edge.To, next); err != nil {
+				if err := w.dfs(lane, edge.To, next); err != nil {
 					return err
 				}
 			}
@@ -1028,7 +1042,7 @@ func (w *walker) dfs(sess *smt.IncrementalSession, elem int, st *composed) error
 		if terminal {
 			n := w.explored.Add(1)
 			w.v.composedPaths.Add(1)
-			if lane := w.v.tel.laneFor(sess); lane != nil {
+			if lane != nil {
 				lane.Instant("step2", "path:"+end.disp.String())
 			}
 			if err := w.doVisit(end); err != nil {
@@ -1078,9 +1092,9 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, saves *certSav
 	root := entryState(p)
 	par := v.parallelism()
 	if par <= 1 {
-		sess := v.getSession()
-		err := w.safeDFS(sess, p.Entry, root)
-		v.putSession(sess)
+		lane := v.tel.getLane()
+		err := w.safeDFS(lane, p.Entry, root)
+		v.tel.putLane(lane)
 		if err != nil {
 			return merged, w.cert, err
 		}
@@ -1092,10 +1106,10 @@ func (v *Verifier) walk(p *click.Pipeline, extraPre []*expr.Expr, saves *certSav
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess := v.getSession()
-			defer v.putSession(sess)
+			lane := v.tel.getLane()
+			defer v.tel.putLane(lane)
 			for t := range w.tasks {
-				if err := w.safeDFS(sess, t.elem, t.st); err != nil {
+				if err := w.safeDFS(lane, t.elem, t.st); err != nil {
 					w.recordErr(err)
 				}
 				w.pending.Done()
