@@ -123,7 +123,9 @@ func solverMetrics(m map[string]float64, st smt.Stats) {
 	m["cnf-clauses"] = float64(st.CNFClauses)
 	m["gate-cache-hits"] = float64(st.GateCacheHits)
 	// SAT-core heuristics: learnt-clause minimization, glue distribution,
-	// binary-clause propagation, Luby restarts.
+	// binary-clause propagation, Luby restarts. assum-levels counts the
+	// assumption levels the solves applied, not those a session kept on
+	// its trail from the previous solve.
 	m["minimized-lits"] = float64(st.MinimizedLits)
 	m["learnt-clauses"] = float64(st.LearntClauses)
 	m["learnt-lits"] = float64(st.LearntLits)

@@ -1033,9 +1033,28 @@ func NewAssignment() *Assignment {
 // Eval computes the concrete value of e under a. Unbound variables
 // evaluate to zero, matching the solver's model-completion convention.
 func Eval(e *Expr, a *Assignment) bv.V {
-	memo := map[*Expr]bv.V{}
-	return eval(e, a, memo)
+	return eval(e, a, map[*Expr]bv.V{})
 }
+
+// An Evaluator evaluates expressions under one assignment with one memo
+// for all of them, so the subterms they share are computed once. Its
+// assignment may gain bindings between calls, but not for a variable an
+// earlier call already read.
+type Evaluator struct {
+	a    *Assignment
+	memo map[*Expr]bv.V
+}
+
+// NewEvaluator returns an Evaluator over a.
+func NewEvaluator(a *Assignment) *Evaluator {
+	return &Evaluator{a: a, memo: map[*Expr]bv.V{}}
+}
+
+// Assignment returns the assignment the evaluator reads.
+func (ev *Evaluator) Assignment() *Assignment { return ev.a }
+
+// Eval computes the concrete value of e, as Eval does.
+func (ev *Evaluator) Eval(e *Expr) bv.V { return eval(e, ev.a, ev.memo) }
 
 func eval(e *Expr, a *Assignment, memo map[*Expr]bv.V) bv.V {
 	if v, ok := memo[e]; ok {

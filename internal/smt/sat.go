@@ -122,7 +122,7 @@ type SatCounters struct {
 	GlueSum       int64 // sum of learnt-clause LBDs at recording time
 	LowGlue       int64 // learnt clauses recorded with LBD <= 2 ("glue" clauses)
 	ClausesAdded  int64 // problem clauses accepted by AddClause (incl. units)
-	AssumLevels   int64 // assumption literals passed to Solve, summed
+	AssumLevels   int64 // assumption levels a solve had to apply, summed (kept levels excluded)
 }
 
 // SatSolver is a CDCL SAT solver. The zero value is not usable; call
@@ -150,6 +150,25 @@ type SatSolver struct {
 	orderStale bool // heap dropped by a bulk cancel; rebuild before deciding
 	seen       []bool
 	ok         bool // false once a top-level conflict is found
+
+	// assumed holds the assumption that opened each assumption level of
+	// the standing trail: level i+1 belongs to assumed[i]. A solve ends
+	// with its trail in place, and the next one rewinds only to the
+	// longest prefix of its own assumptions that assumed shares.
+	assumed []Lit
+
+	// liftLvl and liftBy serve clauses added while a trail stands. When
+	// such a clause has every literal false but its first, at levels up
+	// to L (its unit level), that literal holds — implied now, or true
+	// already — possibly at a level above L. A rewind to a level j in
+	// [L, that level) would drop it while the clause still forces it, so
+	// liftLvl[v] records L (0: nothing recorded) and liftBy[v] the clause,
+	// and cancelUntil puts the literal back at j with that reason. Only the
+	// lowest L per variable is kept: whenever a higher one applies, so
+	// does it.
+	liftLvl []int32
+	liftBy  []cref
+	liftBuf []Lit // cancelUntil scratch
 
 	// cone is the decision set of the current (or last) Solve: the only
 	// variables the search branches on, and the only ones backtracking
@@ -238,6 +257,9 @@ func (s *SatSolver) reset() {
 	s.order.reset()
 	s.orderStale = false
 	s.seen = s.seen[:0]
+	s.assumed = s.assumed[:0]
+	s.liftLvl = s.liftLvl[:0]
+	s.liftBy = s.liftBy[:0]
 	s.cone = nil
 	s.inCone = s.inCone[:0]
 	s.every = s.every[:0]
@@ -279,6 +301,8 @@ func (s *SatSolver) NewVar() int32 {
 	s.polarity = append(s.polarity, false)
 	s.seen = append(s.seen, false)
 	s.inCone = append(s.inCone, 0)
+	s.liftLvl = append(s.liftLvl, 0)
+	s.liftBy = append(s.liftBy, crefNil)
 	s.watches = extendWatches(s.watches)
 	s.binWatches = extendWatches(s.binWatches)
 	return v
@@ -318,10 +342,13 @@ func (s *SatSolver) value(l Lit) lbool { return s.assign[l.Var()] ^ lbool(l&1) }
 
 // AddClause adds a clause; it returns false if the formula is already
 // unsatisfiable at the top level. Clauses may be added between Solve
-// calls (the incremental Session does) and, except for units, without
-// rewinding the search trail: simplification consults only permanent
-// (level-0) assignments, and the watch pair is chosen so the
-// two-watched-literal invariant holds under whatever trail is standing.
+// calls (the incremental Session does) and, except for units and
+// clauses the trail falsifies, without rewinding the search trail:
+// simplification consults only permanent (level-0) assignments, the
+// watch pair is chosen so the two-watched-literal invariant holds under
+// whatever trail is standing, and a literal the clause forces is
+// implied at once and kept on the trail by cancelUntil for as long as
+// the clause forces it.
 // The literal slice is copied into the solver's arena; small variadic
 // argument slices stay on the caller's stack.
 func (s *SatSolver) AddClause(lits ...Lit) bool {
@@ -409,11 +436,15 @@ func (s *SatSolver) addClause(lits []Lit) bool {
 		s.cancelUntil(0)
 	}
 	c := s.alloc(out, false)
-	if s.value(out[1]) == lFalse && s.value(out[0]) >= lUndef {
-		// Unit under the current trail: imply the remaining literal now
-		// so the falsified watch is never left unserved. The implication
-		// is propagated lazily by the next Solve.
-		s.enqueue(s.lits(c)[0], c)
+	if s.value(out[1]) == lFalse {
+		// Unit under the current trail, or satisfied by out[0] alone: imply
+		// out[0] now (the next Solve propagates it) so the falsified watch
+		// is never left unserved, and note where the clause became unit in
+		// case out[0] holds above that level.
+		s.enqueue(out[0], c)
+		if v, lvl := out[0].Var(), s.level[out[1].Var()]; s.level[v] > lvl && (s.liftLvl[v] == 0 || lvl < s.liftLvl[v]) {
+			s.liftLvl[v], s.liftBy[v] = lvl, c
+		}
 	}
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
@@ -534,13 +565,20 @@ func (s *SatSolver) cancelUntil(lvl int32) {
 	// next decision (pickBranchVar). Variables outside the cone are never
 	// queued: the search does not branch on them.
 	bulk := (len(s.trail)-int(s.trailLim[lvl]))*16 > len(s.cone)
+	lifted := s.liftBuf[:0]
 	for i := len(s.trail) - 1; i >= int(s.trailLim[lvl]); i-- {
-		v := s.trail[i].Var()
+		l := s.trail[i]
+		v := l.Var()
 		s.polarity[v] = s.assign[v] == lTrue
 		s.assign[v] = lUndef
 		s.reason[v] = crefNil
 		if !bulk && s.inCone[v] == s.coneGen {
 			s.order.push(v)
+		}
+		if u := s.liftLvl[v]; u > lvl {
+			s.liftLvl[v] = 0 // the clause's unit level is gone too
+		} else if u > 0 {
+			lifted = append(lifted, l)
 		}
 	}
 	if bulk {
@@ -548,7 +586,20 @@ func (s *SatSolver) cancelUntil(lvl int32) {
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
 	s.trailLim = s.trailLim[:lvl]
-	s.qhead = len(s.trail)
+	// Everything below qhead is propagated; a unit still queued at a kept
+	// level stays queued.
+	s.qhead = min(s.qhead, len(s.trail))
+	// A literal whose clause is unit at or below lvl goes back on the
+	// trail at lvl, behind qhead, with that clause as its reason: the
+	// clause's false literals all sit at levels the rewind kept.
+	for i := len(lifted) - 1; i >= 0; i-- {
+		v := lifted[i].Var()
+		s.enqueue(lifted[i], s.liftBy[v])
+		if s.liftLvl[v] == lvl {
+			s.liftLvl[v] = 0
+		}
+	}
+	s.liftBuf = lifted
 }
 
 func (s *SatSolver) bumpVar(v int32) {
@@ -818,6 +869,9 @@ func (s *SatSolver) compact() {
 		if r != crefNil {
 			s.reason[v] = remap[r]
 		}
+		if s.liftLvl[v] != 0 {
+			s.liftBy[v] = remap[s.liftBy[v]]
+		}
 	}
 	for i := range s.watches {
 		s.watches[i] = s.watches[i][:0]
@@ -886,7 +940,11 @@ func (s *SatSolver) everyVar() []int32 {
 // cone. assumptions, if any, are enqueued as level-1+ decisions first
 // (used for incremental queries). Restarts rewind to the assumption
 // prefix rather than to level 0: the assumption levels are forced anyway
-// and re-propagating them is pure waste.
+// and re-propagating them is pure waste. For the same reason a solve
+// leaves its trail standing, and the next one rewinds only to the
+// longest prefix of its assumptions that opened the standing assumption
+// levels: a caller that passes its older assumptions first re-applies
+// only what changed.
 //
 // SatSat means: every cone variable is assigned, propagation is at
 // fixpoint, no clause is falsified. That is a model of the whole CNF only
@@ -905,14 +963,19 @@ func (s *SatSolver) SolveCone(cone []int32, assumptions ...Lit) SatResult {
 		clear(s.inCone)
 		s.coneGen = 1
 	}
-	s.cancelUntil(0)
+	kept := 0
+	for kept < len(assumptions) && kept < len(s.assumed) && int32(kept) < s.decisionLevel() && assumptions[kept] == s.assumed[kept] {
+		kept++
+	}
+	s.cancelUntil(int32(kept))
+	s.assumed = append(s.assumed[:0], assumptions...)
 	s.cone = cone
 	for _, v := range cone {
 		s.inCone[v] = s.coneGen
 	}
 	s.orderStale = false
 	s.order.rebuild(cone, s.assign)
-	s.cnt.AssumLevels += int64(len(assumptions))
+	s.cnt.AssumLevels += int64(len(assumptions) - kept)
 	restartNum := int64(0)
 	restartLimit := luby(restartNum) * s.restartBase
 	conflictsAtStart := s.cnt.Conflicts

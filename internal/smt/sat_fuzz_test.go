@@ -442,6 +442,143 @@ func TestSatFuzzAssumptions(t *testing.T) {
 	}
 }
 
+// gateCNF returns the defining clauses of o = x ∧ y (kind 0),
+// o = x ⊕ y (kind 1) or o = maj(x, y, z) (kind 2).
+func gateCNF(kind int, o, x, y, z Lit) [][]Lit {
+	switch kind {
+	case 0:
+		return [][]Lit{{o.Flip(), x}, {o.Flip(), y}, {o, x.Flip(), y.Flip()}}
+	case 1:
+		return [][]Lit{{o.Flip(), x, y}, {o.Flip(), x.Flip(), y.Flip()}, {o, x.Flip(), y}, {o, x, y.Flip()}}
+	}
+	return [][]Lit{{o.Flip(), x, y}, {o.Flip(), x, z}, {o.Flip(), y, z},
+		{o, x.Flip(), y.Flip()}, {o, x.Flip(), z.Flip()}, {o, y.Flip(), z.Flip()}}
+}
+
+// freshVerdict solves cnf under assumptions on a new solver.
+func freshVerdict(nv int, cnf [][]Lit, assumptions []Lit) SatResult {
+	s := NewSatSolver()
+	for i := 0; i < nv; i++ {
+		s.NewVar()
+	}
+	for _, cl := range cnf {
+		if !s.AddClause(append([]Lit{}, cl...)...) {
+			return SatUnsat
+		}
+	}
+	return s.Solve(assumptions...)
+}
+
+// checkClosed fails unless the trail a solve left standing is closed
+// under unit propagation: every literal on it propagated, no clause
+// falsified, and no clause unit with its last literal unassigned.
+func checkClosed(t *testing.T, s *SatSolver, cnf [][]Lit, trial, round int) {
+	t.Helper()
+	if s.qhead != len(s.trail) {
+		t.Fatalf("trial %d round %d: %d trail literals left unpropagated", trial, round, len(s.trail)-s.qhead)
+	}
+	for _, cl := range cnf {
+		open := 0
+		for _, l := range cl {
+			if v := s.value(l); v == lTrue {
+				open = -1
+				break
+			} else if v != lFalse {
+				open++
+			}
+		}
+		if open == 0 || open == 1 {
+			t.Fatalf("trial %d round %d: clause %v has %d unassigned literals and the rest false", trial, round, cl, open)
+		}
+	}
+}
+
+// TestSatTrailReuseDifferential interleaves two things on one solver:
+// gate clauses added over variables the standing trail assigns, and
+// solves whose assumption lists share random prefixes with the previous
+// solve's. The solver keeps the shared assumption levels and rewinds
+// into them past literals the new clauses imply (or that satisfy them)
+// above the level where they became unit. Each verdict is compared with
+// a fresh solver's, each Sat model must satisfy every clause, and every
+// answer must leave the trail closed under unit propagation — the check
+// that sees a forced literal the rewind dropped, since a solve that
+// stops at a false assumption decides nothing after it.
+func TestSatTrailReuseDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(4343))
+	var keptLevels, lifted, stopped int64
+	for trial := 0; trial < 300; trial++ {
+		s := NewSatSolver()
+		s.restartBase = 4 // restarts rewind into the kept levels too
+		for i := 4 + r.Intn(6); i > 0; i-- {
+			s.NewVar()
+		}
+		var cnf [][]Lit
+		add := func(cl ...Lit) {
+			cnf = append(cnf, cl)
+			s.AddClause(append([]Lit{}, cl...)...)
+		}
+		someLit := func() Lit { return MkLit(int32(r.Intn(s.NumVars())), r.Intn(2) == 1) }
+		var prev []Lit
+		for round := 0; round < 16; round++ {
+			for g := r.Intn(4); g > 0; g-- {
+				x, y, z := someLit(), someLit(), someLit()
+				o := MkLit(s.NewVar(), false)
+				def := gateCNF(r.Intn(3), o, x, y, z)
+				r.Shuffle(len(def), func(i, j int) { def[i], def[j] = def[j], def[i] })
+				for _, cl := range def {
+					add(cl...)
+				}
+			}
+			if r.Intn(4) == 0 {
+				add(someLit(), someLit(), someLit())
+			}
+			for v := range s.liftLvl {
+				if s.liftLvl[v] != 0 {
+					lifted++
+				}
+			}
+			// Keep a random prefix of the previous assumptions, then assume
+			// fresh literals over variables the prefix leaves free.
+			as := append([]Lit{}, prev[:r.Intn(len(prev)+1)]...)
+			used := map[int32]bool{}
+			for _, a := range as {
+				used[a.Var()] = true
+			}
+			for i := r.Intn(4); i > 0; i-- {
+				if l := someLit(); !used[l.Var()] {
+					used[l.Var()] = true
+					as = append(as, l)
+				}
+			}
+			before := s.cnt.AssumLevels
+			got := s.Solve(as...)
+			keptLevels += int64(len(as)) - (s.cnt.AssumLevels - before)
+			if want := freshVerdict(s.NumVars(), cnf, as); got != want {
+				t.Fatalf("trial %d round %d: Solve = %v, fresh solver = %v", trial, round, got, want)
+			}
+			if !s.ok {
+				break
+			}
+			checkClosed(t, s, cnf, trial, round)
+			if got == SatSat {
+				checkModel(t, s, cnf, trial)
+				for _, a := range as {
+					if s.ModelValue(a.Var()) == a.Neg() {
+						t.Fatalf("trial %d round %d: model violates assumption %v", trial, round, a)
+					}
+				}
+			} else {
+				stopped++
+			}
+			prev = as
+		}
+	}
+	t.Logf("%d assumption levels kept, %d lifted literals recorded, %d solves stopped at an assumption", keptLevels, lifted, stopped)
+	if keptLevels == 0 || lifted == 0 || stopped == 0 {
+		t.Error("the solves never kept a level, lifted a literal or stopped at an assumption; the test checks nothing")
+	}
+}
+
 // TestSatFuzzPooledReset runs fuzz rounds through one solver instance
 // with reset between formulas, validating that pooled blaster reuse
 // (warm arenas, truncated state) cannot leak state across queries.

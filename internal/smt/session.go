@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vsd/internal/expr"
@@ -259,6 +260,12 @@ func (sess *IncrementalSession) solve(atoms []*expr.Expr, key uint64, cached boo
 	for i, a := range atoms {
 		assumptions[i] = sess.guardFor(a)
 	}
+	// Older guards first: a path's earlier atoms then form a prefix the
+	// SAT core still has on its trail from the previous check, and only
+	// the new atoms' levels are applied. A session that has answered
+	// nothing before creates its guards in content order, so its
+	// assumptions keep that order.
+	slices.Sort(assumptions)
 	// The solve branches only on what the assumed atoms depend on, not on
 	// what earlier queries left in the instance. A model whose packet reads
 	// disagree is refuted by the axioms it breaks, and the same cone is
@@ -354,6 +361,7 @@ func (sess *IncrementalSession) extractModel(atoms []*expr.Expr, sels []int32) *
 	asn := expr.NewAssignment()
 	const maxModelIndex = 1 << 20
 	tmp := expr.NewAssignment()
+	ev := expr.NewEvaluator(tmp)
 	clear(sess.read)
 	broken := false
 	for _, i := range sels {
@@ -364,7 +372,7 @@ func (sess *IncrementalSession) extractModel(atoms []*expr.Expr, sels []int32) *
 		for _, v := range sess.varsOf(info.idx) {
 			tmp.Vars[v.Name] = sess.bl.modelVar(v.Name, v.Width())
 		}
-		idx := expr.Eval(info.idx, tmp).Int()
+		idx := ev.Eval(info.idx).Int()
 		val := byte(sess.bl.modelVar(sess.selVars[i], 8).Int())
 		k := arrayKey{name, idx}
 		if first, ok := sess.read[k]; !ok {

@@ -115,7 +115,7 @@ type Stats struct {
 	LowGlue       int64 // learnt clauses with LBD <= 2 ("glue" clauses)
 	BinaryProps   int64 // unit propagations served by the binary watch lists
 	Propagations  int64 // trail literals propagated by the SAT core
-	AssumLevels   int64 // assumption literals passed to SAT solves, summed
+	AssumLevels   int64 // assumption levels SAT solves applied, summed; levels kept on the trail from the previous solve are not counted
 	Decisions     int64 // decisions made by the SAT core
 	Restarts      int64 // Luby restarts performed
 	// Robustness counters (DESIGN.md §9).

@@ -57,19 +57,14 @@ func checkPartition(t *testing.T, pre []*expr.Expr, segs []*Segment) {
 // elements at the verifier's usual bounds: segment kinds, order and step
 // counts, and the solver's word that the conditions still partition the
 // input space. The segments are those of the per-member check the group
-// rule replaced, so they also show the rule changes no result; the
-// check counts are exact gates on its cost (the per-member check took
-// 243 for IPOptions, and as many as the rule for CheckIPHeader, whose
-// groups have one member each). CheckIPHeader took 63 until its
-// total-length read was decided from the byte window its version read
-// and its 20-byte length guard prove (DESIGN.md §3.3). IPOptions took
-// 77 until merged states kept the body's branch structure (§3.1): the
-// solver's witnesses of the smaller formulas differ, and two more group
-// checks find their parent's cached witness does not cover them. The
-// counts follow the models the solver finds, so the CNF encoding
-// (DESIGN.md §4.1) moves them while the segments stay. Both are the
-// same alone and in the whole package, since the solver orders a
-// query's atoms by content, not by intern ID.
+// rule replaced, so they also show the rule changes no result. The
+// check counts are exact gates on its cost. A group check is skipped
+// when its parent's cached witness covers it, and the witnesses are the
+// models the solver finds, so the counts follow what shapes those
+// models — the CNF encoding (DESIGN.md §4.1), the session's assumption
+// order and kept trail (§2) — while the segments stay. Each count is
+// the same alone and in the whole package: nothing in a run depends on
+// intern IDs or on earlier tests.
 func TestLoopElementsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -77,7 +72,7 @@ func TestLoopElementsGolden(t *testing.T) {
 		want   string
 		checks int64
 	}{
-		{"IPOptions", elements.IPOptions, "OOB 2, OOB 732, emit1 730, emit0 733", 70},
+		{"IPOptions", elements.IPOptions, "OOB 2, OOB 732, emit1 730, emit0 733", 74},
 		{"CheckIPHeader", elements.CheckIPHeader,
 			"emit1 8, OOB 8, emit1 15, emit1 21, emit1 27, emit1 33, emit1 37, emit1 427, emit0 427", 62},
 	} {

@@ -365,6 +365,10 @@ type exec struct {
 
 	session  *smt.IncrementalSession
 	loopMemo map[*ir.Stmt][]*bodySummary
+	// ev evaluates conditions under the witness the last cached-witness
+	// check read: the forks of one path test their branch conditions
+	// against the same model, and their subterms are shared.
+	ev *expr.Evaluator
 }
 
 // feasibleM reports whether the path extended by extra can still be
@@ -376,8 +380,13 @@ func (x *exec) feasibleM(st *pathState, extra *expr.Expr) (bool, *expr.Assignmen
 	if extra.IsFalse() {
 		return false, nil
 	}
-	if st.model != nil && expr.Eval(extra, st.model).IsTrue() {
-		return true, st.model
+	if st.model != nil {
+		if x.ev == nil || x.ev.Assignment() != st.model {
+			x.ev = expr.NewEvaluator(st.model)
+		}
+		if x.ev.Eval(extra).IsTrue() {
+			return true, st.model
+		}
 	}
 	cons := make([]*expr.Expr, 0, len(x.pre)+len(st.conds)+1)
 	cons = append(cons, x.pre...)
@@ -407,7 +416,7 @@ func (x *exec) feasible(st *pathState, extra *expr.Expr) bool {
 // (which must satisfy the fork's full constraint set, or be nil).
 func forkWith(st *pathState, cond *expr.Expr, m *expr.Assignment) *pathState {
 	cs := st.fork()
-	cs.assume(cond)
+	cs.conds = append(cs.conds, cond)
 	cs.model = m
 	return cs
 }

@@ -55,31 +55,20 @@ func certifyCounted(t *testing.T, v *Verifier, p *click.Pipeline) (verified bool
 }
 
 // TestOptionsRouterClauseBudget is the count-based gate of the lazy
-// array axioms (DESIGN.md §2), of the loop merge-group rule (§3.1) and
-// of the per-value table forks (§3.2) and of the order pass (§4.4):
-// certifying the IPOptions router on one worker takes exactly 109 SAT
-// calls, and under half the clauses that eager axioms needed (816 286
-// eager, 227 161 lazy when the clause gate was set). Of the 109, 98
-// are Step 1 — 70 of them IPOptions
-// which checks each merge group once instead of every member (the
-// per-member check made the total 305; 77 until merged loop states kept
-// the body's branch structure, §3.1, whose smaller formulas give the
-// solver other witnesses, so two more group checks miss the cached
-// one: the count follows the solver's models, which the CNF encoding,
-// §4.1, shapes too), none the route lookup's, which
-// forks per value unchecked (per range it cost 5); bounds checks that
-// the path's byte window proves cost none either (DESIGN.md §3.3), which
-// took 9 (Classifier 5 → 4, CheckIPHeader 9 → 8, DecIPTTL 7 → 5,
-// EtherEncap 14 → 9) — 10 the crash walk's stitches (19
-// over the route table's five ranges; 11 until the order pass refuted
-// the chk → opt crash stitch, the paper's central argument, without
-// the SAT core), and one is the bound witness, solved on a fresh
-// session (DESIGN.md §7.5). The count is the same whichever tests ran
-// before: the solver orders a query's atoms by content, not by intern
-// ID. The clause ceiling sits just above the 234 617 clauses the run
-// blasts (majority/parity adders, §4.1, and one session per stitch
-// query, §7.5) and may only go down. The instruction bound 922 is the 48-byte
-// bound; from maxlen 64 up to 1514 the router's bound is 1230.
+// array axioms (DESIGN.md §2), of the loop merge-group rule (§3.1), of
+// the per-value table forks (§3.2), of the window-proven bounds checks
+// (§3.3) and of the order pass (§4.4): certifying the IPOptions router
+// on one worker takes exactly 113 SAT calls. Of them, 102 are Step 1
+// (74 IPOptions, which checks each merge group once; none the route
+// lookup's), 10 the crash walk's stitches and one the bound witness,
+// solved on a fresh session (§7.5). Which Step-1 checks a cached
+// witness covers follows the solver's models, so the CNF encoding
+// (§4.1) and the session's assumption order and kept trail (§2) move
+// the count; nothing else may. It is the same whichever tests ran
+// before: no count depends on intern IDs. The clause ceiling sits just
+// above the clauses the run blasts and may only go down. The
+// instruction bound 922 is the 48-byte bound; from maxlen 64 up to 1514
+// the router's bound is 1230.
 func TestOptionsRouterClauseBudget(t *testing.T) {
 	v := New(Options{MinLen: packet.MinFrame, MaxLen: 48, Parallelism: 1})
 	ok, bound, _, work := certifyCounted(t, v, parsePipeline(t, ipRouterConfig))
@@ -87,8 +76,8 @@ func TestOptionsRouterClauseBudget(t *testing.T) {
 	if !ok || bound != 922 {
 		t.Errorf("certified %v with bound %d, want certified with bound 922", ok, bound)
 	}
-	if work.SatCalls != 109 {
-		t.Errorf("%d SAT calls, want 109", work.SatCalls)
+	if work.SatCalls != 113 {
+		t.Errorf("%d SAT calls, want 113", work.SatCalls)
 	}
 	if work.CNFClauses > 250_000 {
 		t.Errorf("%d CNF clauses, want at most 250 000", work.CNFClauses)

@@ -860,8 +860,9 @@ func (v *Verifier) countBuilt() {
 func (v *Verifier) feasible(lane *telemetry.Lane, st *composed, newConds, extraPre []*expr.Expr, kind, lbl string) (feasible bool, m *expr.Assignment, unknown, solved bool) {
 	if st.model != nil {
 		ok := true
+		ev := expr.NewEvaluator(st.model)
 		for _, c := range newConds {
-			if !expr.Eval(c, st.model).IsTrue() {
+			if !ev.Eval(c).IsTrue() {
 				ok = false
 				break
 			}
